@@ -1,0 +1,351 @@
+"""Experiment runner: config in, machine-readable report records out.
+
+Usage:
+    poisson-ou run <config.json> [--seed S] [--tail-mass T] [--budget B]
+                   [--mode exact|mc] [--out DIR]
+    poisson-ou list-checks
+    poisson-ou example <name> [--out DIR] [key=value ...]
+
+Exit codes: 0 clean, 1 a check was violated, 2 config/DSL parse error,
+3 state budget exceeded.
+
+Report files are UTF-8, one record per line, fields in fixed order
+(name, params sorted by key, lhs, rhs, slack, stderr, verdict, certs, tag),
+floats with 17 significant digits, so identical configs and seeds produce
+byte-identical reports.
+"""
+
+from __future__ import annotations
+
+import argparse
+import csv
+import itertools
+import json
+import math
+import sys
+from pathlib import Path
+
+import numpy as np
+
+from . import casestudies, dsl, inequalities, semigroup
+from .errors import BudgetExceededError, PoissonOUError
+from .ground import GroundSpace, TruncatedStateSpace, check_mecke
+from .reports import VIOLATED, InequalityReport
+from .semigroup import SemigroupEngine
+
+DEMO_TAG = "intentional-violation-demo"
+
+#: stable catalog of checkers: identifier -> (required params, hypotheses, summary)
+CHECK_CATALOG = {
+    "mecke": ([], "none", "integration-by-parts identity for the point process"),
+    "poincare": ([], "none", "variance bounded by the expected squared differences"),
+    "modified-lsi": ([], "F > 0", "entropy bound with the difference chain-rule defect"),
+    "min-form-lsi": ([], "F > 0", "entropy bound with the pointwise minimum integrand"),
+    "pathwise-lemma": (["a", "b", "q"], "none", "pathwise power-difference inequality"),
+    "entropy-power": (["q"], "F >= 0, DF <= 0", "entropy of F^q against the bilinear form"),
+    "restricted-hypercontractivity": (
+        ["t", "p"], "F >= 0, DF <= 0", "norm contraction with growing exponent"),
+    "weak-hypercontractivity": (["t"], "none (bounded F)", "exponential-moment contraction"),
+    "talagrand": ([], "DF >= 0 & D2F <= 0, or both reversed", "L1-L2 variance bound"),
+    "l1-variance": ([], "bounded F, same sign hypotheses", "L1-only variance bound"),
+    "concentration": (["thresholds"], "DF <= 0", "Gaussian upper tail for the centered functional"),
+    "lsi-failure": (["k_max"], "none", "divergence of the would-be log-Sobolev constant"),
+}
+
+EXAMPLE_NAMES = ("maxima", "onedim", "counterexample_fk", "near_optimality")
+
+
+def _fmt(x) -> str:
+    if x is None:
+        return "-"
+    if isinstance(x, float):
+        if math.isinf(x):
+            return "inf" if x > 0 else "-inf"
+        return format(x, ".17g")
+    return str(x)
+
+
+def format_report_line(report: InequalityReport) -> str:
+    params = ",".join(
+        f"{k}={_fmt(v)}" for k, v in sorted(report.parameters.items())
+    )
+    certs = ";".join(c.brief() for c in report.hypothesis_certificates) or "-"
+    fields = [
+        f"name={report.name}",
+        f"params={params or '-'}",
+        f"lhs={_fmt(report.lhs)}",
+        f"rhs={_fmt(report.rhs)}",
+        f"slack={_fmt(report.slack)}",
+        f"stderr={_fmt(report.stderr)}",
+        f"verdict={report.verdict}",
+        f"certs={certs}",
+    ]
+    if report.tag:
+        fields.append(f"tag={report.tag}")
+    return " ".join(fields)
+
+
+def load_config(path: str) -> dict:
+    with open(path, encoding="utf-8") as handle:
+        return json.load(handle)
+
+
+def dump_config(config: dict) -> str:
+    return json.dumps(config, indent=2, sort_keys=True)
+
+
+def _param_grid(params: dict):
+    """Cartesian product over any list-valued parameters, in sorted key order."""
+    keys = sorted(params)
+    pools = [params[k] if isinstance(params[k], list) else [params[k]] for k in keys]
+    for combo in itertools.product(*pools):
+        yield dict(zip(keys, combo))
+
+
+def _run_one(check: str, engine: SemigroupEngine, func, params: dict, bypass: bool):
+    if check == "mecke":
+        h = (lambda c, i: func(c)) if func is not None else (lambda c, i: 1.0)
+        return check_mecke(engine.space, h, trunc=engine.trunc, mode=engine.mode,
+                           replications=engine.replications, seed=engine.seed)
+    if check == "poincare":
+        return inequalities.check_poincare(engine, func)
+    if check == "modified-lsi":
+        return inequalities.check_modified_lsi(engine, func)
+    if check == "min-form-lsi":
+        return inequalities.check_min_form_lsi(engine, func)
+    if check == "pathwise-lemma":
+        return inequalities.check_pathwise_lemma(params["a"], params["b"], params["q"])
+    if check == "entropy-power":
+        return inequalities.check_entropy_power(
+            engine, func, params["q"], bypass_hypotheses=bypass)
+    if check == "restricted-hypercontractivity":
+        return inequalities.check_restricted_hypercontractivity(
+            engine, func, params["t"], params["p"], bypass_hypotheses=bypass)
+    if check == "weak-hypercontractivity":
+        return inequalities.check_weak_hypercontractivity(engine, func, params["t"])
+    if check == "talagrand":
+        return inequalities.check_talagrand(engine, func, bypass_hypotheses=bypass)
+    if check == "l1-variance":
+        return inequalities.l1_variance_bound(engine, func, bypass_hypotheses=bypass)
+    if check == "concentration":
+        return inequalities.check_concentration(
+            engine, func, params["thresholds"], bypass_hypotheses=bypass)
+    if check == "lsi-failure":
+        return inequalities.check_lsi_failure(int(params.get("k_max", 50)))
+    raise ValueError(f"unknown check {check!r}")
+
+
+def run_config(config: dict, out_dir: Path) -> int:
+    """Execute the configured checks; returns the process exit code."""
+    space = GroundSpace(tuple(config["space"]["weights"]))
+    trunc_cfg = config.get("truncation", {})
+    trunc = TruncatedStateSpace.from_tail_mass(
+        space,
+        tail_mass=float(trunc_cfg.get("tail_mass", 1e-12)),
+        budget=int(trunc_cfg.get("budget", 10**6)),
+    )
+    engine_cfg = config.get("engine", {})
+    engine = SemigroupEngine(
+        space,
+        trunc,
+        mode=engine_cfg.get("mode", "exact"),
+        replications=int(engine_cfg.get("replications", 100_000)),
+        seed=config.get("seed", 0),
+    )
+    functionals = {
+        name: dsl.functional_from_text(text, name=name)
+        for name, text in config.get("functionals", {}).items()
+    }
+    catalog_order = list(CHECK_CATALOG)
+    records = []
+    for item in config.get("checks", []):
+        check = item["check"]
+        if check not in CHECK_CATALOG:
+            raise DslOrConfigError(f"unknown check {check!r}")
+        func = None
+        if "functional" in item:
+            if item["functional"] not in functionals:
+                raise DslOrConfigError(
+                    f"functional {item['functional']!r} is not defined"
+                )
+            func = functionals[item["functional"]]
+        needed = CHECK_CATALOG[check][0]
+        base_params = item.get("params", {})
+        missing = [p for p in needed if p not in base_params]
+        if missing:
+            raise DslOrConfigError(f"check {check!r} is missing params {missing}")
+        for params in _param_grid(base_params):
+            report = _run_one(
+                check, engine, func, params, bool(item.get("bypass_hypotheses"))
+            )
+            report.parameters.setdefault("functional", item.get("functional", "-"))
+            report.tag = item.get("tag")
+            records.append((catalog_order.index(check), report))
+    records.sort(key=lambda pair: (pair[0], format_report_line(pair[1])))
+    out_dir.mkdir(parents=True, exist_ok=True)
+    report_path = out_dir / "report.txt"
+    with open(report_path, "w", encoding="utf-8", newline="\n") as handle:
+        for _, report in records:
+            handle.write(format_report_line(report) + "\n")
+    genuine_violation = any(
+        r.verdict == VIOLATED and r.tag != DEMO_TAG for _, r in records
+    )
+    return 1 if genuine_violation else 0
+
+
+class DslOrConfigError(ValueError):
+    pass
+
+
+def list_checks() -> str:
+    lines = []
+    for name, (params, hypotheses, summary) in CHECK_CATALOG.items():
+        param_text = ",".join(params) or "-"
+        lines.append(f"{name} params={param_text} hypotheses={hypotheses} :: {summary}")
+    return "\n".join(lines)
+
+
+# ------------------------------------------------------------------ examples
+
+
+def _write_csv(path: Path, header, rows):
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def run_example(name: str, params: dict, out_dir: Path) -> int:
+    out_dir.mkdir(parents=True, exist_ok=True)
+    if name == "maxima":
+        grid = params.get("m_grid", [0.5, 1.0, 2.0, 5.0, 10.0, 20.0])
+        rows = []
+        for m in grid:
+            forms = casestudies.maxima_closed_forms(casestudies.MaximaModel(m=float(m)))
+            rows.append([
+                _fmt(float(m)), _fmt(forms["variance"]), _fmt(forms["poincare_rhs"]),
+                _fmt(forms["talagrand_rhs"]), _fmt(forms["log_norm_ratio"]),
+            ])
+        _write_csv(out_dir / "maxima.csv",
+                   ["m", "variance", "poincare_rhs", "talagrand_rhs", "log_norm_ratio"],
+                   rows)
+        return 0
+    if name == "onedim":
+        M = int(params.get("M", 1))
+        lam_grid = params.get("lambda_grid", [1.0, 5.0, 10.0, 20.0])
+        rows = []
+        for lam in lam_grid:
+            rec = casestudies.one_dim_bound_comparison(
+                lambda j: 1.0 if j <= M else 0.0, float(lam)
+            )
+            rows.append([
+                _fmt(float(lam)), _fmt(rec["variance"]), _fmt(rec["poincare_rhs"]),
+                _fmt(rec["talagrand_rhs"]), _fmt(rec["g_norm_l1"]),
+                _fmt(rec["log_norm_ratio"]),
+            ])
+        _write_csv(out_dir / "onedim.csv",
+                   ["lambda", "variance", "poincare_rhs", "talagrand_rhs",
+                    "g_norm_l1", "log_norm_ratio"],
+                   rows)
+        return 0
+    if name == "counterexample_fk":
+        k_hi = int(params.get("k_max", 50))
+        rows = []
+        for k in range(2, k_hi + 1):
+            rec = casestudies.counterexample_fk(k)
+            rows.append([
+                k, _fmt(rec["variance"]), _fmt(rec["e_dF_sq"]), _fmt(rec["denom"]),
+                _fmt(rec["talagrand_rhs"]), _fmt(rec["lhs_over_rhs"]),
+            ])
+        _write_csv(out_dir / "counterexample_fk.csv",
+                   ["k", "variance", "e_dF_sq", "denom", "talagrand_rhs",
+                    "lhs_over_rhs"],
+                   rows)
+        return 0
+    if name == "near_optimality":
+        a_grid = params.get("a_grid", [0.05, 0.1, 0.5, 1.0, 2.0, 3.0])
+        q_grid = params.get("q_grid", [1.05, 1.5, 2.0, 3.0, 4.0])
+        scan = casestudies.near_optimality_scan(a_grid, q_grid, float(params.get("gamma", 1.0)))
+        rows = []
+        for ia, a in enumerate(scan["a_grid"]):
+            for iq, q in enumerate(scan["q_grid"]):
+                rows.append([_fmt(a), _fmt(q), _fmt(float(scan["ratios"][ia, iq]))])
+        _write_csv(out_dir / "near_optimality.csv", ["a", "q", "rhs_over_lhs"], rows)
+        return 0
+    raise DslOrConfigError(f"unknown example {name!r}; choose from {EXAMPLE_NAMES}")
+
+
+# ----------------------------------------------------------------- arg parse
+
+
+def _parse_kv(pairs):
+    out = {}
+    for pair in pairs:
+        if "=" not in pair:
+            raise DslOrConfigError(f"expected key=value, got {pair!r}")
+        key, value = pair.split("=", 1)
+        try:
+            out[key] = json.loads(value)
+        except json.JSONDecodeError:
+            out[key] = value
+    return out
+
+
+def build_parser():
+    parser = argparse.ArgumentParser(prog="poisson-ou")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    run_p = sub.add_parser("run", help="run the checks in a config file")
+    run_p.add_argument("config")
+    run_p.add_argument("--seed", type=int)
+    run_p.add_argument("--tail-mass", type=float)
+    run_p.add_argument("--budget", type=int)
+    run_p.add_argument("--mode", choices=["exact", "mc"])
+    run_p.add_argument("--out", default="reports")
+
+    sub.add_parser("list-checks", help="print the checker catalog")
+
+    ex_p = sub.add_parser("example", help="run a worked example, emit CSV")
+    ex_p.add_argument("name")
+    ex_p.add_argument("params", nargs="*", help="key=value overrides")
+    ex_p.add_argument("--out", default="reports")
+    return parser
+
+
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
+    try:
+        if args.command == "list-checks":
+            print(list_checks())
+            return 0
+        if args.command == "example":
+            return run_example(args.name, _parse_kv(args.params), Path(args.out))
+        try:
+            config = load_config(args.config)
+        except json.JSONDecodeError as err:
+            print(f"config parse error: line {err.lineno}, column {err.colno}: "
+                  f"{err.msg}", file=sys.stderr)
+            return 2
+        if args.seed is not None:
+            config["seed"] = args.seed
+        if args.tail_mass is not None:
+            config.setdefault("truncation", {})["tail_mass"] = args.tail_mass
+        if args.budget is not None:
+            config.setdefault("truncation", {})["budget"] = args.budget
+        if args.mode is not None:
+            config.setdefault("engine", {})["mode"] = args.mode
+        return run_config(config, Path(args.out))
+    except (dsl.DslError, DslOrConfigError, KeyError, json.JSONDecodeError) as err:
+        print(f"config error: {err}", file=sys.stderr)
+        return 2
+    except BudgetExceededError as err:
+        print(f"budget exceeded: {err}", file=sys.stderr)
+        return 3
+    except PoissonOUError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

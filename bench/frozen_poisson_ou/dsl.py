@@ -1,0 +1,278 @@
+"""Textual mini-language for functionals used by the experiment runner.
+
+Grammar (whitespace-insensitive):
+
+    expr  := term (('+' | '-') term)*
+    term  := [number '*'] call | number
+    call  := name '(' number (',' number)* ')'
+
+Built-in calls:
+
+    count(i)            the count at atom i
+    indicator_le(i, k)  1 if the count at atom i is <= k
+    exp_neg(a, i)       exp(-a * count at atom i)
+    cumsum_g(i, M)      cumulative G(n) = sum_{j<n} 1{j <= M} at atom i
+    max_radius_gt(i)    1 if atom i (the region outside the radius of
+                        interest in a radially reduced space) holds a point
+
+Parsing errors carry line and column. ``serialize`` produces a canonical
+string; parse -> serialize -> parse is the identity on the structure.
+"""
+
+from __future__ import annotations
+
+import math
+import re
+from dataclasses import dataclass
+
+from .functionals import (
+    SIGN_NONNEG,
+    SIGN_NONPOS,
+    SIGN_UNKNOWN,
+    Functional,
+)
+
+
+class DslError(ValueError):
+    def __init__(self, message, line, column):
+        super().__init__(f"line {line}, column {column}: {message}")
+        self.line = line
+        self.column = column
+
+
+BUILTINS = {
+    "count": 1,
+    "indicator_le": 2,
+    "exp_neg": 2,
+    "cumsum_g": 2,
+    "max_radius_gt": 1,
+}
+
+
+@dataclass(frozen=True)
+class Term:
+    coeff: float
+    func: str
+    args: tuple[float, ...]
+
+
+@dataclass(frozen=True)
+class Expr:
+    const: float
+    terms: tuple[Term, ...]
+
+
+_TOKEN = re.compile(
+    r"\s*(?:(?P<number>[0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?)"
+    r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
+    r"|(?P<punct>[()*,+-]))"
+)
+
+
+def _tokenize(text):
+    pos = 0
+    tokens = []
+    while pos < len(text):
+        if text[pos:].strip() == "":
+            break
+        match = _TOKEN.match(text, pos)
+        if match is None:
+            bad = pos + len(text[pos:]) - len(text[pos:].lstrip())
+            line, col = _position(text, bad)
+            raise DslError(f"unexpected character {text[bad]!r}", line, col)
+        kind = match.lastgroup
+        tokens.append((kind, match.group(kind), match.start(kind)))
+        pos = match.end()
+    return tokens
+
+
+def _position(text, offset):
+    line = text.count("\n", 0, offset) + 1
+    col = offset - (text.rfind("\n", 0, offset) + 1) + 1
+    return line, col
+
+
+class _Parser:
+    def __init__(self, text):
+        self.text = text
+        self.tokens = _tokenize(text)
+        self.index = 0
+
+    def error(self, message):
+        if self.index < len(self.tokens):
+            offset = self.tokens[self.index][2]
+        else:
+            offset = len(self.text)
+        line, col = _position(self.text, offset)
+        raise DslError(message, line, col)
+
+    def peek(self):
+        return self.tokens[self.index] if self.index < len(self.tokens) else None
+
+    def take(self, kind=None, value=None):
+        tok = self.peek()
+        if tok is None:
+            self.error("unexpected end of input")
+        if kind and tok[0] != kind:
+            self.error(f"expected {kind}, found {tok[1]!r}")
+        if value and tok[1] != value:
+            self.error(f"expected {value!r}, found {tok[1]!r}")
+        self.index += 1
+        return tok
+
+    def parse(self) -> Expr:
+        const = 0.0
+        terms = []
+        sign = 1.0
+        first = True
+        while True:
+            tok = self.peek()
+            if tok is None:
+                if first:
+                    self.error("empty expression")
+                break
+            if not first:
+                if tok[0] == "punct" and tok[1] in "+-":
+                    sign = 1.0 if tok[1] == "+" else -1.0
+                    self.take()
+                else:
+                    self.error(f"expected '+' or '-', found {tok[1]!r}")
+            elif tok[0] == "punct" and tok[1] in "+-":
+                sign = 1.0 if tok[1] == "+" else -1.0
+                self.take()
+            piece = self.term()
+            if isinstance(piece, float):
+                const += sign * piece
+            else:
+                terms.append(Term(sign * piece.coeff, piece.func, piece.args))
+            sign = 1.0
+            first = False
+        return Expr(const=const, terms=tuple(terms))
+
+    def term(self):
+        tok = self.peek()
+        if tok is None:
+            self.error("unexpected end of input")
+        if tok[0] == "number":
+            value = float(self.take("number")[1])
+            nxt = self.peek()
+            if nxt and nxt[0] == "punct" and nxt[1] == "*":
+                self.take("punct", "*")
+                call = self.call()
+                return Term(value * call.coeff, call.func, call.args)
+            return value
+        if tok[0] == "name":
+            return self.call()
+        self.error(f"expected a number or a call, found {tok[1]!r}")
+
+    def call(self) -> Term:
+        name = self.peek()[1]
+        if name not in BUILTINS:
+            self.error(f"unknown builtin {name!r}")
+        self.take("name")
+        self.take("punct", "(")
+        args = [float(self.take("number")[1])]
+        while True:
+            tok = self.peek()
+            if tok and tok[0] == "punct" and tok[1] == ",":
+                self.take()
+                args.append(float(self.take("number")[1]))
+            else:
+                break
+        self.take("punct", ")")
+        if len(args) != BUILTINS[name]:
+            self.error(f"{name} takes {BUILTINS[name]} argument(s), got {len(args)}")
+        return Term(1.0, name, tuple(args))
+
+
+def parse(text: str) -> Expr:
+    return _Parser(text).parse()
+
+
+def _format_number(x: float) -> str:
+    if x == int(x) and abs(x) < 1e16:
+        return str(int(x))
+    return repr(x)
+
+
+def serialize(expr: Expr) -> str:
+    pieces = []
+    for k, term in enumerate(expr.terms):
+        call = f"{term.func}({', '.join(_format_number(a) for a in term.args)})"
+        magnitude = abs(term.coeff)
+        body = call if magnitude == 1.0 else f"{_format_number(magnitude)}*{call}"
+        if k == 0:
+            pieces.append(body if term.coeff >= 0 else f"-{body}")
+        else:
+            pieces.append(("+ " if term.coeff >= 0 else "- ") + body)
+    if expr.const != 0.0 or not pieces:
+        body = _format_number(abs(expr.const))
+        if not pieces:
+            pieces.append(body if expr.const >= 0 else f"-{body}")
+        else:
+            pieces.append(("+ " if expr.const >= 0 else "- ") + body)
+    return " ".join(pieces)
+
+
+def _term_value(term: Term, c) -> float:
+    if term.func == "count":
+        return float(c[int(term.args[0])])
+    if term.func == "indicator_le":
+        return 1.0 if c[int(term.args[0])] <= term.args[1] else 0.0
+    if term.func == "exp_neg":
+        return math.exp(-term.args[0] * c[int(term.args[1])])
+    if term.func == "cumsum_g":
+        n = int(c[int(term.args[0])])
+        return float(min(n, int(term.args[1]) + 1))
+    if term.func == "max_radius_gt":
+        return 1.0 if c[int(term.args[0])] >= 1 else 0.0
+    raise ValueError(f"unknown builtin {term.func!r}")
+
+
+#: per-builtin sign of (DF, D2F) when the coefficient is positive
+_TERM_SIGNS = {
+    "count": (SIGN_NONNEG, None),
+    "indicator_le": (SIGN_NONPOS, None),
+    "exp_neg": (SIGN_NONPOS, SIGN_NONNEG),
+    "cumsum_g": (SIGN_NONNEG, SIGN_NONPOS),
+    "max_radius_gt": (SIGN_NONNEG, SIGN_NONPOS),
+}
+
+
+def _flip(sign):
+    if sign == SIGN_NONNEG:
+        return SIGN_NONPOS
+    if sign == SIGN_NONPOS:
+        return SIGN_NONNEG
+    return sign
+
+
+def to_functional(expr: Expr, name: str | None = None) -> Functional:
+    """Compile an expression to a rule-backed functional.
+
+    Single-call expressions inherit the builtin's difference sign flags
+    (adding a constant does not change any difference).
+    """
+    terms = expr.terms
+    const = expr.const
+
+    def rule(c):
+        return const + sum(t.coeff * _term_value(t, c) for t in terms)
+
+    sign_df, sign_d2f = SIGN_UNKNOWN, SIGN_UNKNOWN
+    if len(terms) == 1:
+        df, d2f = _TERM_SIGNS[terms[0].func]
+        if terms[0].coeff < 0:
+            df, d2f = _flip(df), _flip(d2f)
+        sign_df = df or SIGN_UNKNOWN
+        sign_d2f = d2f or SIGN_UNKNOWN
+    return Functional(
+        rule=rule,
+        name=name or serialize(expr),
+        sign_df=sign_df,
+        sign_d2f=sign_d2f,
+    )
+
+
+def functional_from_text(text: str, name: str | None = None) -> Functional:
+    return to_functional(parse(text), name=name)

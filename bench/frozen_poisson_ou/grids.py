@@ -1,0 +1,69 @@
+"""Dense tensor-grid helpers for exact computation on truncated count spaces.
+
+States are multi-indices ``c = (c_1, ..., c_m)`` of per-atom counts; tables
+are numpy arrays indexed by those counts. All helpers here are pure.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+from scipy import stats
+
+
+def poisson_pmf_vector(lam: float, size: int) -> np.ndarray:
+    """pmf of Poisson(lam) on {0, ..., size-1}."""
+    return stats.poisson.pmf(np.arange(size), lam)
+
+
+def product_pmf(weights, shape) -> np.ndarray:
+    """Product-Poisson pmf table over the grid of the given shape."""
+    out = np.ones(())
+    for lam, size in zip(weights, shape):
+        out = np.multiply.outer(out, poisson_pmf_vector(lam, size))
+    return out.reshape(tuple(shape))
+
+
+def tensor_apply(mats, table: np.ndarray) -> np.ndarray:
+    """Apply one matrix per axis: out[c] = sum_k prod_i M_i[c_i, k_i] table[k]."""
+    for axis, mat in enumerate(mats):
+        table = np.moveaxis(np.tensordot(mat, table, axes=(1, axis)), 0, axis)
+    return table
+
+
+def shift_up(table: np.ndarray, axis: int) -> np.ndarray:
+    """table[c + e_axis]; shape shrinks by one along axis."""
+    index = [slice(None)] * table.ndim
+    index[axis] = slice(1, None)
+    return table[tuple(index)]
+
+
+def drop_top(table: np.ndarray, axis: int, k: int = 1) -> np.ndarray:
+    """Discard the top k layers along axis."""
+    index = [slice(None)] * table.ndim
+    index[axis] = slice(0, table.shape[axis] - k)
+    return table[tuple(index)]
+
+
+def trim_to(table: np.ndarray, shape) -> np.ndarray:
+    """Restrict a table to the sub-grid of the given (smaller) shape."""
+    return table[tuple(slice(0, s) for s in shape)]
+
+
+def diff_axis(table: np.ndarray, axis: int) -> np.ndarray:
+    """Add-one-cost along one axis: table[c + e_axis] - table[c]."""
+    return np.diff(table, axis=axis)
+
+
+def counts_along(shape, axis: int) -> np.ndarray:
+    """Array broadcastable to ``shape`` holding the count on one axis."""
+    view = [1] * len(shape)
+    view[axis] = shape[axis]
+    return np.arange(shape[axis]).reshape(view)
+
+
+def tabulate_rule(rule, shape) -> np.ndarray:
+    """Evaluate a scalar rule counts -> real on every state of the grid."""
+    out = np.empty(tuple(shape), dtype=float)
+    for idx in np.ndindex(*shape):
+        out[idx] = rule(np.asarray(idx, dtype=np.int64))
+    return out

@@ -1,0 +1,490 @@
+"""Checkers for the variance, entropy, and hypercontractivity inequalities.
+
+Each checker returns an InequalityReport carrying both sides, the slack, the
+error model (exact tolerance or Monte Carlo stderr), hypothesis certificates,
+and the verdict. Hypothesis-gated checkers certify their sign conditions
+exactly before comparing sides; ``bypass_hypotheses=True`` runs the
+comparison anyway (used to demonstrate counterexamples) and the surrounding
+tooling tags such records so they never count as genuine violations.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+from scipy import stats
+
+from . import grids
+from .errors import NegativeValueError, PreconditionError
+from .functionals import (
+    PROP_D2F_GE0,
+    PROP_D2F_LE0,
+    PROP_DF_GE0,
+    PROP_DF_LE0,
+    Functional,
+    certify_monotonicity,
+    gamma_expectation,
+)
+from .reports import VIOLATED, EntropyValue, make_report
+from .semigroup import SemigroupEngine, apply_semigroup, lp_norm, variance
+
+
+def _phi(values: np.ndarray) -> tuple[np.ndarray, int]:
+    """u log u with 0 log 0 = 0; returns the table and the convention-hit count."""
+    if np.any(values < 0):
+        raise NegativeValueError("u log u needs non-negative values")
+    zero = values == 0.0
+    out = np.zeros_like(values)
+    nz = ~zero
+    out[nz] = values[nz] * np.log(values[nz])
+    return out, int(np.count_nonzero(zero))
+
+
+def entropy(engine: SemigroupEngine, F: Functional) -> EntropyValue:
+    """Ent(F) = E[F log F] - E[F] log E[F] for F >= 0."""
+    if engine.mode == "exact":
+        table = engine.tabulate(F)
+        phi_table, hits = _phi(table)
+        mean = engine.expect_table(table)
+        mean_phi = engine.expect_table(phi_table)
+    else:
+        vals = np.array([F(c) for c in engine.samples])
+        phi_vals, hits = _phi(vals)
+        mean = float(vals.mean())
+        mean_phi = float(phi_vals.mean())
+    base = 0.0 if mean == 0.0 else mean * math.log(mean)
+    return EntropyValue(value=mean_phi - base, convention_hits=hits)
+
+
+def _certify(engine, F, props):
+    return [
+        certify_monotonicity(F, engine.space, prop, trunc=engine.trunc)
+        for prop in props
+    ]
+
+
+def _positivity_floor(engine, F):
+    """min of F over the working grid; the entropy checkers need it > 0."""
+    return float(np.min(engine.tabulate(F)))
+
+
+def check_poincare(engine, F, name="poincare"):
+    """Var(F) <= sum_i lam_i E[(D_i F)^2]; holds for every F, no gate."""
+    if engine.mode == "exact":
+        lhs = variance(engine, F)
+        rhs = gamma_expectation(engine, F)
+        tf = engine.tabulate(F)
+        tol = engine.tolerance(float(np.max(np.abs(tf))) ** 2 * (1 + engine.space.total_mass))
+        return make_report(name, lhs, rhs, tolerance=tol)
+    lhs, se_l = variance(engine, F)
+    rhs, se_r = gamma_expectation(engine, F)
+    return make_report(name, lhs, rhs, stderr=math.hypot(se_l, se_r))
+
+
+def check_modified_lsi(engine, F, name="modified-lsi"):
+    """Ent(F) <= sum_i lam_i E[Phi(F(.+e_i)) - Phi(F) - (log F + 1) D_i F]."""
+    engine._require_exact(name)
+    table = engine.tabulate(F)
+    if np.min(table) <= 0.0:
+        raise PreconditionError("modified LSI needs F > 0 on the probed states")
+    lhs = entropy(engine, F).value
+    phi_table, _ = _phi(table)
+    phi_prime = np.log(table) + 1.0
+    rhs = 0.0
+    lam = engine.space.weight_array()
+    for i in range(engine.space.atom_count):
+        d_phi = grids.diff_axis(phi_table, i)
+        df = grids.diff_axis(table, i)
+        integrand = d_phi - grids.drop_top(phi_prime, i) * df
+        rhs += lam[i] * engine.expect_table(integrand)
+    scale = float(np.max(np.abs(phi_table))) + float(np.max(np.abs(table)))
+    tol = engine.tolerance(scale * (1 + engine.space.total_mass))
+    return make_report(name, lhs, rhs, tolerance=tol)
+
+
+def check_min_form_lsi(engine, F, name="min-form-lsi"):
+    """Ent(F) <= sum_i lam_i E[min((D_i F)^2 / F, D_i F * D_i log F)]."""
+    engine._require_exact(name)
+    table = engine.tabulate(F)
+    if np.min(table) <= 0.0:
+        raise PreconditionError("min-form LSI needs F > 0 on the probed states")
+    lhs = entropy(engine, F).value
+    log_table = np.log(table)
+    rhs = 0.0
+    lam = engine.space.weight_array()
+    for i in range(engine.space.atom_count):
+        df = grids.diff_axis(table, i)
+        d_log = grids.diff_axis(log_table, i)
+        quad = df**2 / grids.drop_top(table, i)
+        rhs += lam[i] * engine.expect_table(np.minimum(quad, df * d_log))
+    scale = float(np.max(np.abs(table * (1 + np.abs(log_table)))))
+    tol = engine.tolerance(scale * (1 + engine.space.total_mass))
+    return make_report(name, lhs, rhs, tolerance=tol)
+
+
+#: beyond this value of q*log(a/b) the sides exceed the float range for
+#: small b and are handled in log space
+_LOG_REGIME = 350.0
+
+
+def _pathwise_eval(a, b, q, rel_tol):
+    """Sides of the pathwise power inequality plus a violation mask.
+
+    Returns (lhs, rhs, log_lhs, log_rhs, violated). The log columns carry
+    the regime where the absolute sides overflow a double; the violation
+    mask always uses the numerically appropriate comparison.
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    q = np.asarray(q, dtype=float)
+    if np.any(a < 0) or np.any(b < 0) or np.any(q <= 1):
+        raise ValueError("need a, b >= 0 and q > 1")
+    shape = np.broadcast(a, b, q).shape
+    lhs = np.zeros(shape)
+    rhs = np.zeros_like(lhs)
+    log_lhs = np.full(shape, -np.inf)
+    log_rhs = np.full(shape, -np.inf)
+    violated = np.zeros(shape, dtype=bool)
+    a, b, q = np.broadcast_arrays(a, b, q)
+    # b = 0, a > 0: lhs finite a^q, rhs = +inf by convention; never violated
+    lone = (b == 0.0) & (a > 0)
+    lhs[lone] = a[lone] ** q[lone]
+    rhs[lone] = np.inf
+    log_lhs[lone] = q[lone] * np.log(a[lone])
+    log_rhs[lone] = np.inf
+    pos = b > 0.0
+    if np.any(pos):
+        ap, bp, qp = a[pos], b[pos], q[pos]
+        # u = a/b via log1p of the relative difference when it is
+        # representable, else directly through logs (precision is moot there)
+        with np.errstate(over="ignore"):
+            delta = (ap - bp) / bp
+        huge = ~np.isfinite(delta)
+        with np.errstate(divide="ignore"):  # a = 0 gives log_u = -inf, as it should
+            log_u = np.where(
+                huge,
+                np.log(np.where(ap > 0, ap, 1.0)) - np.log(bp),
+                np.log1p(np.where(huge, 0.0, delta)),
+            )
+        t = qp * log_u
+        extreme = t > _LOG_REGIME
+        mod = ~extreme
+        l_sub = np.zeros(ap.shape)
+        r_sub = np.zeros(ap.shape)
+        v_sub = np.zeros(ap.shape, dtype=bool)
+        if np.any(mod):
+            am, bm, qm = ap[mod], bp[mod], qp[mod]
+            dm, lm, tm = delta[mod], log_u[mod], t[mod]
+            uq_m1 = np.expm1(tm)  # u^q - 1
+            uqm1_m1 = np.expm1((qm - 1.0) * lm)  # u^{q-1} - 1
+            scale = bm**qm
+            l_val = scale * uq_m1**2
+            r_val = (
+                scale * qm**2 / (qm - 1.0) * dm * uqm1_m1 * np.maximum(np.exp(tm), 1.0)
+            )
+            l_sub[mod] = l_val
+            r_sub[mod] = r_val
+            v_sub[mod] = l_val > r_val + rel_tol * np.maximum(l_val, r_val)
+        if np.any(extreme):
+            # a >> b: both sides scale like a^2q / b^q; compare logarithms.
+            # The exp(-t) corrections are below 1e-150 here and are kept via
+            # log1p only to make the comparison self-evidently one-sided.
+            ae, be, qe = ap[extreme], bp[extreme], qp[extreme]
+            le, te = log_u[extreme], t[extreme]
+            ll = qe * np.log(be) + 2.0 * te + 2.0 * np.log1p(-np.exp(-te))
+            lr = (
+                qe * np.log(be)
+                + np.log(qe**2 / (qe - 1.0))
+                + np.log(ae - be)
+                - np.log(be)
+                + (qe - 1.0) * le
+                + np.log1p(-np.exp(-(qe - 1.0) * le))
+                + te
+            )
+            with np.errstate(over="ignore"):
+                l_sub[extreme] = np.exp(ll)
+                r_sub[extreme] = np.exp(lr)
+            v_sub[extreme] = ll > lr + rel_tol
+            tmp_l = log_lhs[pos]
+            tmp_r = log_rhs[pos]
+            tmp_l[extreme] = ll
+            tmp_r[extreme] = lr
+            log_lhs[pos] = tmp_l
+            log_rhs[pos] = tmp_r
+        lhs[pos] = l_sub
+        rhs[pos] = r_sub
+        violated[pos] = v_sub
+    return lhs, rhs, log_lhs, log_rhs, violated
+
+
+def pathwise_lemma_sides(a, b, q):
+    """Both sides of the pathwise power inequality, evaluated stably.
+
+    lhs = (a^q - b^q)^2 / b^q,
+    rhs = q^2/(q-1) * (a - b)(a^{q-1} - b^{q-1}) * max((a/b)^q, 1),
+    with the convention 1/0 = +inf when b = 0 < a. Near a = b the two sides
+    agree to second order, so powers are evaluated via expm1/log1p to keep
+    the comparison meaningful at relative tolerance 1e-12. Sides whose true
+    value exceeds the double range come back as inf.
+    """
+    lhs, rhs, _, _, _ = _pathwise_eval(a, b, q, rel_tol=0.0)
+    return lhs, rhs
+
+
+def check_pathwise_lemma(a, b, q, name="pathwise-lemma", rel_tol=1e-12):
+    """Single-point check of the pathwise power inequality.
+
+    When the absolute sides overflow a double the report carries the
+    logarithms of both sides instead (flagged in the parameters).
+    """
+    lhs, rhs, log_lhs, log_rhs, violated = _pathwise_eval(a, b, q, rel_tol)
+    lhs, rhs = float(lhs), float(rhs)
+    params = {"a": a, "b": b, "q": q}
+    if math.isinf(lhs):
+        lhs, rhs = float(log_lhs), float(log_rhs)
+        params["log_scale"] = True
+        tol = rel_tol
+    else:
+        tol = rel_tol * max(abs(lhs), abs(lhs) if math.isinf(rhs) else abs(rhs))
+    report = make_report(name, lhs, rhs, tolerance=tol, parameters=params)
+    assert (report.verdict == VIOLATED) == bool(violated)
+    return report
+
+
+def pathwise_lemma_sweep(n, seed=0, a_max=100.0, q_max=5.0, rel_tol=1e-12):
+    """Randomized sweep; returns the number of violations (expected 0)."""
+    rng = np.random.default_rng(seed)
+    a = rng.uniform(0.0, a_max, n)
+    b = rng.uniform(0.0, a_max, n)
+    q = rng.uniform(1.0, q_max, n)
+    q = np.clip(q, 1.0 + 1e-9, q_max)
+    _, _, _, _, violated = _pathwise_eval(a, b, q, rel_tol)
+    return int(np.count_nonzero(violated))
+
+
+def check_entropy_power(engine, G, q, name="entropy-power", bypass_hypotheses=False):
+    """Ent(G^q) <= q^2/(q-1) * E[Gamma(G^{q-1}, G)] for G >= 0 non-increasing."""
+    engine._require_exact(name)
+    if not q > 1:
+        raise ValueError("q must exceed 1")
+    table = engine.tabulate(G)
+    if np.min(table) < 0:
+        raise PreconditionError("entropy-power bound needs G >= 0")
+    certs = _certify(engine, G, [PROP_DF_LE0])
+    lhs = entropy(engine, _power(G, table, q)).value
+    lam = engine.space.weight_array()
+    rhs = 0.0
+    for i in range(engine.space.atom_count):
+        d_qm1 = grids.diff_axis(table ** (q - 1.0), i)
+        d_g = grids.diff_axis(table, i)
+        rhs += lam[i] * engine.expect_table(d_qm1 * d_g)
+    rhs *= q**2 / (q - 1.0)
+    scale = float(np.max(table) ** q) * (1 + engine.space.total_mass) * q**2 / (q - 1)
+    return make_report(
+        name, lhs, rhs, tolerance=engine.tolerance(scale),
+        certificates=certs, parameters={"q": q},
+        hypothesis_met=bypass_hypotheses or all(c.valid for c in certs),
+    )
+
+
+def _power(G, table, q):
+    from .functionals import from_table
+
+    return from_table(table**q, name=f"{G.name}^{q:g}")
+
+
+def check_restricted_hypercontractivity(
+    engine, F, t, p, name="restricted-hypercontractivity", bypass_hypotheses=False
+):
+    """||P_t F||_{1 + (p-1) e^t} <= ||F||_p for F >= 0 with DF <= 0."""
+    engine._require_exact(name)
+    if not p > 1:
+        raise ValueError("p must exceed 1")
+    if t < 0:
+        raise ValueError("negative time")
+    table = engine.tabulate(F)
+    nonneg = float(np.min(table)) >= 0.0
+    certs = _certify(engine, F, [PROP_DF_LE0])
+    q_t = 1.0 + (p - 1.0) * math.exp(t)
+    lhs = lp_norm(engine, apply_semigroup(engine, F, t), q_t).value
+    rhs = lp_norm(engine, F, p).value
+    scale = max(1.0, float(np.max(np.abs(table))))
+    return make_report(
+        name, lhs, rhs, tolerance=engine.tolerance(scale),
+        certificates=certs, parameters={"t": t, "p": p, "q(t)": q_t},
+        hypothesis_met=bypass_hypotheses or (nonneg and all(c.valid for c in certs)),
+    )
+
+
+def check_weak_hypercontractivity(engine, F, t, name="weak-hypercontractivity"):
+    """||exp(P_t F)||_{e^t} <= ||exp(F)||_1 for bounded F of any sign; no gate."""
+    engine._require_exact(name)
+    table = engine.tabulate(F)
+    pt = engine.apply_table(table, t)
+    q_t = math.exp(t)
+    lhs = engine.expect_table(np.exp(q_t * pt)) ** (1.0 / q_t)
+    rhs = engine.expect_table(np.exp(table))
+    scale = math.exp(float(np.max(np.abs(table))))
+    return make_report(
+        name, lhs, rhs, tolerance=engine.tolerance(scale), parameters={"t": t}
+    )
+
+
+def _derivative_norms(engine, table, i):
+    df = grids.diff_axis(table, i)
+    l1 = engine.expect_table(np.abs(df))
+    l2 = math.sqrt(engine.expect_table(df**2))
+    return l1, l2
+
+
+def talagrand_bound(engine, F) -> float:
+    """2 sum_i lam_i ||D_i F||_2^2 / (1 + log(||D_i F||_2 / ||D_i F||_1)).
+
+    The constant 2 is the one that makes the bound consistent with the
+    Poincare inequality in the saturating linear case (any smaller constant
+    is refuted by F(c) = c_1, where the log ratio vanishes and the variance
+    equals the Poincare right-hand side). Atoms with ||D_i F||_2 = 0
+    contribute 0.
+    """
+    engine._require_exact("the Talagrand bound")
+    table = engine.tabulate(F)
+    lam = engine.space.weight_array()
+    total = 0.0
+    for i in range(engine.space.atom_count):
+        l1, l2 = _derivative_norms(engine, table, i)
+        if l2 == 0.0:
+            continue
+        total += lam[i] * l2**2 / (1.0 + math.log(l2 / l1))
+    return 2.0 * total
+
+
+def _talagrand_certs(engine, F):
+    inc = _certify(engine, F, [PROP_DF_GE0, PROP_D2F_LE0])
+    if all(c.valid for c in inc):
+        return inc, True
+    dec = _certify(engine, F, [PROP_DF_LE0, PROP_D2F_GE0])
+    if all(c.valid for c in dec):
+        return dec, True
+    return inc + dec, False
+
+
+def check_talagrand(engine, F, name="talagrand", bypass_hypotheses=False):
+    """Var(F) <= the L1-L2 bound, gated on (DF>=0, D2F<=0) or (DF<=0, D2F>=0)."""
+    engine._require_exact(name)
+    certs, met = _talagrand_certs(engine, F)
+    lhs = variance(engine, F)
+    rhs = talagrand_bound(engine, F)
+    table = engine.tabulate(F)
+    scale = float(np.max(np.abs(table))) ** 2 * (1 + engine.space.total_mass)
+    return make_report(
+        name, lhs, rhs, tolerance=engine.tolerance(scale),
+        certificates=certs, hypothesis_met=bypass_hypotheses or met,
+    )
+
+
+def l1_variance_bound(engine, F, name="l1-variance", bypass_hypotheses=False):
+    """Var(F) <= 11 (2||F||_inf)^alpha * sum_i lam_i B(E|D_i F|), where B is
+    2/(1 + log(1/x)) for x <= 1 and x for x >= 1 (min of both at x = 1)."""
+    engine._require_exact(name)
+    table = engine.tabulate(F)
+    sup = float(np.max(np.abs(engine.interior(table))))
+    if not np.all(np.isfinite(table)):
+        raise PreconditionError("F must be bounded")
+    certs, met = _talagrand_certs(engine, F)
+    alpha = 1.0 if 2.0 * sup > 1.0 else 2.0 / (math.e + 1.0)
+    lam = engine.space.weight_array()
+    acc = 0.0
+    for i in range(engine.space.atom_count):
+        mean_abs = engine.expect_table(np.abs(grids.diff_axis(table, i)))
+        if mean_abs == 0.0:
+            continue
+        if mean_abs < 1.0:
+            term = 2.0 / (1.0 + math.log(1.0 / mean_abs))
+        elif mean_abs > 1.0:
+            term = mean_abs
+        else:
+            # both branches are valid bounds at the boundary; take the smaller
+            term = min(2.0, 1.0)
+        acc += lam[i] * term
+    rhs = 11.0 * (2.0 * sup) ** alpha * acc
+    lhs = variance(engine, F)
+    scale = sup**2 * (1 + engine.space.total_mass)
+    return make_report(
+        name, lhs, rhs, tolerance=engine.tolerance(scale),
+        certificates=certs, parameters={"alpha": alpha},
+        hypothesis_met=bypass_hypotheses or met,
+    )
+
+
+def check_concentration(
+    engine, F, thresholds, name="concentration", bypass_hypotheses=False
+):
+    """P[F - E F > t] <= exp(-t^2 / (2 alpha^2)) with alpha^2 = sup sum_i lam_i (D_i F)^2.
+
+    Gated on DF <= 0. The report's lhs/rhs are the worst (tail - bound) pair
+    over the threshold grid; per-threshold values sit in the parameters.
+    """
+    engine._require_exact(name)
+    certs = _certify(engine, F, [PROP_DF_LE0])
+    table = engine.tabulate(F)
+    lam = engine.space.weight_array()
+    reduced = tuple(s - 1 for s in table.shape)
+    sq = np.zeros(reduced)
+    for i in range(engine.space.atom_count):
+        sq += lam[i] * grids.trim_to(grids.diff_axis(table, i), reduced) ** 2
+    alpha_sq = float(np.max(engine.interior(sq)))
+    mean = engine.expect_table(table)
+    pairs = {}
+    worst_lhs, worst_rhs = 0.0, math.inf
+    for t in thresholds:
+        tail = engine.expect_table((table - mean > t).astype(float))
+        bound = math.exp(-t**2 / (2.0 * alpha_sq)) if alpha_sq > 0 else 0.0
+        if alpha_sq == 0.0:
+            bound = 1.0 if t <= 0 else 0.0
+        pairs[f"t={t:g}"] = (tail, bound)
+        if tail - bound > worst_lhs - worst_rhs:
+            worst_lhs, worst_rhs = tail, bound
+    params = {"alpha^2": alpha_sq}
+    params.update({k: f"{v[0]:.6g}<={v[1]:.6g}" for k, v in pairs.items()})
+    return make_report(
+        name, worst_lhs, worst_rhs, tolerance=engine.tolerance(1.0),
+        certificates=certs, parameters=params,
+        hypothesis_met=bypass_hypotheses or all(c.valid for c in certs),
+    )
+
+
+def lsi_failure_ratios(k_max: int) -> np.ndarray:
+    """For the unit-rate Poisson law pi: the ratio
+    -pi([k+1, inf)) log pi([k+1, inf)) / pi(k) for k = 1..k_max.
+
+    A log-Sobolev inequality Ent(f^2) <= C E[|Df|^2] would force this ratio
+    to stay below C; the sequence grows without bound (like log k).
+    """
+    k = np.arange(1, k_max + 1)
+    tail = stats.poisson.sf(k, 1.0)
+    pmf = stats.poisson.pmf(k, 1.0)
+    return -tail * np.log(tail) / pmf
+
+
+def check_lsi_failure(k_max=50, name="lsi-failure"):
+    """Report the unboundedness of the would-be log-Sobolev constant.
+
+    Verdict "holds" means the failure is confirmed: the ratio sequence is
+    eventually increasing (monotone over its last half).
+    """
+    ratios = lsi_failure_ratios(k_max)
+    half = len(ratios) // 2
+    increasing = bool(np.all(np.diff(ratios[half:]) > 0))
+    mid, last = float(ratios[half]), float(ratios[-1])
+    return make_report(
+        name, mid, last,  # the end of the sequence must exceed its midpoint value
+        tolerance=0.0,
+        parameters={
+            "k_max": k_max,
+            "increasing_tail": increasing,
+            "ratio_first": float(ratios[0]),
+            "ratio_last": float(ratios[-1]),
+        },
+        hypothesis_met=increasing,
+    )

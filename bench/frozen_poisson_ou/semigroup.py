@@ -1,0 +1,395 @@
+"""Ornstein-Uhlenbeck semigroup on Poisson configuration spaces.
+
+The Mehler/thinning form acts atom by atom: each count is thinned
+Binomial(n, e^-t) and an independent Poisson((1 - e^-t) * lam_i) refresh is
+added. In exact mode the semigroup is therefore the tensor product of
+one-atom transition matrices, which turns P_t into a deterministic linear
+operator on tables. Kernel rows are sub-stochastic near the truncation caps;
+the lost mass is tracked, never renormalized.
+
+The working grid is padded well beyond the caps (to roughly twice each cap)
+so that differences and kernel rows at every state within the caps are exact
+up to the quantified tail mass. Max-over-state quantities are always taken
+over the interior c_i <= N_i.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+from scipy import stats
+
+from . import grids
+from .errors import PreconditionError
+from .functionals import Functional, from_table
+from .ground import (
+    GroundSpace,
+    TruncatedStateSpace,
+    _min_cap,
+    sample_configurations,
+)
+from .reports import LpNorm, make_report
+
+
+def ou_kernel_1d(lam: float, size: int, t: float) -> np.ndarray:
+    """One-atom kernel K[n, k] = P[Binomial(n, e^-t) + Poisson((1-e^-t) lam) = k].
+
+    Columns are truncated at ``size``; rows sum to 1 minus the truncated tail.
+    """
+    if t < 0:
+        raise ValueError("negative time")
+    keep = math.exp(-t)
+    refresh = grids.poisson_pmf_vector((1.0 - keep) * lam, size)
+    kernel = np.zeros((size, size))
+    for n in range(size):
+        thinned = stats.binom.pmf(np.arange(n + 1), n, keep)
+        kernel[n] = np.convolve(thinned, refresh)[:size]
+    return kernel
+
+
+class SemigroupEngine:
+    """Exact truncated tensor-product kernel for P_t, or a seeded MC estimator."""
+
+    def __init__(
+        self,
+        space: GroundSpace,
+        trunc: TruncatedStateSpace | None = None,
+        mode: str = "exact",
+        replications: int = 100_000,
+        seed=0,
+    ):
+        if mode not in ("exact", "mc"):
+            raise ValueError(f"unknown mode {mode!r}")
+        self.space = space
+        self.mode = mode
+        self.replications = int(replications)
+        self.seed = seed
+        if trunc is None:
+            trunc = TruncatedStateSpace.from_tail_mass(space)
+        self.trunc = trunc
+        self._kernels: dict[float, list[np.ndarray]] = {}
+        if mode == "exact":
+            per_atom = trunc.tail_mass / space.atom_count
+            # pad each axis so that any kernel row started at c <= N_i + 2
+            # keeps all but ~tail_mass/m of its mass on the grid, for every t
+            pads = [
+                _min_cap(lam, per_atom) + 3 for lam in space.weights
+            ]
+            self.shape = tuple(n + 1 + p for n, p in zip(trunc.caps, pads))
+            self.law = grids.product_pmf(space.weights, self.shape)
+            self._samples = None
+        else:
+            self.shape = None
+            self.law = None
+            self._samples = sample_configurations(space, self.replications, seed)
+
+    # ---------------------------------------------------------------- exact
+
+    def _require_exact(self, what="this operation"):
+        if self.mode != "exact":
+            raise PreconditionError(f"{what} requires an exact-mode engine")
+
+    @property
+    def interior_shape(self) -> tuple[int, ...]:
+        """Grid of the declared truncation (states with c_i <= N_i)."""
+        return self.trunc.shape
+
+    def tabulate(self, F: Functional) -> np.ndarray:
+        self._require_exact("tabulation")
+        return F.tabulate(self.shape)
+
+    def expect_table(self, table: np.ndarray) -> float:
+        """E[table(eta)] under the truncated law; accepts reduced shapes."""
+        self._require_exact("exact expectation")
+        law = grids.trim_to(self.law, table.shape)
+        return float(np.sum(law * table))
+
+    def interior(self, table: np.ndarray) -> np.ndarray:
+        """Restrict a (possibly reduced) table to the declared truncation grid."""
+        shape = tuple(
+            min(s, n) for s, n in zip(table.shape, self.interior_shape)
+        )
+        return grids.trim_to(table, shape)
+
+    def kernels(self, t: float) -> list[np.ndarray]:
+        self._require_exact("the exact kernel")
+        t = float(t)
+        if t not in self._kernels:
+            self._kernels[t] = [
+                ou_kernel_1d(lam, size, t)
+                for lam, size in zip(self.space.weights, self.shape)
+            ]
+        return self._kernels[t]
+
+    def apply_table(self, table: np.ndarray, t: float) -> np.ndarray:
+        """Exact P_t on a table; reduced tables use correspondingly sliced kernels."""
+        self._require_exact("exact semigroup application")
+        if t < 0:
+            raise ValueError("negative time")
+        if t == 0:
+            return table
+        mats = [
+            k[: s, : s] for k, s in zip(self.kernels(t), table.shape)
+        ]
+        return grids.tensor_apply(mats, table)
+
+    # ------------------------------------------------------------------ mc
+
+    @property
+    def samples(self) -> np.ndarray:
+        if self._samples is None:
+            self._samples = sample_configurations(
+                self.space, self.replications, self.seed
+            )
+        return self._samples
+
+    def expect_mc(self, fn) -> tuple[float, float]:
+        """Sample mean and stderr of fn(counts) over the engine's samples."""
+        vals = np.fromiter(
+            (fn(c) for c in self.samples), dtype=float, count=len(self.samples)
+        )
+        return float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(len(vals)))
+
+    def mc_semigroup_value(self, F: Functional, counts, t: float, n_rep=None, salt=0):
+        """Unbiased MC estimate of (P_t F)(counts) by thinning plus refresh."""
+        counts = np.asarray(counts, dtype=np.int64)
+        n_rep = self.replications if n_rep is None else int(n_rep)
+        seq = np.random.SeedSequence(
+            entropy=(int(self.seed) & (2**63 - 1), 11, int(salt), *counts.tolist())
+        )
+        rng = np.random.default_rng(seq)
+        keep = math.exp(-t)
+        lam_refresh = (1.0 - keep) * self.space.weight_array()
+        thinned = rng.binomial(counts, keep, size=(n_rep, counts.size))
+        refresh = rng.poisson(lam_refresh, size=(n_rep, counts.size))
+        vals = np.array([F(c) for c in thinned + refresh])
+        return float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(n_rep))
+
+    # ------------------------------------------------------------ tolerance
+
+    def tolerance(self, *scales) -> float:
+        """Exact-mode tolerance: 10 * tail_mass * (scale of the quantity)."""
+        scale = max([1.0] + [abs(float(s)) for s in scales])
+        return 10.0 * self.trunc.tail_mass * scale
+
+
+# ----------------------------------------------------------------- operations
+
+
+def apply_semigroup(engine: SemigroupEngine, F: Functional, t: float) -> Functional:
+    """P_t F. Exact mode returns a table-backed functional on the padded grid;
+    MC mode returns a rule whose evaluations are seeded thinning estimates."""
+    if t < 0:
+        raise ValueError("negative time")
+    if engine.mode == "exact":
+        table = engine.apply_table(engine.tabulate(F), t)
+        return from_table(table, name=f"P_{t:g}[{F.name}]")
+
+    def rule(c):
+        return engine.mc_semigroup_value(F, c, t)[0]
+
+    return Functional(rule=rule, name=f"P_{t:g}^mc[{F.name}]")
+
+
+def expectation(engine: SemigroupEngine, F: Functional):
+    if engine.mode == "exact":
+        return engine.expect_table(engine.tabulate(F))
+    return engine.expect_mc(lambda c: F(c))
+
+
+def variance(engine: SemigroupEngine, F: Functional):
+    if engine.mode == "exact":
+        table = engine.tabulate(F)
+        mean = engine.expect_table(table)
+        return engine.expect_table((table - mean) ** 2)
+    vals = np.array([F(c) for c in engine.samples])
+    var = float(vals.var(ddof=1))
+    n = len(vals)
+    centered = (vals - vals.mean()) ** 2
+    return var, float(centered.std(ddof=1) / np.sqrt(n))
+
+
+def lp_norm(engine: SemigroupEngine, F: Functional, p) -> LpNorm:
+    """||F||_p = E[|F|^p]^(1/p); p = inf is the max over truncated states.
+
+    MC mode uses the delta method for the stderr; its p = inf value is a
+    lower bound (max over samples).
+    """
+    p = float(p)
+    if not (p >= 1.0):
+        raise ValueError("p must be in [1, inf]")
+    if engine.mode == "exact":
+        table = np.abs(engine.tabulate(F))
+        if math.isinf(p):
+            return LpNorm(p=p, value=float(np.max(engine.interior(table))))
+        moment = engine.expect_table(table**p)
+        return LpNorm(p=p, value=float(moment ** (1.0 / p)))
+    vals = np.abs(np.array([F(c) for c in engine.samples]))
+    if math.isinf(p):
+        return LpNorm(p=p, value=float(vals.max()), lower_bound=True)
+    powers = vals**p
+    moment = float(powers.mean())
+    se_moment = float(powers.std(ddof=1) / np.sqrt(len(vals)))
+    value = moment ** (1.0 / p)
+    stderr = se_moment * value / (p * moment) if moment > 0 else se_moment
+    return LpNorm(p=p, value=value, stderr=stderr)
+
+
+def generator_table(engine: SemigroupEngine, F: Functional) -> np.ndarray:
+    """Birth-death form (LF)(c) = sum_i lam_i * D_i F(c) + c_i * (F(c - e_i) - F(c)).
+
+    Returned on the grid reduced by one along every axis.
+    """
+    engine._require_exact("the generator")
+    return _generator_of_table(engine, engine.tabulate(F))
+
+
+def _generator_of_table(engine: SemigroupEngine, table: np.ndarray) -> np.ndarray:
+    reduced = tuple(s - 1 for s in table.shape)
+    out = np.zeros(reduced)
+    lam = engine.space.weight_array()
+    for i in range(engine.space.atom_count):
+        diff = grids.trim_to(grids.diff_axis(table, i), reduced)
+        out += lam[i] * diff
+        down = np.zeros(reduced)
+        idx_hi = [slice(0, s) for s in reduced]
+        idx_hi[i] = slice(1, reduced[i])
+        idx_lo = [slice(0, s) for s in reduced]
+        idx_lo[i] = slice(0, reduced[i] - 1)
+        base = grids.trim_to(table, reduced)
+        down[tuple(idx_hi)] = base[tuple(idx_lo)] - base[tuple(idx_hi)]
+        out += grids.counts_along(reduced, i) * down
+    return out
+
+
+def mean_preservation_check(engine, F, t, name="mean-preservation"):
+    """E[P_t F] = E[F], exact tolerance 10 * tail_mass * sup|F|."""
+    engine._require_exact(name)
+    table = engine.tabulate(F)
+    lhs = engine.expect_table(engine.apply_table(table, t))
+    rhs = engine.expect_table(table)
+    tol = engine.tolerance(np.max(np.abs(table)))
+    return make_report(
+        name, lhs, rhs, tolerance=tol, equality_form=True, parameters={"t": t}
+    )
+
+
+def commutation_check(engine, F, t, name="commutation"):
+    """max over interior states and atoms of |D_i(P_t F) - e^-t P_t(D_i F)|."""
+    engine._require_exact(name)
+    table = engine.tabulate(F)
+    pt = engine.apply_table(table, t)
+    worst = 0.0
+    for i in range(engine.space.atom_count):
+        left = grids.diff_axis(pt, i)
+        right = math.exp(-t) * engine.apply_table(grids.diff_axis(table, i), t)
+        resid = np.abs(engine.interior(left - right))
+        worst = max(worst, float(np.max(resid)))
+    tol = engine.tolerance(np.max(np.abs(table)))
+    return make_report(
+        name, worst, 0.0, tolerance=tol, equality_form=True, parameters={"t": t}
+    )
+
+
+def semigroup_property_check(engine, F, s, t, name="semigroup-property"):
+    """max over interior states of |P_s P_t F - P_{s+t} F|."""
+    engine._require_exact(name)
+    table = engine.tabulate(F)
+    two_step = engine.apply_table(engine.apply_table(table, t), s)
+    one_step = engine.apply_table(table, s + t)
+    worst = float(np.max(np.abs(engine.interior(two_step - one_step))))
+    tol = engine.tolerance(np.max(np.abs(table)))
+    return make_report(
+        name, worst, 0.0, tolerance=tol, equality_form=True,
+        parameters={"s": s, "t": t},
+    )
+
+
+def generator_check(engine, F, h, name="generator"):
+    """Compare (P_h F - F)/h with the birth-death form of L; deviation is O(h).
+
+    rhs is the first-order error bound h * sup|L(LF)| over the interior,
+    evaluated with the same birth-death form.
+    """
+    engine._require_exact(name)
+    if not h > 0:
+        raise ValueError("h must be positive")
+    table = engine.tabulate(F)
+    finite = (engine.apply_table(table, h) - table) / h
+    lf = generator_table(engine, F)
+    resid = engine.interior(grids.trim_to(finite, lf.shape) - lf)
+    lhs = float(np.max(np.abs(resid)))
+    llf = _generator_of_table(engine, lf)
+    scale = float(np.max(np.abs(engine.interior(llf))))
+    rhs = h * scale
+    tol = engine.tolerance(np.max(np.abs(table))) + 1e-12 * scale
+    return make_report(name, lhs, rhs, tolerance=tol, parameters={"h": h})
+
+
+def symmetry_check(engine, F, G, name="generator-symmetry"):
+    """E[F LG] = E[G LF] = -E[Gamma(F, G)], three-way within truncation slack."""
+    from .functionals import gamma_expectation
+
+    engine._require_exact(name)
+    tf = engine.tabulate(F)
+    tg = engine.tabulate(G)
+    lf = generator_table(engine, F)
+    lg = generator_table(engine, G)
+    e_flg = engine.expect_table(grids.trim_to(tf, lg.shape) * lg)
+    e_glf = engine.expect_table(grids.trim_to(tg, lf.shape) * lf)
+    e_gamma = gamma_expectation(engine, F, G)
+    worst = max(
+        abs(e_flg - e_glf), abs(e_flg + e_gamma), abs(e_glf + e_gamma)
+    )
+    scale = float(np.max(np.abs(tf)) * np.max(np.abs(tg)))
+    tol = engine.tolerance(scale * (1.0 + engine.space.total_mass))
+    return make_report(
+        name, worst, 0.0, tolerance=tol, equality_form=True,
+        parameters={"E[FLG]": e_flg, "E[GLF]": e_glf, "E[Gamma]": e_gamma},
+    )
+
+
+def pointwise_gradient_check(engine, F, t, name="pointwise-gradient"):
+    """|D_i(P_t F)| <= 2 e^-t over interior states, for ||F||_inf <= 1."""
+    engine._require_exact(name)
+    table = engine.tabulate(F)
+    sup = float(np.max(np.abs(table)))
+    if sup > 1.0 + 1e-12:
+        raise PreconditionError(f"||F||_inf = {sup} > 1")
+    pt = engine.apply_table(table, t)
+    worst = 0.0
+    for i in range(engine.space.atom_count):
+        worst = max(
+            worst, float(np.max(np.abs(engine.interior(grids.diff_axis(pt, i)))))
+        )
+    rhs = 2.0 * math.exp(-t)
+    return make_report(
+        name, worst, rhs, tolerance=engine.tolerance(1.0), parameters={"t": t}
+    )
+
+
+def integrated_gradient_check(engine, F, t, p, name="integrated-gradient"):
+    """|| |D P_t F|_{L2(lambda)} ||_p <= e^-t / sqrt(1 - e^-t) * ||F||_p, p >= 2."""
+    engine._require_exact(name)
+    p = float(p)
+    if p < 2.0:
+        raise ValueError("p must be in [2, inf]")
+    if not t > 0:
+        raise ValueError("t must be positive")
+    table = engine.tabulate(F)
+    pt = engine.apply_table(table, t)
+    reduced = tuple(s - 1 for s in pt.shape)
+    sq = np.zeros(reduced)
+    lam = engine.space.weight_array()
+    for i in range(engine.space.atom_count):
+        sq += lam[i] * grids.trim_to(grids.diff_axis(pt, i), reduced) ** 2
+    if math.isinf(p):
+        lhs = float(np.sqrt(np.max(engine.interior(sq))))
+        rhs_norm = float(np.max(np.abs(engine.interior(table))))
+    else:
+        lhs = engine.expect_table(sq ** (p / 2.0)) ** (1.0 / p)
+        rhs_norm = lp_norm(engine, F, p).value
+    rhs = math.exp(-t) / math.sqrt(1.0 - math.exp(-t)) * rhs_norm
+    tol = engine.tolerance(rhs_norm)
+    return make_report(name, lhs, rhs, tolerance=tol, parameters={"t": t, "p": p})
