@@ -17,11 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import stats
 
-from .functionals import (
-    SIGN_NONNEG,
-    SIGN_NONPOS,
-    Functional,
-)
+from .functionals import Functional
 from .ground import GroundSpace
 from .inequalities import entropy, talagrand_bound
 from .semigroup import SemigroupEngine
@@ -155,9 +151,8 @@ def maxima_monte_carlo(
 def one_dim_cumulative(g, lam: float) -> Functional:
     """G(0) = 0, G(n) = sum_{j<n} g(j) for non-increasing, non-negative g.
 
-    DG(n) = g(n) >= 0 and D2G(n) = g(n+1) - g(n) <= 0, so the increasing and
-    concave sign flags attach by construction (and are re-certified exactly
-    by any gated checker).
+    DG(n) = g(n) >= 0 and D2G(n) = g(n+1) - g(n) <= 0: G is increasing and
+    concave, which every gated checker certifies exactly on its grid.
     """
     probe = [float(g(j)) for j in range(200)]
     if any(v < 0 for v in probe):
@@ -169,9 +164,7 @@ def one_dim_cumulative(g, lam: float) -> Functional:
         n = int(c[0])
         return float(sum(g(j) for j in range(n)))
 
-    return Functional(
-        rule=rule, name="cumulative-G", sign_df=SIGN_NONNEG, sign_d2f=SIGN_NONPOS
-    )
+    return Functional(rule=rule, name="cumulative-G")
 
 
 def one_dim_bound_comparison(g, lam: float, engine: SemigroupEngine | None = None) -> dict:
@@ -286,8 +279,6 @@ def near_optimality_scan(a_grid, q_grid, gamma: float = 1.0) -> dict:
             ratios[ia, iq] = rhs / lhs
     a0, q0 = a_grid[len(a_grid) // 2], q_grid[len(q_grid) // 2]
     engine = SemigroupEngine(GroundSpace((gamma,)))
-    G = Functional(rule=lambda c: math.exp(-a0 * c[0]), name="exp-neg",
-                   sign_df=SIGN_NONPOS)
     Gq = Functional(rule=lambda c: math.exp(-a0 * q0 * c[0]), name="exp-neg^q")
     engine_entropy = entropy(engine, Gq).value
     lhs0, _ = near_optimality_sides(a0, q0)
@@ -309,8 +300,6 @@ def exponential_functional(a: float, atom: int = 0) -> Functional:
     return Functional(
         rule=lambda c: math.exp(-a * c[atom]),
         name=f"exp_neg({a:g},{atom})",
-        sign_df=SIGN_NONPOS,
-        sign_d2f=SIGN_NONNEG,
         bounded_by=1.0,
     )
 

@@ -6,8 +6,14 @@ Usage:
     poisson-ou list-checks
     poisson-ou example <name> [--out DIR] [key=value ...]
 
-Exit codes: 0 clean, 1 a check was violated, 2 config/DSL parse error,
-3 state budget exceeded.
+Every check is one ``CheckSpec`` in ``CHECK_CATALOG``: its parameters,
+hypotheses, summary, the engine modes it runs in and its run function. The
+catalog drives ``list-checks``, config validation, dispatch and the order of
+the report. A config is validated in full before any engine work starts.
+
+Exit codes: 0 clean, 1 a check was violated, 2 config/DSL error (unknown
+check or functional, missing params, a check that cannot run in the engine
+mode, bad weights or truncation), 3 state budget exceeded.
 
 Report files are UTF-8, one record per line, fields in fixed order
 (name, params sorted by key, lhs, rhs, slack, stderr, verdict, certs, tag),
@@ -23,11 +29,11 @@ import itertools
 import json
 import math
 import sys
+from collections.abc import Callable
+from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
-from . import casestudies, dsl, inequalities, semigroup
+from . import casestudies, dsl, inequalities
 from .errors import BudgetExceededError, PoissonOUError
 from .ground import GroundSpace, TruncatedStateSpace, check_mecke
 from .reports import VIOLATED, InequalityReport
@@ -35,22 +41,73 @@ from .semigroup import SemigroupEngine
 
 DEMO_TAG = "intentional-violation-demo"
 
-#: stable catalog of checkers: identifier -> (required params, hypotheses, summary)
-CHECK_CATALOG = {
-    "mecke": ([], "none", "integration-by-parts identity for the point process"),
-    "poincare": ([], "none", "variance bounded by the expected squared differences"),
-    "modified-lsi": ([], "F > 0", "entropy bound with the difference chain-rule defect"),
-    "min-form-lsi": ([], "F > 0", "entropy bound with the pointwise minimum integrand"),
-    "pathwise-lemma": (["a", "b", "q"], "none", "pathwise power-difference inequality"),
-    "entropy-power": (["q"], "F >= 0, DF <= 0", "entropy of F^q against the bilinear form"),
-    "restricted-hypercontractivity": (
-        ["t", "p"], "F >= 0, DF <= 0", "norm contraction with growing exponent"),
-    "weak-hypercontractivity": (["t"], "none (bounded F)", "exponential-moment contraction"),
-    "talagrand": ([], "DF >= 0 & D2F <= 0, or both reversed", "L1-L2 variance bound"),
-    "l1-variance": ([], "bounded F, same sign hypotheses", "L1-only variance bound"),
-    "concentration": (["thresholds"], "DF <= 0", "Gaussian upper tail for the centered functional"),
-    "lsi-failure": (["k_max"], "none", "divergence of the would-be log-Sobolev constant"),
-}
+MODES = ("exact", "mc")
+EXACT = ("exact",)
+
+
+@dataclass(frozen=True)
+class CheckSpec:
+    """One runnable check: ``run(engine, func, params, bypass)`` gives its report.
+
+    ``run`` looks the checker up on its module when called, so wrappers
+    installed on ``inequalities.check_*`` or ``cli.check_mecke`` see the call.
+    """
+
+    name: str
+    params: tuple[str, ...]
+    hypotheses: str
+    summary: str
+    modes: tuple[str, ...]
+    run: Callable
+
+
+def _mecke(engine, func, params, bypass):
+    h = (lambda c, i: func(c)) if func is not None else (lambda c, i: 1.0)
+    return check_mecke(engine.space, h, trunc=engine.trunc, mode=engine.mode,
+                       replications=engine.replications, seed=engine.seed)
+
+
+#: stable catalog of checkers, in report order
+CHECK_CATALOG = {spec.name: spec for spec in (
+    CheckSpec("mecke", (), "none",
+              "integration-by-parts identity for the point process", MODES, _mecke),
+    CheckSpec("poincare", (), "none",
+              "variance bounded by the expected squared differences", MODES,
+              lambda e, f, p, b: inequalities.check_poincare(e, f)),
+    CheckSpec("modified-lsi", (), "F > 0",
+              "entropy bound with the difference chain-rule defect", EXACT,
+              lambda e, f, p, b: inequalities.check_modified_lsi(e, f)),
+    CheckSpec("min-form-lsi", (), "F > 0",
+              "entropy bound with the pointwise minimum integrand", EXACT,
+              lambda e, f, p, b: inequalities.check_min_form_lsi(e, f)),
+    CheckSpec("pathwise-lemma", ("a", "b", "q"), "none",
+              "pathwise power-difference inequality", MODES,
+              lambda e, f, p, b: inequalities.check_pathwise_lemma(p["a"], p["b"], p["q"])),
+    CheckSpec("entropy-power", ("q",), "F >= 0, DF <= 0",
+              "entropy of F^q against the bilinear form", EXACT,
+              lambda e, f, p, b: inequalities.check_entropy_power(
+                  e, f, p["q"], bypass_hypotheses=b)),
+    CheckSpec("restricted-hypercontractivity", ("t", "p"), "F >= 0, DF <= 0",
+              "norm contraction with growing exponent", EXACT,
+              lambda e, f, p, b: inequalities.check_restricted_hypercontractivity(
+                  e, f, p["t"], p["p"], bypass_hypotheses=b)),
+    CheckSpec("weak-hypercontractivity", ("t",), "none (bounded F)",
+              "exponential-moment contraction", EXACT,
+              lambda e, f, p, b: inequalities.check_weak_hypercontractivity(e, f, p["t"])),
+    CheckSpec("talagrand", (), "DF >= 0 & D2F <= 0, or both reversed",
+              "L1-L2 variance bound", EXACT,
+              lambda e, f, p, b: inequalities.check_talagrand(e, f, bypass_hypotheses=b)),
+    CheckSpec("l1-variance", (), "bounded F, same sign hypotheses",
+              "L1-only variance bound", EXACT,
+              lambda e, f, p, b: inequalities.l1_variance_bound(e, f, bypass_hypotheses=b)),
+    CheckSpec("concentration", ("thresholds",), "DF <= 0",
+              "Gaussian upper tail for the centered functional", EXACT,
+              lambda e, f, p, b: inequalities.check_concentration(
+                  e, f, p["thresholds"], bypass_hypotheses=b)),
+    CheckSpec("lsi-failure", ("k_max",), "none",
+              "divergence of the would-be log-Sobolev constant", MODES,
+              lambda e, f, p, b: inequalities.check_lsi_failure(int(p["k_max"]))),
+)}
 
 EXAMPLE_NAMES = ("maxima", "onedim", "counterexample_fk", "near_optimality")
 
@@ -102,85 +159,69 @@ def _param_grid(params: dict):
         yield dict(zip(keys, combo))
 
 
-def _run_one(check: str, engine: SemigroupEngine, func, params: dict, bypass: bool):
-    if check == "mecke":
-        h = (lambda c, i: func(c)) if func is not None else (lambda c, i: 1.0)
-        return check_mecke(engine.space, h, trunc=engine.trunc, mode=engine.mode,
-                           replications=engine.replications, seed=engine.seed)
-    if check == "poincare":
-        return inequalities.check_poincare(engine, func)
-    if check == "modified-lsi":
-        return inequalities.check_modified_lsi(engine, func)
-    if check == "min-form-lsi":
-        return inequalities.check_min_form_lsi(engine, func)
-    if check == "pathwise-lemma":
-        return inequalities.check_pathwise_lemma(params["a"], params["b"], params["q"])
-    if check == "entropy-power":
-        return inequalities.check_entropy_power(
-            engine, func, params["q"], bypass_hypotheses=bypass)
-    if check == "restricted-hypercontractivity":
-        return inequalities.check_restricted_hypercontractivity(
-            engine, func, params["t"], params["p"], bypass_hypotheses=bypass)
-    if check == "weak-hypercontractivity":
-        return inequalities.check_weak_hypercontractivity(engine, func, params["t"])
-    if check == "talagrand":
-        return inequalities.check_talagrand(engine, func, bypass_hypotheses=bypass)
-    if check == "l1-variance":
-        return inequalities.l1_variance_bound(engine, func, bypass_hypotheses=bypass)
-    if check == "concentration":
-        return inequalities.check_concentration(
-            engine, func, params["thresholds"], bypass_hypotheses=bypass)
-    if check == "lsi-failure":
-        return inequalities.check_lsi_failure(int(params.get("k_max", 50)))
-    raise ValueError(f"unknown check {check!r}")
+def _resolve(item: dict, functionals: dict, mode: str):
+    """(spec, functional or None) for one check item; DslOrConfigError if it cannot run."""
+    check = item["check"]
+    if check not in CHECK_CATALOG:
+        raise DslOrConfigError(f"unknown check {check!r}")
+    spec = CHECK_CATALOG[check]
+    func = None
+    if "functional" in item:
+        if item["functional"] not in functionals:
+            raise DslOrConfigError(f"functional {item['functional']!r} is not defined")
+        func = functionals[item["functional"]]
+    missing = [p for p in spec.params if p not in item.get("params", {})]
+    if missing:
+        raise DslOrConfigError(f"check {check!r} is missing params {missing}")
+    if mode not in spec.modes:
+        raise DslOrConfigError(
+            f"check {check!r} cannot run in mode {mode!r} (modes: {','.join(spec.modes)})"
+        )
+    return spec, func
+
+
+def _build_engine(config: dict, mode: str) -> SemigroupEngine:
+    trunc_cfg = config.get("truncation", {})
+    engine_cfg = config.get("engine", {})
+    try:
+        space = GroundSpace(tuple(config["space"]["weights"]))
+        trunc = TruncatedStateSpace.from_tail_mass(
+            space,
+            tail_mass=float(trunc_cfg.get("tail_mass", 1e-12)),
+            budget=int(trunc_cfg.get("budget", 10**6)),
+        )
+        return SemigroupEngine(
+            space,
+            trunc,
+            mode=mode,
+            replications=int(engine_cfg.get("replications", 100_000)),
+            seed=config.get("seed", 0),
+        )
+    except ValueError as err:
+        raise DslOrConfigError(str(err)) from err
 
 
 def run_config(config: dict, out_dir: Path) -> int:
-    """Execute the configured checks; returns the process exit code."""
-    space = GroundSpace(tuple(config["space"]["weights"]))
-    trunc_cfg = config.get("truncation", {})
-    trunc = TruncatedStateSpace.from_tail_mass(
-        space,
-        tail_mass=float(trunc_cfg.get("tail_mass", 1e-12)),
-        budget=int(trunc_cfg.get("budget", 10**6)),
-    )
-    engine_cfg = config.get("engine", {})
-    engine = SemigroupEngine(
-        space,
-        trunc,
-        mode=engine_cfg.get("mode", "exact"),
-        replications=int(engine_cfg.get("replications", 100_000)),
-        seed=config.get("seed", 0),
-    )
+    """Validate every check item, then build the engine and run the checks.
+
+    Returns the process exit code.
+    """
+    mode = config.get("engine", {}).get("mode", "exact")
     functionals = {
         name: dsl.functional_from_text(text, name=name)
         for name, text in config.get("functionals", {}).items()
     }
+    items = config.get("checks", [])
+    resolved = [_resolve(item, functionals, mode) for item in items]
+    engine = _build_engine(config, mode)
     catalog_order = list(CHECK_CATALOG)
     records = []
-    for item in config.get("checks", []):
-        check = item["check"]
-        if check not in CHECK_CATALOG:
-            raise DslOrConfigError(f"unknown check {check!r}")
-        func = None
-        if "functional" in item:
-            if item["functional"] not in functionals:
-                raise DslOrConfigError(
-                    f"functional {item['functional']!r} is not defined"
-                )
-            func = functionals[item["functional"]]
-        needed = CHECK_CATALOG[check][0]
-        base_params = item.get("params", {})
-        missing = [p for p in needed if p not in base_params]
-        if missing:
-            raise DslOrConfigError(f"check {check!r} is missing params {missing}")
-        for params in _param_grid(base_params):
-            report = _run_one(
-                check, engine, func, params, bool(item.get("bypass_hypotheses"))
-            )
+    for item, (spec, func) in zip(items, resolved):
+        for params in _param_grid(item.get("params", {})):
+            report = spec.run(engine, func, params, bool(item.get("bypass_hypotheses")))
             report.parameters.setdefault("functional", item.get("functional", "-"))
             report.tag = item.get("tag")
-            records.append((catalog_order.index(check), report))
+            records.append((catalog_order.index(spec.name), report))
     records.sort(key=lambda pair: (pair[0], format_report_line(pair[1])))
     out_dir.mkdir(parents=True, exist_ok=True)
     report_path = out_dir / "report.txt"
@@ -198,11 +239,11 @@ class DslOrConfigError(ValueError):
 
 
 def list_checks() -> str:
-    lines = []
-    for name, (params, hypotheses, summary) in CHECK_CATALOG.items():
-        param_text = ",".join(params) or "-"
-        lines.append(f"{name} params={param_text} hypotheses={hypotheses} :: {summary}")
-    return "\n".join(lines)
+    return "\n".join(
+        f"{spec.name} params={','.join(spec.params) or '-'} "
+        f"modes={','.join(spec.modes)} hypotheses={spec.hypotheses} :: {spec.summary}"
+        for spec in CHECK_CATALOG.values()
+    )
 
 
 # ------------------------------------------------------------------ examples

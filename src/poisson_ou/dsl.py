@@ -25,12 +25,7 @@ import math
 import re
 from dataclasses import dataclass
 
-from .functionals import (
-    SIGN_NONNEG,
-    SIGN_NONPOS,
-    SIGN_UNKNOWN,
-    Functional,
-)
+from .functionals import Functional
 
 
 class DslError(ValueError):
@@ -229,49 +224,15 @@ def _term_value(term: Term, c) -> float:
     raise ValueError(f"unknown builtin {term.func!r}")
 
 
-#: per-builtin sign of (DF, D2F) when the coefficient is positive
-_TERM_SIGNS = {
-    "count": (SIGN_NONNEG, None),
-    "indicator_le": (SIGN_NONPOS, None),
-    "exp_neg": (SIGN_NONPOS, SIGN_NONNEG),
-    "cumsum_g": (SIGN_NONNEG, SIGN_NONPOS),
-    "max_radius_gt": (SIGN_NONNEG, SIGN_NONPOS),
-}
-
-
-def _flip(sign):
-    if sign == SIGN_NONNEG:
-        return SIGN_NONPOS
-    if sign == SIGN_NONPOS:
-        return SIGN_NONNEG
-    return sign
-
-
 def to_functional(expr: Expr, name: str | None = None) -> Functional:
-    """Compile an expression to a rule-backed functional.
-
-    Single-call expressions inherit the builtin's difference sign flags
-    (adding a constant does not change any difference).
-    """
+    """Compile an expression to a rule-backed functional."""
     terms = expr.terms
     const = expr.const
 
     def rule(c):
         return const + sum(t.coeff * _term_value(t, c) for t in terms)
 
-    sign_df, sign_d2f = SIGN_UNKNOWN, SIGN_UNKNOWN
-    if len(terms) == 1:
-        df, d2f = _TERM_SIGNS[terms[0].func]
-        if terms[0].coeff < 0:
-            df, d2f = _flip(df), _flip(d2f)
-        sign_df = df or SIGN_UNKNOWN
-        sign_d2f = d2f or SIGN_UNKNOWN
-    return Functional(
-        rule=rule,
-        name=name or serialize(expr),
-        sign_df=sign_df,
-        sign_d2f=sign_d2f,
-    )
+    return Functional(rule=rule, name=name or serialize(expr))
 
 
 def functional_from_text(text: str, name: str | None = None) -> Functional:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -10,10 +10,6 @@ from . import grids
 from .errors import CapOverflowError, NonFiniteValueError
 from .ground import Configuration, GroundSpace, sample_configurations
 from .reports import MonotonicityCertificate
-
-SIGN_NONNEG = "nonneg"
-SIGN_NONPOS = "nonpos"
-SIGN_UNKNOWN = "unknown"
 
 #: the four certifiable sign conditions
 PROP_DF_LE0 = "DF<=0"
@@ -33,8 +29,6 @@ class Functional:
 
     rule: object | None = None
     table: np.ndarray | None = None
-    sign_df: str = SIGN_UNKNOWN
-    sign_d2f: str = SIGN_UNKNOWN
     bounded_by: float | None = None
     name: str = "F"
 
@@ -78,16 +72,6 @@ class Functional:
         if not np.all(np.isfinite(out)):
             raise NonFiniteValueError(f"{self.name} is non-finite on the grid")
         return out
-
-    def with_signs(self, sign_df=None, sign_d2f=None, bounded_by=None) -> "Functional":
-        kwargs = {}
-        if sign_df is not None:
-            kwargs["sign_df"] = sign_df
-        if sign_d2f is not None:
-            kwargs["sign_d2f"] = sign_d2f
-        if bounded_by is not None:
-            kwargs["bounded_by"] = bounded_by
-        return replace(self, **kwargs)
 
 
 def from_rule(rule, name="F", **kwargs) -> Functional:
@@ -239,16 +223,17 @@ def gamma_expectation(engine, F: Functional, G: Functional = None):
     """
     if G is None:
         G = F
-    lam = engine.space.weight_array()
     if engine.mode == "exact":
         tf = engine.tabulate(F)
         tg = tf if G is F else engine.tabulate(G)
-        total = 0.0
-        for i in range(engine.space.atom_count):
+
+        def term(i):
             df = grids.diff_axis(tf, i)
             dg = df if G is F else grids.diff_axis(tg, i)
-            total += lam[i] * engine.expect_table(df * dg)
-        return total
+            return engine.expect_table(df * dg)
+
+        return engine.atom_sum(term)
+    lam = engine.space.weight_array()
     samples = engine.samples
     vals = np.zeros(len(samples))
     for s, counts in enumerate(samples):

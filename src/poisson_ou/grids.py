@@ -54,6 +54,15 @@ def diff_axis(table: np.ndarray, axis: int) -> np.ndarray:
     return np.diff(table, axis=axis)
 
 
+def weighted_sq_diffs(table: np.ndarray, weights) -> np.ndarray:
+    """sum_i lam_i (D_i table)^2 on the grid one smaller along every axis."""
+    reduced = tuple(s - 1 for s in table.shape)
+    out = np.zeros(reduced)
+    for i, lam in enumerate(weights):
+        out += lam * trim_to(diff_axis(table, i), reduced) ** 2
+    return out
+
+
 def counts_along(shape, axis: int) -> np.ndarray:
     """Array broadcastable to ``shape`` holding the count on one axis."""
     view = [1] * len(shape)

@@ -9,7 +9,7 @@ Poisson(lam_i) counts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import stats
@@ -69,8 +69,13 @@ class Configuration:
 
 
 def _min_cap(lam: float, per_atom_tail: float) -> int:
-    """Smallest N with P[Poisson(lam) > N] <= per_atom_tail."""
-    n = int(stats.poisson.ppf(1.0 - per_atom_tail, lam))
+    """Smallest N with P[Poisson(lam) > N] <= per_atom_tail.
+
+    ``ppf(1 - tail)`` is the starting guess; for tails where ``1 - tail``
+    rounds to 1 it is inf, and the search starts at ``lam`` instead.
+    """
+    guess = stats.poisson.ppf(1.0 - per_atom_tail, lam)
+    n = int(guess) if math.isfinite(guess) else int(lam)
     while stats.poisson.sf(n, lam) > per_atom_tail:
         n += 1
     while n > 0 and stats.poisson.sf(n - 1, lam) <= per_atom_tail:
@@ -112,6 +117,8 @@ class TruncatedStateSpace:
         tail_mass: float = DEFAULT_TAIL_MASS,
         budget: int = DEFAULT_BUDGET,
     ) -> "TruncatedStateSpace":
+        if not 0.0 < tail_mass < 1.0:
+            raise ValueError(f"tail_mass must lie in (0, 1), got {tail_mass}")
         per_atom = tail_mass / space.atom_count
         caps = tuple(_min_cap(lam, per_atom) for lam in space.weights)
         return cls(space=space, caps=caps, tail_mass=tail_mass, budget=budget)

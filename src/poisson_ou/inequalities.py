@@ -64,11 +64,6 @@ def _certify(engine, F, props):
     ]
 
 
-def _positivity_floor(engine, F):
-    """min of F over the working grid; the entropy checkers need it > 0."""
-    return float(np.min(engine.tabulate(F)))
-
-
 def check_poincare(engine, F, name="poincare"):
     """Var(F) <= sum_i lam_i E[(D_i F)^2]; holds for every F, no gate."""
     if engine.mode == "exact":
@@ -91,13 +86,13 @@ def check_modified_lsi(engine, F, name="modified-lsi"):
     lhs = entropy(engine, F).value
     phi_table, _ = _phi(table)
     phi_prime = np.log(table) + 1.0
-    rhs = 0.0
-    lam = engine.space.weight_array()
-    for i in range(engine.space.atom_count):
+
+    def term(i):
         d_phi = grids.diff_axis(phi_table, i)
         df = grids.diff_axis(table, i)
-        integrand = d_phi - grids.drop_top(phi_prime, i) * df
-        rhs += lam[i] * engine.expect_table(integrand)
+        return engine.expect_table(d_phi - grids.drop_top(phi_prime, i) * df)
+
+    rhs = engine.atom_sum(term)
     scale = float(np.max(np.abs(phi_table))) + float(np.max(np.abs(table)))
     tol = engine.tolerance(scale * (1 + engine.space.total_mass))
     return make_report(name, lhs, rhs, tolerance=tol)
@@ -111,13 +106,14 @@ def check_min_form_lsi(engine, F, name="min-form-lsi"):
         raise PreconditionError("min-form LSI needs F > 0 on the probed states")
     lhs = entropy(engine, F).value
     log_table = np.log(table)
-    rhs = 0.0
-    lam = engine.space.weight_array()
-    for i in range(engine.space.atom_count):
+
+    def term(i):
         df = grids.diff_axis(table, i)
         d_log = grids.diff_axis(log_table, i)
         quad = df**2 / grids.drop_top(table, i)
-        rhs += lam[i] * engine.expect_table(np.minimum(quad, df * d_log))
+        return engine.expect_table(np.minimum(quad, df * d_log))
+
+    rhs = engine.atom_sum(term)
     scale = float(np.max(np.abs(table * (1 + np.abs(log_table)))))
     tol = engine.tolerance(scale * (1 + engine.space.total_mass))
     return make_report(name, lhs, rhs, tolerance=tol)
@@ -273,13 +269,12 @@ def check_entropy_power(engine, G, q, name="entropy-power", bypass_hypotheses=Fa
         raise PreconditionError("entropy-power bound needs G >= 0")
     certs = _certify(engine, G, [PROP_DF_LE0])
     lhs = entropy(engine, _power(G, table, q)).value
-    lam = engine.space.weight_array()
-    rhs = 0.0
-    for i in range(engine.space.atom_count):
+
+    def term(i):
         d_qm1 = grids.diff_axis(table ** (q - 1.0), i)
-        d_g = grids.diff_axis(table, i)
-        rhs += lam[i] * engine.expect_table(d_qm1 * d_g)
-    rhs *= q**2 / (q - 1.0)
+        return engine.expect_table(d_qm1 * grids.diff_axis(table, i))
+
+    rhs = engine.atom_sum(term) * (q**2 / (q - 1.0))
     scale = float(np.max(table) ** q) * (1 + engine.space.total_mass) * q**2 / (q - 1)
     return make_report(
         name, lhs, rhs, tolerance=engine.tolerance(scale),
@@ -351,6 +346,8 @@ def talagrand_bound(engine, F) -> float:
     table = engine.tabulate(F)
     lam = engine.space.weight_array()
     total = 0.0
+    # not engine.atom_sum: lam * (a / b) there would round differently from
+    # (lam * a) / b here and move the last digit of rhs for non-unit weights
     for i in range(engine.space.atom_count):
         l1, l2 = _derivative_norms(engine, table, i)
         if l2 == 0.0:
@@ -393,21 +390,17 @@ def l1_variance_bound(engine, F, name="l1-variance", bypass_hypotheses=False):
         raise PreconditionError("F must be bounded")
     certs, met = _talagrand_certs(engine, F)
     alpha = 1.0 if 2.0 * sup > 1.0 else 2.0 / (math.e + 1.0)
-    lam = engine.space.weight_array()
-    acc = 0.0
-    for i in range(engine.space.atom_count):
+
+    def term(i):
         mean_abs = engine.expect_table(np.abs(grids.diff_axis(table, i)))
         if mean_abs == 0.0:
-            continue
+            return 0.0
         if mean_abs < 1.0:
-            term = 2.0 / (1.0 + math.log(1.0 / mean_abs))
-        elif mean_abs > 1.0:
-            term = mean_abs
-        else:
-            # both branches are valid bounds at the boundary; take the smaller
-            term = min(2.0, 1.0)
-        acc += lam[i] * term
-    rhs = 11.0 * (2.0 * sup) ** alpha * acc
+            return 2.0 / (1.0 + math.log(1.0 / mean_abs))
+        # x >= 1; at x = 1 both branches are valid bounds and x is the smaller
+        return mean_abs
+
+    rhs = 11.0 * (2.0 * sup) ** alpha * engine.atom_sum(term)
     lhs = variance(engine, F)
     scale = sup**2 * (1 + engine.space.total_mass)
     return make_report(
@@ -428,11 +421,7 @@ def check_concentration(
     engine._require_exact(name)
     certs = _certify(engine, F, [PROP_DF_LE0])
     table = engine.tabulate(F)
-    lam = engine.space.weight_array()
-    reduced = tuple(s - 1 for s in table.shape)
-    sq = np.zeros(reduced)
-    for i in range(engine.space.atom_count):
-        sq += lam[i] * grids.trim_to(grids.diff_axis(table, i), reduced) ** 2
+    sq = grids.weighted_sq_diffs(table, engine.space.weights)
     alpha_sq = float(np.max(engine.interior(sq)))
     mean = engine.expect_table(table)
     pairs = {}

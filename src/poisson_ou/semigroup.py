@@ -49,7 +49,8 @@ def ou_kernel_1d(lam: float, size: int, t: float) -> np.ndarray:
 
 
 class SemigroupEngine:
-    """Exact truncated tensor-product kernel for P_t, or a seeded MC estimator."""
+    """Exact truncated tensor-product kernel for P_t, or seeded MC samples for
+    expectations (P_t itself is exact-only)."""
 
     def __init__(
         self,
@@ -151,20 +152,15 @@ class SemigroupEngine:
         )
         return float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(len(vals)))
 
-    def mc_semigroup_value(self, F: Functional, counts, t: float, n_rep=None, salt=0):
-        """Unbiased MC estimate of (P_t F)(counts) by thinning plus refresh."""
-        counts = np.asarray(counts, dtype=np.int64)
-        n_rep = self.replications if n_rep is None else int(n_rep)
-        seq = np.random.SeedSequence(
-            entropy=(int(self.seed) & (2**63 - 1), 11, int(salt), *counts.tolist())
-        )
-        rng = np.random.default_rng(seq)
-        keep = math.exp(-t)
-        lam_refresh = (1.0 - keep) * self.space.weight_array()
-        thinned = rng.binomial(counts, keep, size=(n_rep, counts.size))
-        refresh = rng.poisson(lam_refresh, size=(n_rep, counts.size))
-        vals = np.array([F(c) for c in thinned + refresh])
-        return float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(n_rep))
+    # ----------------------------------------------------------- atom sums
+
+    def atom_sum(self, term) -> float:
+        """sum_i lam_i * term(i), accumulated in atom order."""
+        lam = self.space.weight_array()
+        total = 0.0
+        for i in range(self.space.atom_count):
+            total += lam[i] * term(i)
+        return total
 
     # ------------------------------------------------------------ tolerance
 
@@ -178,18 +174,11 @@ class SemigroupEngine:
 
 
 def apply_semigroup(engine: SemigroupEngine, F: Functional, t: float) -> Functional:
-    """P_t F. Exact mode returns a table-backed functional on the padded grid;
-    MC mode returns a rule whose evaluations are seeded thinning estimates."""
+    """P_t F as a table-backed functional on the padded grid (exact mode only)."""
     if t < 0:
         raise ValueError("negative time")
-    if engine.mode == "exact":
-        table = engine.apply_table(engine.tabulate(F), t)
-        return from_table(table, name=f"P_{t:g}[{F.name}]")
-
-    def rule(c):
-        return engine.mc_semigroup_value(F, c, t)[0]
-
-    return Functional(rule=rule, name=f"P_{t:g}^mc[{F.name}]")
+    table = engine.apply_table(engine.tabulate(F), t)
+    return from_table(table, name=f"P_{t:g}[{F.name}]")
 
 
 def expectation(engine: SemigroupEngine, F: Functional):
@@ -378,12 +367,7 @@ def integrated_gradient_check(engine, F, t, p, name="integrated-gradient"):
     if not t > 0:
         raise ValueError("t must be positive")
     table = engine.tabulate(F)
-    pt = engine.apply_table(table, t)
-    reduced = tuple(s - 1 for s in pt.shape)
-    sq = np.zeros(reduced)
-    lam = engine.space.weight_array()
-    for i in range(engine.space.atom_count):
-        sq += lam[i] * grids.trim_to(grids.diff_axis(pt, i), reduced) ** 2
+    sq = grids.weighted_sq_diffs(engine.apply_table(table, t), engine.space.weights)
     if math.isinf(p):
         lhs = float(np.sqrt(np.max(engine.interior(sq))))
         rhs_norm = float(np.max(np.abs(engine.interior(table))))

@@ -27,6 +27,7 @@ from poisson_ou import (
 )
 from poisson_ou.casestudies import _invert_tail
 from poisson_ou.errors import PreconditionError
+from poisson_ou.functionals import PROP_D2F_GE0, PROP_DF_LE0, certify_monotonicity
 
 from conftest import engine_for
 
@@ -226,7 +227,9 @@ class TestNearOptimality:
 
     def test_exponential_functional_signs(self):
         F = exponential_functional(0.5)
-        assert F.sign_df == "nonpos"
-        assert F.sign_d2f == "nonneg"
+        space = GroundSpace((1.0,))
+        for prop in (PROP_DF_LE0, PROP_D2F_GE0):
+            cert = certify_monotonicity(F, space, prop)
+            assert cert.valid and cert.kind == "exact"
         assert F.bounded_by == 1.0
         assert F((0,)) == 1.0

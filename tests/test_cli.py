@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from poisson_ou import cli, inequalities
 from poisson_ou.cli import (
     CHECK_CATALOG,
     DEMO_TAG,
@@ -18,7 +19,9 @@ from poisson_ou.cli import (
 )
 from poisson_ou.reports import make_report
 
-REPO_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "onedim_suite.json"
+ROOT = Path(__file__).resolve().parents[1]
+REPO_CONFIG = ROOT / "configs" / "onedim_suite.json"
+REFERENCE_REPORT = ROOT / "bench" / "reference" / "onedim_suite.report.txt"
 
 
 def base_config(**overrides):
@@ -56,6 +59,65 @@ class TestCatalog:
     def test_every_entry_names_hypotheses(self):
         for line in list_checks().splitlines():
             assert "hypotheses=" in line and "params=" in line
+
+    def test_lists_modes(self):
+        lines = dict(line.split(" ", 1) for line in list_checks().splitlines())
+        assert "modes=exact,mc " in lines["poincare"]
+        assert "modes=exact " in lines["talagrand"]
+
+
+#: one item per catalog entry, all on one decreasing, convex functional
+EVERY_CHECK = [
+    {"check": "mecke", "functional": "f"},
+    {"check": "poincare", "functional": "f"},
+    {"check": "modified-lsi", "functional": "f"},
+    {"check": "min-form-lsi", "functional": "f"},
+    {"check": "pathwise-lemma", "params": {"a": 2.0, "b": 1.0, "q": 2.0}},
+    {"check": "entropy-power", "functional": "f", "params": {"q": 2.0}},
+    {"check": "restricted-hypercontractivity", "functional": "f",
+     "params": {"t": 0.5, "p": 2.0}},
+    {"check": "weak-hypercontractivity", "functional": "f", "params": {"t": 0.5}},
+    {"check": "talagrand", "functional": "f"},
+    {"check": "l1-variance", "functional": "f"},
+    {"check": "concentration", "functional": "f", "params": {"thresholds": [[0.3]]}},
+    {"check": "lsi-failure", "params": {"k_max": 10}},
+]
+
+#: every checker the catalog dispatches to, by module attribute
+DISPATCHED = [(inequalities, name) for name in (
+    "check_poincare", "check_modified_lsi", "check_min_form_lsi",
+    "check_pathwise_lemma", "check_entropy_power",
+    "check_restricted_hypercontractivity", "check_weak_hypercontractivity",
+    "check_talagrand", "l1_variance_bound", "check_concentration",
+    "check_lsi_failure",
+)] + [(cli, "check_mecke")]
+
+
+def spy_on(monkeypatch, targets):
+    """Wrap each module attribute so that its calls are counted."""
+    calls = {name: 0 for _, name in targets}
+    for module, name in targets:
+        original = getattr(module, name)
+
+        def spy(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, spy)
+    return calls
+
+
+class TestDispatch:
+    def test_every_entry_reaches_its_checker(self, tmp_path, monkeypatch):
+        assert [item["check"] for item in EVERY_CHECK] == list(CHECK_CATALOG)
+        calls = spy_on(monkeypatch, DISPATCHED)
+        path = write_config(tmp_path, base_config(checks=EVERY_CHECK))
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 0
+        assert calls == {name: 1 for _, name in DISPATCHED}
+        lines = (tmp_path / "out" / "report.txt").read_text().splitlines()
+        assert [line.split(" ", 1)[0] for line in lines] == [
+            f"name={check}" for check in CHECK_CATALOG
+        ]
 
 
 class TestExitCodes:
@@ -118,6 +180,32 @@ class TestExitCodes:
         path = write_config(tmp_path, config)
         assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
 
+    def test_exact_only_check_in_mc_mode_exits_2_before_compute(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        calls = spy_on(monkeypatch, DISPATCHED)
+        out = tmp_path / "out"
+        assert main(["run", str(REPO_CONFIG), "--mode", "mc", "--out", str(out)]) == 2
+        assert "'modified-lsi'" in capsys.readouterr().err
+        assert not any(calls.values())
+        assert not (out / "report.txt").exists()
+
+    @pytest.mark.parametrize("tail", ["0", "1.5", "nan"])
+    def test_bad_tail_mass_exits_2(self, tmp_path, capsys, tail):
+        path = write_config(tmp_path, base_config())
+        argv = ["run", str(path), "--tail-mass", tail, "--out", str(tmp_path / "out")]
+        assert main(argv) == 2
+        assert "tail_mass" in capsys.readouterr().err
+
+    def test_tiny_tail_mass_runs(self, tmp_path):
+        path = write_config(tmp_path, base_config())
+        argv = ["run", str(path), "--tail-mass", "1e-18", "--out", str(tmp_path / "out")]
+        assert main(argv) == 0
+
+    def test_zero_weight_exits_2(self, tmp_path):
+        path = write_config(tmp_path, base_config(space={"weights": [0]}))
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+
     def test_budget_exceeded_exits_3(self, tmp_path):
         config = base_config(space={"weights": [50.0] * 4},
                              truncation={"budget": 100})
@@ -134,6 +222,7 @@ class TestDeterminism:
         a = (tmp_path / "a" / "report.txt").read_bytes()
         b = (tmp_path / "b" / "report.txt").read_bytes()
         assert a == b and len(a) > 0
+        assert a == REFERENCE_REPORT.read_bytes()
 
     def test_shipped_suite_exits_zero_with_tagged_demo(self, tmp_path):
         assert main(["run", str(REPO_CONFIG), "--out", str(tmp_path / "out")]) == 0

@@ -133,13 +133,3 @@ class TestSemantics:
         F = functional_from_text("2*count(0) - 3*indicator_le(0, 0) + 1")
         assert F((0,)) == -2.0
         assert F((2,)) == 5.0
-
-    def test_sign_inference_single_call(self):
-        assert functional_from_text("exp_neg(0.5, 0)").sign_df == "nonpos"
-        assert functional_from_text("-1*exp_neg(0.5, 0)").sign_df == "nonneg"
-        assert functional_from_text("cumsum_g(0, 2)").sign_d2f == "nonpos"
-        assert functional_from_text("count(0) + 5").sign_df == "nonneg"
-
-    def test_no_sign_inference_for_sums(self):
-        F = functional_from_text("count(0) + exp_neg(1, 0)")
-        assert F.sign_df == "unknown"

@@ -17,6 +17,7 @@ from poisson_ou import (
     poisson_law,
     sample_configurations,
 )
+from poisson_ou.ground import _min_cap
 
 
 class TestGroundSpace:
@@ -63,6 +64,17 @@ class TestTruncation:
         space = GroundSpace((50.0,) * 4)
         with pytest.raises(BudgetExceededError):
             TruncatedStateSpace.from_tail_mass(space, budget=100)
+
+    @pytest.mark.parametrize("tail", [1e-18, 1e-30])
+    def test_min_cap_below_ppf_resolution(self, tail):
+        # 1 - tail rounds to 1, so ppf(1 - tail) is inf; compare with a scan of sf
+        brute = next(n for n in range(1000) if stats.poisson.sf(n, 1.0) <= tail)
+        assert _min_cap(1.0, tail) == brute
+
+    @pytest.mark.parametrize("tail", [0.0, 1.0, 1.5, -1e-3, math.nan, math.inf])
+    def test_rejects_bad_tail_mass(self, tail):
+        with pytest.raises(ValueError):
+            TruncatedStateSpace.from_tail_mass(GroundSpace((1.0,)), tail_mass=tail)
 
     def test_larger_intensity_needs_larger_caps(self):
         small = TruncatedStateSpace.from_tail_mass(GroundSpace((0.5,)))

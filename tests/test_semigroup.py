@@ -81,20 +81,6 @@ class TestPgfOracle:
                 pgf_semigroup_value(n, s, lam, t), abs=1e-10
             )
 
-    def test_mc_estimator_unbiased(self):
-        lam, t, s = 1.0, 0.6, 0.5
-        engine = engine_for(lam, mode="mc", replications=50_000, seed=9)
-        F = from_rule(lambda c: s ** float(c[0]))
-        est, se = engine.mc_semigroup_value(F, (3,), t)
-        assert abs(est - pgf_semigroup_value(3, s, lam, t)) <= 4 * se
-
-    def test_mc_estimator_reproducible(self):
-        engine = engine_for(1.0, mode="mc", replications=5_000, seed=4)
-        F = from_rule(lambda c: 0.5 ** float(c[0]))
-        a = engine.mc_semigroup_value(F, (2,), 0.4)
-        b = engine.mc_semigroup_value(F, (2,), 0.4)
-        assert a == b
-
 
 @pytest.fixture(scope="module")
 def engine():
@@ -226,6 +212,8 @@ class TestEngineModes:
         engine = engine_for(1.0, mode="mc", replications=1_000)
         with pytest.raises(PreconditionError):
             engine.tabulate(from_rule(lambda c: 1.0))
+        with pytest.raises(PreconditionError):
+            apply_semigroup(engine, from_rule(lambda c: 1.0), 0.5)
 
     def test_unknown_mode_rejected(self):
         space = GroundSpace((1.0,))
