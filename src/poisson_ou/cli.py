@@ -51,6 +51,7 @@ class CheckSpec:
 
     ``run`` looks the checker up on its module when called, so wrappers
     installed on ``inequalities.check_*`` or ``cli.check_mecke`` see the call.
+    ``needs_functional`` is False for the checks that run without one.
     """
 
     name: str
@@ -59,10 +60,11 @@ class CheckSpec:
     summary: str
     modes: tuple[str, ...]
     run: Callable
+    needs_functional: bool = True
 
 
 def _mecke(engine, func, params, bypass):
-    h = (lambda c, i: func(c)) if func is not None else (lambda c, i: 1.0)
+    h = func if func is not None else dsl.to_functional(dsl.Expr(1.0, ()))
     return check_mecke(engine.space, h, trunc=engine.trunc, mode=engine.mode,
                        replications=engine.replications, seed=engine.seed)
 
@@ -70,7 +72,8 @@ def _mecke(engine, func, params, bypass):
 #: stable catalog of checkers, in report order
 CHECK_CATALOG = {spec.name: spec for spec in (
     CheckSpec("mecke", (), "none",
-              "integration-by-parts identity for the point process", MODES, _mecke),
+              "integration-by-parts identity for the point process", MODES, _mecke,
+              needs_functional=False),
     CheckSpec("poincare", (), "none",
               "variance bounded by the expected squared differences", MODES,
               lambda e, f, p, b: inequalities.check_poincare(e, f)),
@@ -82,7 +85,8 @@ CHECK_CATALOG = {spec.name: spec for spec in (
               lambda e, f, p, b: inequalities.check_min_form_lsi(e, f)),
     CheckSpec("pathwise-lemma", ("a", "b", "q"), "none",
               "pathwise power-difference inequality", MODES,
-              lambda e, f, p, b: inequalities.check_pathwise_lemma(p["a"], p["b"], p["q"])),
+              lambda e, f, p, b: inequalities.check_pathwise_lemma(p["a"], p["b"], p["q"]),
+              needs_functional=False),
     CheckSpec("entropy-power", ("q",), "F >= 0, DF <= 0",
               "entropy of F^q against the bilinear form", EXACT,
               lambda e, f, p, b: inequalities.check_entropy_power(
@@ -106,7 +110,8 @@ CHECK_CATALOG = {spec.name: spec for spec in (
                   e, f, p["thresholds"], bypass_hypotheses=b)),
     CheckSpec("lsi-failure", ("k_max",), "none",
               "divergence of the would-be log-Sobolev constant", MODES,
-              lambda e, f, p, b: inequalities.check_lsi_failure(int(p["k_max"]))),
+              lambda e, f, p, b: inequalities.check_lsi_failure(int(p["k_max"])),
+              needs_functional=False),
 )}
 
 EXAMPLE_NAMES = ("maxima", "onedim", "counterexample_fk", "near_optimality")
@@ -159,6 +164,22 @@ def _param_grid(params: dict):
         yield dict(zip(keys, combo))
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+#: parameter -> (test of one value, what the checkers require of it)
+_PARAM_RULES = {
+    "t": (lambda v: _is_number(v) and v >= 0, "a number >= 0"),
+    "p": (lambda v: _is_number(v) and v > 1, "a number > 1"),
+    "q": (lambda v: _is_number(v) and v > 1, "a number > 1"),
+    "a": (lambda v: _is_number(v) and v >= 0, "a number >= 0"),
+    "b": (lambda v: _is_number(v) and v >= 0, "a number >= 0"),
+    "k_max": (lambda v: _is_number(v) and v >= 1 and float(v).is_integer(),
+              "a positive integer"),
+}
+
+
 def _resolve(item: dict, functionals: dict, mode: str):
     """(spec, functional or None) for one check item; DslOrConfigError if it cannot run."""
     check = item["check"]
@@ -170,6 +191,8 @@ def _resolve(item: dict, functionals: dict, mode: str):
         if item["functional"] not in functionals:
             raise DslOrConfigError(f"functional {item['functional']!r} is not defined")
         func = functionals[item["functional"]]
+    elif spec.needs_functional:
+        raise DslOrConfigError(f"check {check!r} needs a functional")
     missing = [p for p in spec.params if p not in item.get("params", {})]
     if missing:
         raise DslOrConfigError(f"check {check!r} is missing params {missing}")
@@ -177,14 +200,33 @@ def _resolve(item: dict, functionals: dict, mode: str):
         raise DslOrConfigError(
             f"check {check!r} cannot run in mode {mode!r} (modes: {','.join(spec.modes)})"
         )
+    for params in _param_grid(item.get("params", {})):
+        for key in spec.params:
+            if key in _PARAM_RULES and not _PARAM_RULES[key][0](params[key]):
+                raise DslOrConfigError(
+                    f"check {check!r}: {key} must be {_PARAM_RULES[key][1]}, "
+                    f"got {params[key]!r}"
+                )
     return spec, func
 
 
-def _build_engine(config: dict, mode: str) -> SemigroupEngine:
+def _check_atoms(functionals: dict, atom_count: int):
+    """Reject a functional that reads an atom the space does not have."""
+    for name, func in functionals.items():
+        beyond = [a for a in func.batch.axes if a >= atom_count]
+        if beyond:
+            raise DslOrConfigError(
+                f"functional {name!r} reads atom {max(beyond)}, "
+                f"but the space has {atom_count} atom(s)"
+            )
+
+
+def _build_engine(config: dict, mode: str, functionals: dict) -> SemigroupEngine:
     trunc_cfg = config.get("truncation", {})
     engine_cfg = config.get("engine", {})
     try:
         space = GroundSpace(tuple(config["space"]["weights"]))
+        _check_atoms(functionals, space.atom_count)
         trunc = TruncatedStateSpace.from_tail_mass(
             space,
             tail_mass=float(trunc_cfg.get("tail_mass", 1e-12)),
@@ -213,7 +255,7 @@ def run_config(config: dict, out_dir: Path) -> int:
     }
     items = config.get("checks", [])
     resolved = [_resolve(item, functionals, mode) for item in items]
-    engine = _build_engine(config, mode)
+    engine = _build_engine(config, mode, functionals)
     catalog_order = list(CHECK_CATALOG)
     records = []
     for item, (spec, func) in zip(items, resolved):

@@ -25,6 +25,8 @@ import math
 import re
 from dataclasses import dataclass
 
+import numpy as np
+
 from .functionals import Functional
 
 
@@ -224,15 +226,70 @@ def _term_value(term: Term, c) -> float:
     raise ValueError(f"unknown builtin {term.func!r}")
 
 
+#: position of the atom index among each builtin's arguments
+_AXIS_ARG = {
+    "count": 0,
+    "indicator_le": 0,
+    "exp_neg": 1,
+    "cumsum_g": 0,
+    "max_radius_gt": 0,
+}
+
+
+class BatchRule:
+    """Array form of an expression: counts of shape (..., m) -> values (...).
+
+    Every builtin reads one atom's count, so each term is a 1-D line of its
+    values at counts 0..n (coefficient included), filled by the scalar
+    ``_term_value`` and grown on demand. Values are gathered per term and
+    added in term order, as the scalar rule adds them, so both give the same
+    floats bit for bit.
+    """
+
+    def __init__(self, expr: Expr):
+        self.const = expr.const
+        self.terms = expr.terms
+        #: atom index read by each term
+        self.axes = tuple(int(t.args[_AXIS_ARG[t.func]]) for t in expr.terms)
+        self._lines = [np.empty(0) for _ in expr.terms]
+
+    def _line(self, k: int, top: int) -> np.ndarray:
+        line = self._lines[k]
+        if top >= line.size:
+            term, axis = self.terms[k], self.axes[k]
+            c = np.zeros(axis + 1, dtype=np.int64)
+            values = []
+            for n in range(max(top + 1, 2 * line.size)):
+                c[axis] = n
+                values.append(term.coeff * _term_value(term, c))
+            line = self._lines[k] = np.array(values)
+        return line
+
+    def __call__(self, counts) -> np.ndarray:
+        counts = np.asarray(counts, dtype=np.int64)
+        if counts.size and counts.min() < 0:
+            raise ValueError("counts must be non-negative")
+        total = np.zeros(counts.shape[:-1])
+        for k, axis in enumerate(self.axes):
+            n = counts[..., axis]
+            total += self._line(k, int(n.max()) if n.size else 0)[n]
+        return self.const + total
+
+
 def to_functional(expr: Expr, name: str | None = None) -> Functional:
-    """Compile an expression to a rule-backed functional."""
+    """Compile an expression to a functional with a scalar rule and its array form."""
     terms = expr.terms
     const = expr.const
 
     def rule(c):
-        return const + sum(t.coeff * _term_value(t, c) for t in terms)
+        # an explicit loop, not sum(): from Python 3.12 sum() of floats is
+        # compensated and would stop matching the array form's plain adds
+        total = 0.0
+        for t in terms:
+            total += t.coeff * _term_value(t, c)
+        return const + total
 
-    return Functional(rule=rule, name=name or serialize(expr))
+    return Functional(rule=rule, batch=BatchRule(expr), name=name or serialize(expr))
 
 
 def functional_from_text(text: str, name: str | None = None) -> Functional:

@@ -25,12 +25,16 @@ class Functional:
     A rule-backed functional is total on all configurations; a table-backed
     one is defined only on the grid of its table and raises CapOverflowError
     beyond it (the engines size tables so this never happens in normal use).
+    ``batch``, when present, is the rule's array form: counts of shape
+    (..., m) -> values of shape (...), equal to the rule bit for bit. Grids
+    and samples go through it; without it they are evaluated state by state.
     """
 
     rule: object | None = None
     table: np.ndarray | None = None
     bounded_by: float | None = None
     name: str = "F"
+    batch: object | None = None
 
     def __post_init__(self):
         if self.rule is None and self.table is None:
@@ -49,13 +53,32 @@ class Functional:
                 value = float(self.table[tuple(c)])
         else:
             value = float(self.rule(c))
+        self._check(value, c)
+        return value
+
+    def _check(self, value: float, c) -> None:
+        """Raise if F(c) = value is non-finite or exceeds the declared bound."""
+        state = tuple(int(x) for x in c)
         if not np.isfinite(value):
-            raise NonFiniteValueError(f"{self.name} is non-finite at {tuple(c)}")
+            raise NonFiniteValueError(f"{self.name} is non-finite at {state}")
         if self.bounded_by is not None and abs(value) > self.bounded_by + 1e-12:
             raise ValueError(
-                f"{self.name} exceeds its declared bound {self.bounded_by} at {tuple(c)}"
+                f"{self.name} exceeds its declared bound {self.bounded_by} at {state}"
             )
-        return value
+
+    def values(self, counts) -> np.ndarray:
+        """F on every state of a (..., m) count array, with the checks of ``__call__``."""
+        c = np.asarray(counts, dtype=np.int64)
+        if self.batch is None:
+            return grids.map_rows(self, c)
+        out = np.asarray(self.batch(c), dtype=float)
+        bad = ~np.isfinite(out)
+        if self.bounded_by is not None:
+            bad |= np.abs(out) > self.bounded_by + 1e-12
+        if np.any(bad):
+            first = int(np.flatnonzero(bad)[0])
+            self._check(float(out.flat[first]), c.reshape(-1, c.shape[-1])[first])
+        return out
 
     def tabulate(self, shape) -> np.ndarray:
         """Dense table of values over the grid of the given shape."""
@@ -68,7 +91,10 @@ class Functional:
             raise CapOverflowError(
                 f"{self.name}: table of shape {self.table.shape} cannot cover {shape}"
             )
-        out = grids.tabulate_rule(self.rule, shape)
+        if self.batch is not None:
+            out = np.asarray(self.batch(grids.grid_counts(shape)), dtype=float)
+        else:
+            out = grids.tabulate_rule(self.rule, shape)
         if not np.all(np.isfinite(out)):
             raise NonFiniteValueError(f"{self.name} is non-finite on the grid")
         return out
@@ -235,12 +261,12 @@ def gamma_expectation(engine, F: Functional, G: Functional = None):
         return engine.atom_sum(term)
     lam = engine.space.weight_array()
     samples = engine.samples
+    f0 = F.values(samples)
+    g0 = f0 if G is F else G.values(samples)
     vals = np.zeros(len(samples))
-    for s, counts in enumerate(samples):
-        acc = 0.0
-        for i in range(engine.space.atom_count):
-            df = add_one_cost(F, counts, i)
-            dg = df if G is F else add_one_cost(G, counts, i)
-            acc += lam[i] * df * dg
-        vals[s] = acc
+    for i in range(engine.space.atom_count):
+        bumped = grids.add_unit(samples, i)
+        df = F.values(bumped) - f0
+        dg = df if G is F else G.values(bumped) - g0
+        vals += lam[i] * df * dg
     return float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(len(vals)))

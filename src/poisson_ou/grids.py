@@ -70,9 +70,26 @@ def counts_along(shape, axis: int) -> np.ndarray:
     return np.arange(shape[axis]).reshape(view)
 
 
+def grid_counts(shape) -> np.ndarray:
+    """(*shape, m) array holding every state of the grid, in C order."""
+    return np.moveaxis(np.indices(tuple(shape), dtype=np.int64), 0, -1)
+
+
+def add_unit(counts: np.ndarray, axis: int) -> np.ndarray:
+    """counts + e_axis for a (..., m) count array."""
+    unit = np.zeros(counts.shape[-1], dtype=counts.dtype)
+    unit[axis] = 1
+    return counts + unit
+
+
+def map_rows(rule, counts) -> np.ndarray:
+    """Evaluate a scalar rule counts -> real on every state of a (..., m) array."""
+    counts = np.asarray(counts, dtype=np.int64)
+    rows = counts.reshape(-1, counts.shape[-1])
+    out = np.fromiter((rule(row) for row in rows), dtype=float, count=len(rows))
+    return out.reshape(counts.shape[:-1])
+
+
 def tabulate_rule(rule, shape) -> np.ndarray:
     """Evaluate a scalar rule counts -> real on every state of the grid."""
-    out = np.empty(tuple(shape), dtype=float)
-    for idx in np.ndindex(*shape):
-        out[idx] = rule(np.asarray(idx, dtype=np.int64))
-    return out
+    return map_rows(rule, grid_counts(shape))

@@ -49,7 +49,7 @@ def entropy(engine: SemigroupEngine, F: Functional) -> EntropyValue:
         mean = engine.expect_table(table)
         mean_phi = engine.expect_table(phi_table)
     else:
-        vals = np.array([F(c) for c in engine.samples])
+        vals = F.values(engine.samples)
         phi_vals, hits = _phi(vals)
         mean = float(vals.mean())
         mean_phi = float(phi_vals.mean())

@@ -145,11 +145,9 @@ class SemigroupEngine:
             )
         return self._samples
 
-    def expect_mc(self, fn) -> tuple[float, float]:
-        """Sample mean and stderr of fn(counts) over the engine's samples."""
-        vals = np.fromiter(
-            (fn(c) for c in self.samples), dtype=float, count=len(self.samples)
-        )
+    def expect_mc(self, F: Functional) -> tuple[float, float]:
+        """Sample mean and stderr of F over the engine's samples."""
+        vals = F.values(self.samples)
         return float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(len(vals)))
 
     # ----------------------------------------------------------- atom sums
@@ -184,7 +182,7 @@ def apply_semigroup(engine: SemigroupEngine, F: Functional, t: float) -> Functio
 def expectation(engine: SemigroupEngine, F: Functional):
     if engine.mode == "exact":
         return engine.expect_table(engine.tabulate(F))
-    return engine.expect_mc(lambda c: F(c))
+    return engine.expect_mc(F)
 
 
 def variance(engine: SemigroupEngine, F: Functional):
@@ -192,7 +190,7 @@ def variance(engine: SemigroupEngine, F: Functional):
         table = engine.tabulate(F)
         mean = engine.expect_table(table)
         return engine.expect_table((table - mean) ** 2)
-    vals = np.array([F(c) for c in engine.samples])
+    vals = F.values(engine.samples)
     var = float(vals.var(ddof=1))
     n = len(vals)
     centered = (vals - vals.mean()) ** 2
@@ -214,7 +212,7 @@ def lp_norm(engine: SemigroupEngine, F: Functional, p) -> LpNorm:
             return LpNorm(p=p, value=float(np.max(engine.interior(table))))
         moment = engine.expect_table(table**p)
         return LpNorm(p=p, value=float(moment ** (1.0 / p)))
-    vals = np.abs(np.array([F(c) for c in engine.samples]))
+    vals = np.abs(F.values(engine.samples))
     if math.isinf(p):
         return LpNorm(p=p, value=float(vals.max()), lower_bound=True)
     powers = vals**p

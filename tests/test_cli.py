@@ -206,6 +206,68 @@ class TestExitCodes:
         path = write_config(tmp_path, base_config(space={"weights": [0]}))
         assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
 
+    def test_missing_functional_exits_2_before_compute(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        calls = spy_on(monkeypatch, DISPATCHED)
+        path = write_config(tmp_path, base_config(checks=[{"check": "poincare"}]))
+        out = tmp_path / "out"
+        assert main(["run", str(path), "--out", str(out)]) == 2
+        assert "'poincare' needs a functional" in capsys.readouterr().err
+        assert not any(calls.values())
+        assert not (out / "report.txt").exists()
+
+    def test_checks_without_functional_still_run(self, tmp_path):
+        config = base_config(checks=[
+            {"check": "mecke"},
+            {"check": "pathwise-lemma", "params": {"a": 2.0, "b": 1.0, "q": 2.0}},
+            {"check": "lsi-failure", "params": {"k_max": 10}},
+        ])
+        path = write_config(tmp_path, config)
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 0
+        assert len((tmp_path / "out" / "report.txt").read_text().splitlines()) == 3
+
+    @pytest.mark.parametrize("item", [
+        {"check": "entropy-power", "functional": "f", "params": {"q": 0.5}},
+        {"check": "entropy-power", "functional": "f", "params": {"q": [2.0, 1.0]}},
+        {"check": "restricted-hypercontractivity", "functional": "f",
+         "params": {"t": -1, "p": 2.0}},
+        {"check": "restricted-hypercontractivity", "functional": "f",
+         "params": {"t": [0.5, 1.0], "p": 1.0}},
+        {"check": "weak-hypercontractivity", "functional": "f", "params": {"t": -0.5}},
+        {"check": "weak-hypercontractivity", "functional": "f", "params": {"t": "soon"}},
+        {"check": "pathwise-lemma", "params": {"a": -1.0, "b": 1.0, "q": 2.0}},
+        {"check": "pathwise-lemma", "params": {"a": 1.0, "b": [1.0, -2.0], "q": 2.0}},
+        {"check": "pathwise-lemma", "params": {"a": 1.0, "b": 1.0, "q": 0.9}},
+        {"check": "lsi-failure", "params": {"k_max": 0}},
+        {"check": "lsi-failure", "params": {"k_max": 2.5}},
+        {"check": "lsi-failure", "params": {"k_max": True}},
+    ], ids=lambda item: f"{item['check']}-{item['params']}")
+    def test_bad_checker_argument_exits_2_before_compute(
+        self, tmp_path, monkeypatch, capsys, item
+    ):
+        calls = spy_on(monkeypatch, DISPATCHED)
+        checks = [{"check": "poincare", "functional": "f"}, item]
+        path = write_config(tmp_path, base_config(checks=checks))
+        out = tmp_path / "out"
+        assert main(["run", str(path), "--out", str(out)]) == 2
+        assert f"check {item['check']!r}: " in capsys.readouterr().err
+        assert not any(calls.values())
+        assert not (out / "report.txt").exists()
+
+    def test_atom_out_of_range_exits_2_before_engine(self, tmp_path, monkeypatch, capsys):
+        built = []
+        monkeypatch.setattr(cli, "SemigroupEngine", lambda *a, **k: built.append(a))
+        config = base_config(functionals={"far": "exp_neg(0.5, 3)"},
+                             checks=[{"check": "poincare", "functional": "far"}])
+        path = write_config(tmp_path, config)
+        out = tmp_path / "out"
+        assert main(["run", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "'far' reads atom 3" in err and "1 atom(s)" in err
+        assert not built
+        assert not (out / "report.txt").exists()
+
     def test_budget_exceeded_exits_3(self, tmp_path):
         config = base_config(space={"weights": [50.0] * 4},
                              truncation={"budget": 100})
