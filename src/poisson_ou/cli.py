@@ -11,9 +11,11 @@ hypotheses, summary, the engine modes it runs in and its run function. The
 catalog drives ``list-checks``, config validation, dispatch and the order of
 the report. A config is validated in full before any engine work starts.
 
-Exit codes: 0 clean, 1 a check was violated, 2 config/DSL error (unknown
-check or functional, missing params, a check that cannot run in the engine
-mode, bad weights or truncation), 3 state budget exceeded.
+Exit codes: 0 clean, 1 a check was violated (and nothing else), 2
+config/DSL error (unknown check or functional, missing params, a check that
+cannot run in the engine mode, bad weights or truncation, fewer than 2 Monte
+Carlo replications), 3 state budget exceeded (interior or padded grid), 4 any
+other library error (a checker precondition that fails, a non-finite value).
 
 Report files are UTF-8, one record per line, fields in fixed order
 (name, params sorted by key, lhs, rhs, slack, stderr, verdict, certs, tag),
@@ -427,7 +429,7 @@ def main(argv=None) -> int:
         return 3
     except PoissonOUError as err:
         print(f"error: {err}", file=sys.stderr)
-        return 1
+        return 4
 
 
 if __name__ == "__main__":

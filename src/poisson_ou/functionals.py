@@ -2,13 +2,19 @@
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import grids
 from .errors import CapOverflowError, NonFiniteValueError
-from .ground import Configuration, GroundSpace, sample_configurations
+from .ground import (
+    Configuration,
+    GroundSpace,
+    TruncatedStateSpace,
+    sample_configurations,
+)
 from .reports import MonotonicityCertificate
 
 #: the four certifiable sign conditions
@@ -20,14 +26,15 @@ PROP_D2F_GE0 = "D2F>=0"
 
 @dataclass(frozen=True)
 class Functional:
-    """Evaluation rule F: counts -> real, optionally backed by a dense table.
+    """Evaluation rule F: counts -> real, or a dense table of its values.
 
     A rule-backed functional is total on all configurations; a table-backed
     one is defined only on the grid of its table and raises CapOverflowError
     beyond it (the engines size tables so this never happens in normal use).
     ``batch``, when present, is the rule's array form: counts of shape
-    (..., m) -> values of shape (...), equal to the rule bit for bit. Grids
-    and samples go through it; without it they are evaluated state by state.
+    (..., m) -> values of shape (...), equal to the rule bit for bit.
+    ``values`` is the one evaluator: calls, grid tables, the difference
+    operators and sampled certificates all go through it and its checks.
     """
 
     rule: object | None = None
@@ -41,43 +48,36 @@ class Functional:
             raise ValueError("functional needs a rule or a table")
 
     def __call__(self, counts) -> float:
-        c = np.asarray(counts, dtype=np.int64)
-        if self.table is not None:
-            if np.any(c >= np.asarray(self.table.shape)):
-                if self.rule is None:
-                    raise CapOverflowError(
-                        f"{self.name} is tabulated only up to {self.table.shape}"
-                    )
-                value = float(self.rule(c))
-            else:
-                value = float(self.table[tuple(c)])
-        else:
-            value = float(self.rule(c))
-        self._check(value, c)
-        return value
-
-    def _check(self, value: float, c) -> None:
-        """Raise if F(c) = value is non-finite or exceeds the declared bound."""
-        state = tuple(int(x) for x in c)
-        if not np.isfinite(value):
-            raise NonFiniteValueError(f"{self.name} is non-finite at {state}")
-        if self.bounded_by is not None and abs(value) > self.bounded_by + 1e-12:
-            raise ValueError(
-                f"{self.name} exceeds its declared bound {self.bounded_by} at {state}"
-            )
+        return float(self.values(counts))
 
     def values(self, counts) -> np.ndarray:
-        """F on every state of a (..., m) count array, with the checks of ``__call__``."""
+        """F on every state of a (..., m) count array.
+
+        Raises NonFiniteValueError for a non-finite value and ValueError for
+        one beyond ``bounded_by``, naming the first bad state in row order.
+        """
         c = np.asarray(counts, dtype=np.int64)
-        if self.batch is None:
-            return grids.map_rows(self, c)
-        out = np.asarray(self.batch(c), dtype=float)
+        if self.table is not None:
+            if np.any((c < 0) | (c >= np.asarray(self.table.shape))):
+                raise CapOverflowError(
+                    f"{self.name} is tabulated only up to {self.table.shape}"
+                )
+            out = np.asarray(self.table[tuple(np.moveaxis(c, -1, 0))], dtype=float)
+        elif self.batch is not None:
+            out = np.asarray(self.batch(c), dtype=float)
+        else:
+            out = grids.map_rows(self.rule, c)
         bad = ~np.isfinite(out)
         if self.bounded_by is not None:
             bad |= np.abs(out) > self.bounded_by + 1e-12
         if np.any(bad):
             first = int(np.flatnonzero(bad)[0])
-            self._check(float(out.flat[first]), c.reshape(-1, c.shape[-1])[first])
+            state = tuple(int(x) for x in c.reshape(-1, c.shape[-1])[first])
+            if not np.isfinite(out.flat[first]):
+                raise NonFiniteValueError(f"{self.name} is non-finite at {state}")
+            raise ValueError(
+                f"{self.name} exceeds its declared bound {self.bounded_by} at {state}"
+            )
         return out
 
     def tabulate(self, shape) -> np.ndarray:
@@ -87,17 +87,7 @@ class Functional:
             ts >= s for ts, s in zip(self.table.shape, shape)
         ):
             return grids.trim_to(self.table, shape)
-        if self.rule is None:
-            raise CapOverflowError(
-                f"{self.name}: table of shape {self.table.shape} cannot cover {shape}"
-            )
-        if self.batch is not None:
-            out = np.asarray(self.batch(grids.grid_counts(shape)), dtype=float)
-        else:
-            out = grids.tabulate_rule(self.rule, shape)
-        if not np.all(np.isfinite(out)):
-            raise NonFiniteValueError(f"{self.name} is non-finite on the grid")
-        return out
+        return self.values(grids.grid_counts(shape))
 
 
 def from_rule(rule, name="F", **kwargs) -> Functional:
@@ -124,36 +114,26 @@ def affine(coeffs, funcs, const=0.0, name=None) -> Functional:
     return Functional(rule=rule, name=name or "affine")
 
 
-def add_one_cost(F: Functional, c, i: int) -> float:
-    """D_i F(c) = F(c + e_i) - F(c)."""
+def add_one_cost(F: Functional, c, i: int):
+    """D_i F(c) = F(c + e_i) - F(c); a float for one state, an array for (..., m)."""
     c = _counts(c)
-    bumped = c.copy()
-    bumped[i] += 1
-    return F(bumped) - F(c)
+    out = F.values(grids.add_unit(c, i)) - F.values(c)
+    return float(out) if c.ndim == 1 else out
 
 
-def second_difference(F: Functional, c, i: int, j: int) -> float:
-    """D2_{i,j} F(c) = F(c+e_i+e_j) - F(c+e_i) - F(c+e_j) + F(c)."""
+def second_difference(F: Functional, c, i: int, j: int):
+    """D2_{i,j} F(c) = F(c+e_i+e_j) - F(c+e_i) - F(c+e_j) + F(c), per state."""
     c = _counts(c)
-    ei = c.copy()
-    ei[i] += 1
-    ej = c.copy()
-    ej[j] += 1
-    eij = ei.copy()
-    eij[j] += 1
-    return F(eij) - F(ei) - F(ej) + F(c)
+    ei = grids.add_unit(c, i)
+    out = (F.values(grids.add_unit(ei, j)) - F.values(ei)
+           - F.values(grids.add_unit(c, j)) + F.values(c))
+    return float(out) if c.ndim == 1 else out
 
 
 def _counts(c) -> np.ndarray:
     if isinstance(c, Configuration):
         return c.array()
-    return np.asarray(c, dtype=np.int64).copy()
-
-
-def _sign_ok(value: float, prop: str) -> bool:
-    if prop in (PROP_DF_LE0, PROP_D2F_LE0):
-        return value <= 0.0
-    return value >= 0.0
+    return np.asarray(c, dtype=np.int64)
 
 
 def certify_monotonicity(
@@ -169,76 +149,40 @@ def certify_monotonicity(
 
     Exact mode checks every state with c_i <= N_i against every atom (pair of
     atoms for D^2); sampled mode checks random configurations and is labeled
-    as the weaker certificate. A violation yields a witness, not an error.
+    as the weaker certificate. Both scan atom by atom (pairs i <= j for D^2),
+    one array of differences at a time; a violation yields the first failing
+    state of the first failing atom as a witness, not an error.
     """
-    second = prop in (PROP_D2F_LE0, PROP_D2F_GE0)
+    order = 2 if prop in (PROP_D2F_LE0, PROP_D2F_GE0) else 1
     if mode == "exact":
-        from .ground import TruncatedStateSpace
-
         if trunc is None:
             trunc = TruncatedStateSpace.from_tail_mass(space)
-        order = 2 if second else 1
-        shape = tuple(n + 1 + order for n in trunc.caps)
-        table = F.tabulate(shape)
-        m = space.atom_count
-        checked = 0
+        table = F.tabulate(tuple(n + 1 + order for n in trunc.caps))
         base = tuple(n + 1 for n in trunc.caps)
-        if not second:
-            for i in range(m):
-                diff = grids.trim_to(grids.diff_axis(table, i), base)
-                checked += diff.size
-                if not np.all(_sign_mask(diff, prop)):
-                    idx = _first_bad(diff, prop)
-                    return MonotonicityCertificate(
-                        "exact", prop, checked, witness=(idx, i, float(diff[idx]))
-                    )
-        else:
-            for i in range(m):
-                di = grids.diff_axis(table, i)
-                for j in range(i, m):
-                    d2 = grids.trim_to(grids.diff_axis(di, j), base)
-                    checked += d2.size
-                    if not np.all(_sign_mask(d2, prop)):
-                        idx = _first_bad(d2, prop)
-                        return MonotonicityCertificate(
-                            "exact", prop, checked, witness=(idx, (i, j), float(d2[idx]))
-                        )
-        return MonotonicityCertificate("exact", prop, checked)
-    if mode != "sampled":
+    elif mode == "sampled":
+        samples = sample_configurations(space, n_samples, seed)
+        operator = add_one_cost if order == 1 else second_difference
+    else:
         raise ValueError(f"unknown mode {mode!r}")
-    samples = sample_configurations(space, n_samples, seed)
     checked = 0
-    for counts in samples:
-        for i in range(space.atom_count):
-            if second:
-                for j in range(i, space.atom_count):
-                    value = second_difference(F, counts, i, j)
-                    checked += 1
-                    if not _sign_ok(value, prop):
-                        return MonotonicityCertificate(
-                            "sampled", prop, checked,
-                            witness=(tuple(counts.tolist()), (i, j), value),
-                        )
-            else:
-                value = add_one_cost(F, counts, i)
-                checked += 1
-                if not _sign_ok(value, prop):
-                    return MonotonicityCertificate(
-                        "sampled", prop, checked,
-                        witness=(tuple(counts.tolist()), i, value),
-                    )
-    return MonotonicityCertificate("sampled", prop, checked)
-
-
-def _sign_mask(arr, prop):
-    if prop in (PROP_DF_LE0, PROP_D2F_LE0):
-        return arr <= 0.0
-    return arr >= 0.0
-
-
-def _first_bad(arr, prop):
-    bad = np.argwhere(~_sign_mask(arr, prop))
-    return tuple(int(x) for x in bad[0])
+    for atoms in itertools.combinations_with_replacement(range(space.atom_count), order):
+        if mode == "exact":
+            diff = table
+            for a in atoms:
+                diff = grids.diff_axis(diff, a)
+            diff = grids.trim_to(diff, base)
+        else:
+            diff = operator(F, samples, *atoms)
+        checked += diff.size
+        ok = diff <= 0.0 if prop in (PROP_DF_LE0, PROP_D2F_LE0) else diff >= 0.0
+        if not np.all(ok):
+            idx = tuple(int(x) for x in np.argwhere(~ok)[0])
+            state = idx if mode == "exact" else tuple(samples[idx[0]].tolist())
+            where = atoms[0] if order == 1 else atoms
+            return MonotonicityCertificate(
+                mode, prop, checked, witness=(state, where, float(diff[idx]))
+            )
+    return MonotonicityCertificate(mode, prop, checked)
 
 
 def gamma_expectation(engine, F: Functional, G: Functional = None):

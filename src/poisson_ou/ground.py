@@ -131,10 +131,10 @@ class TruncatedStateSpace:
         return tuple(n + 1 for n in self.caps)
 
 
-def sample_configuration(space: GroundSpace, seed) -> Configuration:
-    """One configuration with independent Poisson(lam_i) counts per atom."""
-    rng = np.random.default_rng(seed)
-    return Configuration(tuple(rng.poisson(space.weight_array()).tolist()))
+def _require_replications(replications: int) -> None:
+    """Monte Carlo needs two samples for a standard error."""
+    if replications < 2:
+        raise ValueError(f"Monte Carlo needs at least 2 replications, got {replications}")
 
 
 def sample_configurations(space: GroundSpace, n: int, seed) -> np.ndarray:
@@ -205,6 +205,7 @@ def check_mecke(
         )
     if mode != "mc":
         raise ValueError(f"unknown mode {mode!r}")
+    _require_replications(replications)
     samples = sample_configurations(space, replications, seed)
     left = np.zeros(replications)
     for i in range(space.atom_count):

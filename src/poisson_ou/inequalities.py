@@ -24,6 +24,7 @@ from .functionals import (
     PROP_DF_LE0,
     Functional,
     certify_monotonicity,
+    from_table,
     gamma_expectation,
 )
 from .reports import VIOLATED, EntropyValue, make_report
@@ -284,8 +285,6 @@ def check_entropy_power(engine, G, q, name="entropy-power", bypass_hypotheses=Fa
 
 
 def _power(G, table, q):
-    from .functionals import from_table
-
     return from_table(table**q, name=f"{G.name}^{q:g}")
 
 

@@ -21,12 +21,13 @@ import numpy as np
 from scipy import stats
 
 from . import grids
-from .errors import PreconditionError
+from .errors import BudgetExceededError, PreconditionError
 from .functionals import Functional, from_table
 from .ground import (
     GroundSpace,
     TruncatedStateSpace,
     _min_cap,
+    _require_replications,
     sample_configurations,
 )
 from .reports import LpNorm, make_report
@@ -78,12 +79,19 @@ class SemigroupEngine:
                 _min_cap(lam, per_atom) + 3 for lam in space.weights
             ]
             self.shape = tuple(n + 1 + p for n, p in zip(trunc.caps, pads))
+            padded = math.prod(self.shape)
+            if padded > trunc.budget:
+                raise BudgetExceededError(
+                    f"padded grid {self.shape} has {padded} states "
+                    f"({trunc.state_count()} interior), over budget {trunc.budget}"
+                )
             self.law = grids.product_pmf(space.weights, self.shape)
-            self._samples = None
+            self.samples = None
         else:
+            _require_replications(self.replications)
             self.shape = None
             self.law = None
-            self._samples = sample_configurations(space, self.replications, seed)
+            self.samples = sample_configurations(space, self.replications, seed)
 
     # ---------------------------------------------------------------- exact
 
@@ -136,14 +144,6 @@ class SemigroupEngine:
         return grids.tensor_apply(mats, table)
 
     # ------------------------------------------------------------------ mc
-
-    @property
-    def samples(self) -> np.ndarray:
-        if self._samples is None:
-            self._samples = sample_configurations(
-                self.space, self.replications, self.seed
-            )
-        return self._samples
 
     def expect_mc(self, F: Functional) -> tuple[float, float]:
         """Sample mean and stderr of F over the engine's samples."""

@@ -1,9 +1,10 @@
 """Array evaluation of DSL functionals: bit-equal to the scalar rule, same checks.
 
-Grid tables and Monte Carlo sample loops evaluate a DSL functional through
-its array form (``Functional.batch``); a Python-rule functional goes state by
-state. Every comparison here is exact: the array form adds the same floats
-in the same order as the rule, so reports do not move by a single bit.
+Grid tables, the difference operators, sampled certificates and Monte Carlo
+sample loops evaluate a DSL functional through its array form
+(``Functional.batch``); a Python-rule functional goes state by state. Every
+comparison here is exact: the array form adds the same floats in the same
+order as the rule, so reports do not move by a single bit.
 """
 
 import dataclasses
@@ -20,6 +21,8 @@ from poisson_ou import (
     NonFiniteValueError,
     SemigroupEngine,
     TruncatedStateSpace,
+    add_one_cost,
+    certify_monotonicity,
     check_mecke,
     entropy,
     expectation,
@@ -27,11 +30,14 @@ from poisson_ou import (
     functional_from_text,
     gamma_expectation,
     lp_norm,
+    sample_configurations,
+    second_difference,
     variance,
 )
 from poisson_ou import grids
 from poisson_ou.cli import format_report_line
 from poisson_ou.dsl import BUILTINS, Expr, Term, serialize, to_functional
+from poisson_ou.functionals import PROP_D2F_GE0, PROP_D2F_LE0, PROP_DF_GE0, PROP_DF_LE0
 
 
 def same_bits(a, b) -> bool:
@@ -137,6 +143,14 @@ class TestChecksMatchCall:
         assert str(batched.value) == str(scalar.value)
         assert "declared bound 1.5" in str(batched.value)
 
+    @pytest.mark.parametrize("batch", [True, False], ids=["batch", "rule"])
+    def test_tabulate_checks_bound(self, batch):
+        F = dataclasses.replace(functional_from_text("count(0)", name="n"), bounded_by=1.5)
+        if not batch:
+            F = dataclasses.replace(F, batch=None)
+        with pytest.raises(ValueError, match=r"n exceeds its declared bound 1.5 at \(2, 0\)"):
+            F.tabulate((4, 2))
+
     def test_first_bad_state_decides(self):
         # the bound breaks at c = 1 before the value blows up at c = 2
         F = self.blows_up_at_2(bounded_by=0.5)
@@ -144,6 +158,96 @@ class TestChecksMatchCall:
             F.values([[0, 0], [1, 0], [2, 0]])
         with pytest.raises(NonFiniteValueError):
             F.values([[0, 0], [2, 0], [1, 0]])
+
+
+def unit(m, *atoms):
+    e = np.zeros(m, dtype=np.int64)
+    for a in atoms:
+        e[a] += 1
+    return e
+
+
+class TestDifferenceParity:
+    """D and D^2 on a (n, m) array equal the per-state calls and the scalar rule."""
+
+    @given(case=grid_cases(), seed=st.integers(0, 2**16), python_rule=st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_array_matches_per_state(self, case, seed, python_rule):
+        expr, shape = case
+        F = to_functional(expr)
+        if python_rule:
+            F = from_rule(F.rule, name=F.name)
+        m = len(shape)
+        counts = np.random.default_rng(seed).poisson(2.0, size=(25, m))
+        rule = F.rule
+        for i in range(m):
+            d = add_one_cost(F, counts, i)
+            assert same_bits(d, [add_one_cost(F, c, i) for c in counts])
+            assert same_bits(d, [rule(c + unit(m, i)) - rule(c) for c in counts])
+            for j in range(m):
+                d2 = second_difference(F, counts, i, j)
+                assert same_bits(d2, [second_difference(F, c, i, j) for c in counts])
+                assert same_bits(d2, [
+                    rule(c + unit(m, i, j)) - rule(c + unit(m, i))
+                    - rule(c + unit(m, j)) + rule(c)
+                    for c in counts
+                ])
+
+    def test_one_state_gives_a_float(self):
+        F = functional_from_text("exp_neg(0.5, 0) + count(1)")
+        assert type(add_one_cost(F, (2, 3), 0)) is float
+        assert type(second_difference(F, (2, 3), 0, 1)) is float
+        assert add_one_cost(F, [[2, 3]], 1).shape == (1,)
+
+
+PROPS = [PROP_DF_LE0, PROP_DF_GE0, PROP_D2F_LE0, PROP_D2F_GE0]
+#: DF >= 0 and D2F <= 0 hold; D2F fails at c_0 = 2 and at c_1 = 1
+STAIRS = "cumsum_g(0, 2) + cumsum_g(1, 1)"
+
+
+class TestSampledCertificates:
+    space = GroundSpace((1.0, 1.0))
+
+    def test_no_scalar_rule_calls(self):
+        F = functional_from_text(STAIRS)
+        calls = []
+
+        def counted(c, _rule=F.rule):
+            calls.append(tuple(c))
+            return _rule(c)
+
+        F = dataclasses.replace(F, rule=counted)
+        for prop in PROPS:
+            certify_monotonicity(F, self.space, prop, mode="sampled")
+        assert calls == []
+
+    @pytest.mark.parametrize("prop", PROPS)
+    def test_agrees_with_exact(self, prop):
+        F = functional_from_text(STAIRS)
+        exact = certify_monotonicity(F, self.space, prop)
+        sampled = certify_monotonicity(F, self.space, prop, mode="sampled")
+        assert sampled.kind == "sampled" and exact.valid == sampled.valid
+        assert exact.valid == (prop in (PROP_DF_GE0, PROP_D2F_LE0))
+        if not sampled.valid:
+            state, atoms, value = sampled.witness
+            if prop in (PROP_DF_LE0, PROP_DF_GE0):
+                assert value == add_one_cost(F, state, atoms)
+            else:
+                assert value == second_difference(F, state, *atoms)
+
+    def test_witness_is_first_failure_of_first_failing_pair(self):
+        # pair (0, 0) fails first in the scan, at the first sample with c_0 = 2;
+        # a whole block of samples is counted per pair
+        F = functional_from_text(STAIRS)
+        cert = certify_monotonicity(F, self.space, PROP_D2F_GE0, mode="sampled",
+                                    n_samples=200, seed=4)
+        samples = sample_configurations(self.space, 200, 4).tolist()
+        first = next(tuple(c) for c in samples if c[0] == 2)
+        assert cert.witness == (first, (0, 0), -1.0)
+        assert cert.states_checked == 200
+        valid = certify_monotonicity(F, self.space, PROP_D2F_LE0, mode="sampled",
+                                     n_samples=200, seed=4)
+        assert valid.valid and valid.states_checked == 3 * 200
 
 
 EXPR = "exp_neg(0.3, 0) + 2*cumsum_g(1, 2) - 0.5*indicator_le(2, 1) + 0.75"

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from poisson_ou import cli, inequalities
+from poisson_ou import GroundSpace, SemigroupEngine, TruncatedStateSpace, cli, inequalities
 from poisson_ou.cli import (
     CHECK_CATALOG,
     DEMO_TAG,
@@ -273,6 +273,47 @@ class TestExitCodes:
                              truncation={"budget": 100})
         path = write_config(tmp_path, config)
         assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 3
+
+    def test_padded_grid_over_budget_exits_3(self, tmp_path, monkeypatch, capsys):
+        weights = [1.0, 1.0, 1.0]
+        space = GroundSpace(tuple(weights))
+        trunc = TruncatedStateSpace.from_tail_mass(space, tail_mass=1e-12)
+        interior, padded = trunc.state_count(), math.prod(SemigroupEngine(space, trunc).shape)
+        budget = (interior + padded) // 2
+        assert interior < budget < padded
+        calls = spy_on(monkeypatch, DISPATCHED)
+        config = base_config(space={"weights": weights},
+                             truncation={"tail_mass": 1e-12, "budget": budget})
+        out = tmp_path / "out"
+        assert main(["run", str(write_config(tmp_path, config)), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert f"{padded} states ({interior} interior)" in err
+        assert not any(calls.values())
+        assert not (out / "report.txt").exists()
+
+    @pytest.mark.parametrize("replications", [0, 1])
+    def test_mc_replications_below_2_exit_2(
+        self, tmp_path, monkeypatch, capsys, replications
+    ):
+        calls = spy_on(monkeypatch, DISPATCHED)
+        config = base_config(engine={"mode": "mc", "replications": replications})
+        out = tmp_path / "out"
+        assert main(["run", str(write_config(tmp_path, config)), "--out", str(out)]) == 2
+        assert "at least 2 replications" in capsys.readouterr().err
+        assert not any(calls.values())
+        assert not (out / "report.txt").exists()
+
+    def test_library_error_exits_4(self, tmp_path, capsys):
+        # F = count(0) is 0 at the empty configuration: a failed precondition,
+        # not a violation of the inequality
+        config = base_config(functionals={"g": "count(0)"},
+                             checks=[{"check": "modified-lsi", "functional": "g"}])
+        out = tmp_path / "out"
+        assert main(["run", str(write_config(tmp_path, config)), "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: modified LSI needs F > 0")
+        assert "Traceback" not in err
+        assert not (out / "report.txt").exists()
 
 
 class TestDeterminism:

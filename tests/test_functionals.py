@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from poisson_ou import (
     CapOverflowError,
-    Functional,
     GroundSpace,
     SemigroupEngine,
     TruncatedStateSpace,
@@ -49,10 +48,15 @@ class TestEvaluation:
         with pytest.raises(CapOverflowError):
             F((5,))
 
-    def test_table_with_rule_fallback(self):
-        F = Functional(rule=lambda c: -1.0, table=np.arange(3.0))
-        assert F((1,)) == 1.0
-        assert F((7,)) == -1.0
+    @pytest.mark.parametrize("evaluate", [
+        lambda F: F.values([[0, 0], [2, 1], [0, 2]]),
+        lambda F: F.values([[0, 0], [-1, 0]]),
+        lambda F: F.tabulate((4, 2)),
+    ], ids=["values", "values-negative", "tabulate"])
+    def test_table_has_no_values_beyond_it(self, evaluate):
+        F = from_table(np.ones((3, 2)), name="T")
+        with pytest.raises(CapOverflowError, match=r"T is tabulated only up to \(3, 2\)"):
+            evaluate(F)
 
     def test_nonfinite_rejected(self):
         F = from_rule(lambda c: float("nan"))

@@ -8,10 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from poisson_ou import (
+    BudgetExceededError,
     GroundSpace,
     SemigroupEngine,
     TruncatedStateSpace,
     apply_semigroup,
+    check_mecke,
     commutation_check,
     expectation,
     from_rule,
@@ -219,6 +221,26 @@ class TestEngineModes:
         space = GroundSpace((1.0,))
         with pytest.raises(ValueError):
             SemigroupEngine(space, mode="approximate")
+
+    @pytest.mark.parametrize("replications", [0, 1])
+    def test_mc_needs_two_replications(self, replications):
+        space = GroundSpace((1.0,))
+        with pytest.raises(ValueError, match="at least 2 replications"):
+            SemigroupEngine(space, mode="mc", replications=replications)
+        with pytest.raises(ValueError, match="at least 2 replications"):
+            check_mecke(space, lambda c, i: 1.0, mode="mc", replications=replications)
+        # exact mode has no use for the field
+        assert SemigroupEngine(space, replications=replications).mode == "exact"
+
+    def test_budget_gates_the_padded_grid(self):
+        space = GroundSpace((1.0, 1.0, 1.0))
+        shape = SemigroupEngine(space).shape
+        interior = TruncatedStateSpace.from_tail_mass(space).state_count()
+        budget = math.prod(shape) - 1
+        assert interior <= budget
+        trunc = TruncatedStateSpace.from_tail_mass(space, budget=budget)
+        with pytest.raises(BudgetExceededError, match=f"{math.prod(shape)} states"):
+            SemigroupEngine(space, trunc)
 
     def test_negative_time_rejected(self):
         engine = engine_for(1.0)
