@@ -10,9 +10,9 @@ import numpy as np
 
 from poisson_ou import (
     GroundSpace,
+    SemigroupEngine,
     TruncatedStateSpace,
     check_mecke,
-    poisson_law,
     sample_configurations,
 )
 
@@ -21,7 +21,10 @@ trunc = TruncatedStateSpace.from_tail_mass(space, tail_mass=1e-12)
 print(f"atoms: {space.atom_count}, total mass: {space.total_mass}")
 print(f"caps: {trunc.caps}  ({trunc.state_count()} states)")
 
-law = poisson_law(space, trunc)
+# the exact engine holds the product-Poisson law on its padded grid;
+# restricted to c_i <= N_i it is the truncated law
+engine = SemigroupEngine(space, trunc)
+law = engine.interior(engine.law)
 print(f"truncated law covers {law.sum():.15f} of the probability mass")
 
 samples = sample_configurations(space, 100_000, seed=0)

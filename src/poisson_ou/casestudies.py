@@ -20,7 +20,7 @@ from scipy import stats
 from .functionals import Functional
 from .ground import GroundSpace
 from .inequalities import entropy, talagrand_bound
-from .semigroup import SemigroupEngine
+from .semigroup import SemigroupEngine, variance
 from .errors import PreconditionError
 
 
@@ -176,14 +176,10 @@ def one_dim_bound_comparison(g, lam: float, engine: SemigroupEngine | None = Non
     if engine is None:
         engine = SemigroupEngine(GroundSpace((float(lam),)))
     G = one_dim_cumulative(g, lam)
-    table = engine.tabulate(G)
-    n_vals = np.arange(engine.shape[0])
-    g_vals = np.array([float(g(int(n))) for n in n_vals])
-    law = engine.law
-    e_g2 = float(np.sum(law * g_vals**2))
-    e_g1 = float(np.sum(law * np.abs(g_vals)))
-    mean = float(np.sum(law * table))
-    var = float(np.sum(law * (table - mean) ** 2))
+    g_vals = np.array([float(g(n)) for n in range(engine.shape[0])])
+    e_g2 = engine.expect_table(g_vals**2)
+    e_g1 = engine.expect_table(np.abs(g_vals))
+    var = variance(engine, G)
     log_ratio = 0.5 * math.log(e_g2) - math.log(e_g1) if e_g1 > 0 else math.inf
     poincare = lam * e_g2
     talagrand = 2.0 * lam * e_g2 / (1.0 + log_ratio) if e_g1 > 0 else 0.0

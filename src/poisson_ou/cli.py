@@ -12,10 +12,11 @@ catalog drives ``list-checks``, config validation, dispatch and the order of
 the report. A config is validated in full before any engine work starts.
 
 Exit codes: 0 clean, 1 a check was violated (and nothing else), 2
-config/DSL error (unknown check or functional, missing params, a check that
-cannot run in the engine mode, bad weights or truncation, fewer than 2 Monte
-Carlo replications), 3 state budget exceeded (interior or padded grid), 4 any
-other library error (a checker precondition that fails, a non-finite value).
+config/DSL error (a container or setting of the wrong JSON type, unknown
+check or functional, missing params, a check that cannot run in the engine
+mode, bad weights or truncation, fewer than 2 Monte Carlo replications), 3
+state budget exceeded (interior or padded grid), 4 any other library error
+(a checker precondition that fails, a non-finite value).
 
 Report files are UTF-8, one record per line, fields in fixed order
 (name, params sorted by key, lhs, rhs, slack, stderr, verdict, certs, tag),
@@ -37,6 +38,7 @@ from pathlib import Path
 
 from . import casestudies, dsl, inequalities
 from .errors import BudgetExceededError, PoissonOUError
+from .ground import DEFAULT_BUDGET, DEFAULT_REPLICATIONS, DEFAULT_TAIL_MASS
 from .ground import GroundSpace, TruncatedStateSpace, check_mecke
 from .reports import VIOLATED, InequalityReport
 from .semigroup import SemigroupEngine
@@ -116,9 +118,6 @@ CHECK_CATALOG = {spec.name: spec for spec in (
               needs_functional=False),
 )}
 
-EXAMPLE_NAMES = ("maxima", "onedim", "counterexample_fk", "near_optimality")
-
-
 def _fmt(x) -> str:
     if x is None:
         return "-"
@@ -170,6 +169,10 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _is_integer(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 #: parameter -> (test of one value, what the checkers require of it)
 _PARAM_RULES = {
     "t": (lambda v: _is_number(v) and v >= 0, "a number >= 0"),
@@ -179,7 +182,36 @@ _PARAM_RULES = {
     "b": (lambda v: _is_number(v) and v >= 0, "a number >= 0"),
     "k_max": (lambda v: _is_number(v) and v >= 1 and float(v).is_integer(),
               "a positive integer"),
+    "thresholds": (lambda v: isinstance(v, list) and len(v) > 0
+                   and all(_is_number(x) for x in v), "a non-empty list of numbers"),
 }
+
+
+def _check_shapes(config):
+    """Reject containers and settings of the wrong JSON type before any work."""
+    def need(ok, what):
+        if not ok:
+            raise DslOrConfigError(what)
+
+    need(isinstance(config, dict), "the config must be an object")
+    for key in ("space", "truncation", "engine", "functionals"):
+        need(isinstance(config.get(key, {}), dict), f"{key} must be an object")
+    need(isinstance(config.get("space", {}).get("weights", []), list),
+         "space.weights must be a list")
+    need(all(isinstance(text, str) for text in config.get("functionals", {}).values()),
+         "each functional must be a DSL string")
+    checks = config.get("checks", [])
+    need(isinstance(checks, list) and all(isinstance(item, dict) for item in checks),
+         "checks must be a list of objects")
+    need(all(isinstance(item.get(key, ""), str) for item in checks
+             for key in ("check", "functional")), "check and functional names must be strings")
+    need(all(isinstance(item.get("params", {}), dict) for item in checks),
+         "the params of a check must be an object")
+    need(all(isinstance(item.get("bypass_hypotheses", False), bool) for item in checks),
+         "bypass_hypotheses must be true or false")
+    need(_is_integer(config.get("engine", {}).get("replications", DEFAULT_REPLICATIONS)),
+         "engine.replications must be an integer")
+    need(_is_integer(config.get("seed", 0)), "seed must be an integer")
 
 
 def _resolve(item: dict, functionals: dict, mode: str):
@@ -231,14 +263,14 @@ def _build_engine(config: dict, mode: str, functionals: dict) -> SemigroupEngine
         _check_atoms(functionals, space.atom_count)
         trunc = TruncatedStateSpace.from_tail_mass(
             space,
-            tail_mass=float(trunc_cfg.get("tail_mass", 1e-12)),
-            budget=int(trunc_cfg.get("budget", 10**6)),
+            tail_mass=float(trunc_cfg.get("tail_mass", DEFAULT_TAIL_MASS)),
+            budget=int(trunc_cfg.get("budget", DEFAULT_BUDGET)),
         )
         return SemigroupEngine(
             space,
             trunc,
             mode=mode,
-            replications=int(engine_cfg.get("replications", 100_000)),
+            replications=engine_cfg.get("replications", DEFAULT_REPLICATIONS),
             seed=config.get("seed", 0),
         )
     except ValueError as err:
@@ -250,6 +282,7 @@ def run_config(config: dict, out_dir: Path) -> int:
 
     Returns the process exit code.
     """
+    _check_shapes(config)
     mode = config.get("engine", {}).get("mode", "exact")
     functionals = {
         name: dsl.functional_from_text(text, name=name)
@@ -262,18 +295,19 @@ def run_config(config: dict, out_dir: Path) -> int:
     records = []
     for item, (spec, func) in zip(items, resolved):
         for params in _param_grid(item.get("params", {})):
-            report = spec.run(engine, func, params, bool(item.get("bypass_hypotheses")))
+            report = spec.run(engine, func, params, item.get("bypass_hypotheses", False))
             report.parameters.setdefault("functional", item.get("functional", "-"))
             report.tag = item.get("tag")
-            records.append((catalog_order.index(spec.name), report))
-    records.sort(key=lambda pair: (pair[0], format_report_line(pair[1])))
+            line = format_report_line(report)
+            records.append((catalog_order.index(spec.name), line, report))
+    records.sort(key=lambda record: record[:2])
     out_dir.mkdir(parents=True, exist_ok=True)
     report_path = out_dir / "report.txt"
     with open(report_path, "w", encoding="utf-8", newline="\n") as handle:
-        for _, report in records:
-            handle.write(format_report_line(report) + "\n")
+        for _, line, _ in records:
+            handle.write(line + "\n")
     genuine_violation = any(
-        r.verdict == VIOLATED and r.tag != DEMO_TAG for _, r in records
+        r.verdict == VIOLATED and r.tag != DEMO_TAG for _, _, r in records
     )
     return 1 if genuine_violation else 0
 
@@ -301,64 +335,62 @@ def _write_csv(path: Path, header, rows):
         writer.writerows(rows)
 
 
+def _maxima_rows(params):
+    for m in params.get("m_grid", [0.5, 1.0, 2.0, 5.0, 10.0, 20.0]):
+        forms = casestudies.maxima_closed_forms(casestudies.MaximaModel(m=float(m)))
+        yield [float(m), forms["variance"], forms["poincare_rhs"],
+               forms["talagrand_rhs"], forms["log_norm_ratio"]]
+
+
+def _onedim_rows(params):
+    M = int(params.get("M", 1))
+    for lam in params.get("lambda_grid", [1.0, 5.0, 10.0, 20.0]):
+        rec = casestudies.one_dim_bound_comparison(
+            lambda j: 1.0 if j <= M else 0.0, float(lam)
+        )
+        yield [float(lam), rec["variance"], rec["poincare_rhs"], rec["talagrand_rhs"],
+               rec["g_norm_l1"], rec["log_norm_ratio"]]
+
+
+def _counterexample_rows(params):
+    for k in range(2, int(params.get("k_max", 50)) + 1):
+        rec = casestudies.counterexample_fk(k)
+        yield [k, rec["variance"], rec["e_dF_sq"], rec["denom"], rec["talagrand_rhs"],
+               rec["lhs_over_rhs"]]
+
+
+def _near_optimality_rows(params):
+    scan = casestudies.near_optimality_scan(
+        params.get("a_grid", [0.05, 0.1, 0.5, 1.0, 2.0, 3.0]),
+        params.get("q_grid", [1.05, 1.5, 2.0, 3.0, 4.0]),
+        float(params.get("gamma", 1.0)),
+    )
+    for ia, a in enumerate(scan["a_grid"]):
+        for iq, q in enumerate(scan["q_grid"]):
+            yield [a, q, float(scan["ratios"][ia, iq])]
+
+
+#: example name -> (CSV file, header, rows(params)); cells are formatted by _fmt
+EXAMPLES = {
+    "maxima": ("maxima.csv", ("m", "variance", "poincare_rhs", "talagrand_rhs",
+                              "log_norm_ratio"), _maxima_rows),
+    "onedim": ("onedim.csv", ("lambda", "variance", "poincare_rhs", "talagrand_rhs",
+                              "g_norm_l1", "log_norm_ratio"), _onedim_rows),
+    "counterexample_fk": ("counterexample_fk.csv", ("k", "variance", "e_dF_sq", "denom",
+                                                    "talagrand_rhs", "lhs_over_rhs"),
+                          _counterexample_rows),
+    "near_optimality": ("near_optimality.csv", ("a", "q", "rhs_over_lhs"),
+                        _near_optimality_rows),
+}
+
+
 def run_example(name: str, params: dict, out_dir: Path) -> int:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    if name == "maxima":
-        grid = params.get("m_grid", [0.5, 1.0, 2.0, 5.0, 10.0, 20.0])
-        rows = []
-        for m in grid:
-            forms = casestudies.maxima_closed_forms(casestudies.MaximaModel(m=float(m)))
-            rows.append([
-                _fmt(float(m)), _fmt(forms["variance"]), _fmt(forms["poincare_rhs"]),
-                _fmt(forms["talagrand_rhs"]), _fmt(forms["log_norm_ratio"]),
-            ])
-        _write_csv(out_dir / "maxima.csv",
-                   ["m", "variance", "poincare_rhs", "talagrand_rhs", "log_norm_ratio"],
-                   rows)
-        return 0
-    if name == "onedim":
-        M = int(params.get("M", 1))
-        lam_grid = params.get("lambda_grid", [1.0, 5.0, 10.0, 20.0])
-        rows = []
-        for lam in lam_grid:
-            rec = casestudies.one_dim_bound_comparison(
-                lambda j: 1.0 if j <= M else 0.0, float(lam)
-            )
-            rows.append([
-                _fmt(float(lam)), _fmt(rec["variance"]), _fmt(rec["poincare_rhs"]),
-                _fmt(rec["talagrand_rhs"]), _fmt(rec["g_norm_l1"]),
-                _fmt(rec["log_norm_ratio"]),
-            ])
-        _write_csv(out_dir / "onedim.csv",
-                   ["lambda", "variance", "poincare_rhs", "talagrand_rhs",
-                    "g_norm_l1", "log_norm_ratio"],
-                   rows)
-        return 0
-    if name == "counterexample_fk":
-        k_hi = int(params.get("k_max", 50))
-        rows = []
-        for k in range(2, k_hi + 1):
-            rec = casestudies.counterexample_fk(k)
-            rows.append([
-                k, _fmt(rec["variance"]), _fmt(rec["e_dF_sq"]), _fmt(rec["denom"]),
-                _fmt(rec["talagrand_rhs"]), _fmt(rec["lhs_over_rhs"]),
-            ])
-        _write_csv(out_dir / "counterexample_fk.csv",
-                   ["k", "variance", "e_dF_sq", "denom", "talagrand_rhs",
-                    "lhs_over_rhs"],
-                   rows)
-        return 0
-    if name == "near_optimality":
-        a_grid = params.get("a_grid", [0.05, 0.1, 0.5, 1.0, 2.0, 3.0])
-        q_grid = params.get("q_grid", [1.05, 1.5, 2.0, 3.0, 4.0])
-        scan = casestudies.near_optimality_scan(a_grid, q_grid, float(params.get("gamma", 1.0)))
-        rows = []
-        for ia, a in enumerate(scan["a_grid"]):
-            for iq, q in enumerate(scan["q_grid"]):
-                rows.append([_fmt(a), _fmt(q), _fmt(float(scan["ratios"][ia, iq]))])
-        _write_csv(out_dir / "near_optimality.csv", ["a", "q", "rhs_over_lhs"], rows)
-        return 0
-    raise DslOrConfigError(f"unknown example {name!r}; choose from {EXAMPLE_NAMES}")
+    if name not in EXAMPLES:
+        raise DslOrConfigError(f"unknown example {name!r}; choose from {tuple(EXAMPLES)}")
+    csv_name, header, make_rows = EXAMPLES[name]
+    rows = [[_fmt(x) for x in row] for row in make_rows(params)]
+    _write_csv(out_dir / csv_name, header, rows)
+    return 0
 
 
 # ----------------------------------------------------------------- arg parse

@@ -9,12 +9,10 @@ import numpy as np
 
 from . import grids
 from .errors import CapOverflowError, NonFiniteValueError
-from .ground import (
-    Configuration,
-    GroundSpace,
-    TruncatedStateSpace,
-    sample_configurations,
-)
+from .ground import Configuration
+# unused here, but the per-layer tracer (bench/layers.py) wraps this name on
+# every module that imports it and fails with KeyError where it is missing
+from .ground import sample_configurations  # noqa: F401
 from .reports import MonotonicityCertificate
 
 #: the four certifiable sign conditions
@@ -136,53 +134,41 @@ def _counts(c) -> np.ndarray:
     return np.asarray(c, dtype=np.int64)
 
 
-def certify_monotonicity(
-    F: Functional,
-    space: GroundSpace,
-    prop: str,
-    trunc=None,
-    mode: str = "exact",
-    n_samples: int = 200,
-    seed=0,
-) -> MonotonicityCertificate:
-    """Certify one of the four sign conditions on D or D^2.
+def certify_monotonicity(engine, F: Functional, prop: str) -> MonotonicityCertificate:
+    """Certify one of the four sign conditions on D or D^2 on the engine's states.
 
-    Exact mode checks every state with c_i <= N_i against every atom (pair of
-    atoms for D^2); sampled mode checks random configurations and is labeled
-    as the weaker certificate. Both scan atom by atom (pairs i <= j for D^2),
-    one array of differences at a time; a violation yields the first failing
-    state of the first failing atom as a witness, not an error.
+    An exact engine checks every state with c_i <= N_i of ``engine.trunc``
+    against every atom (pair of atoms for D^2); a Monte Carlo engine checks
+    its own samples and labels the certificate as the weaker "sampled" kind.
+    Both scan atom by atom (pairs i <= j for D^2), one array of differences
+    at a time; a violation yields the first failing state of the first
+    failing atom as a witness, not an error.
     """
     order = 2 if prop in (PROP_D2F_LE0, PROP_D2F_GE0) else 1
-    if mode == "exact":
-        if trunc is None:
-            trunc = TruncatedStateSpace.from_tail_mass(space)
-        table = F.tabulate(tuple(n + 1 + order for n in trunc.caps))
-        base = tuple(n + 1 for n in trunc.caps)
-    elif mode == "sampled":
-        samples = sample_configurations(space, n_samples, seed)
-        operator = add_one_cost if order == 1 else second_difference
+    kind = "exact" if engine.mode == "exact" else "sampled"
+    if kind == "exact":
+        table = F.tabulate(tuple(n + 1 + order for n in engine.trunc.caps))
     else:
-        raise ValueError(f"unknown mode {mode!r}")
+        operator = add_one_cost if order == 1 else second_difference
     checked = 0
-    for atoms in itertools.combinations_with_replacement(range(space.atom_count), order):
-        if mode == "exact":
+    for atoms in itertools.combinations_with_replacement(range(engine.space.atom_count), order):
+        if kind == "exact":
             diff = table
             for a in atoms:
                 diff = grids.diff_axis(diff, a)
-            diff = grids.trim_to(diff, base)
+            diff = grids.trim_to(diff, engine.trunc.shape)
         else:
-            diff = operator(F, samples, *atoms)
+            diff = operator(F, engine.samples, *atoms)
         checked += diff.size
         ok = diff <= 0.0 if prop in (PROP_DF_LE0, PROP_D2F_LE0) else diff >= 0.0
         if not np.all(ok):
             idx = tuple(int(x) for x in np.argwhere(~ok)[0])
-            state = idx if mode == "exact" else tuple(samples[idx[0]].tolist())
+            state = idx if kind == "exact" else tuple(engine.samples[idx[0]].tolist())
             where = atoms[0] if order == 1 else atoms
             return MonotonicityCertificate(
-                mode, prop, checked, witness=(state, where, float(diff[idx]))
+                kind, prop, checked, witness=(state, where, float(diff[idx]))
             )
-    return MonotonicityCertificate(mode, prop, checked)
+    return MonotonicityCertificate(kind, prop, checked)
 
 
 def gamma_expectation(engine, F: Functional, G: Functional = None):

@@ -20,6 +20,7 @@ from .reports import make_report
 
 DEFAULT_TAIL_MASS = 1e-12
 DEFAULT_BUDGET = 10**6
+DEFAULT_REPLICATIONS = 100_000
 
 
 @dataclass(frozen=True)
@@ -143,21 +144,12 @@ def sample_configurations(space: GroundSpace, n: int, seed) -> np.ndarray:
     return rng.poisson(space.weight_array(), size=(n, space.atom_count))
 
 
-def poisson_law(space: GroundSpace, trunc: TruncatedStateSpace) -> np.ndarray:
-    """Exact product-Poisson pmf table over all states with c_i <= N_i."""
-    if trunc.space != space:
-        raise ValueError("truncation was built for a different space")
-    if trunc.state_count() > trunc.budget:
-        raise BudgetExceededError("state budget exceeded")
-    return grids.product_pmf(space.weights, trunc.shape)
-
-
 def check_mecke(
     space: GroundSpace,
     h,
     trunc: TruncatedStateSpace | None = None,
     mode: str = "exact",
-    replications: int = 100_000,
+    replications: int = DEFAULT_REPLICATIONS,
     seed=0,
     name: str = "mecke",
 ):

@@ -58,13 +58,6 @@ def entropy(engine: SemigroupEngine, F: Functional) -> EntropyValue:
     return EntropyValue(value=mean_phi - base, convention_hits=hits)
 
 
-def _certify(engine, F, props):
-    return [
-        certify_monotonicity(F, engine.space, prop, trunc=engine.trunc)
-        for prop in props
-    ]
-
-
 def check_poincare(engine, F, name="poincare"):
     """Var(F) <= sum_i lam_i E[(D_i F)^2]; holds for every F, no gate."""
     if engine.mode == "exact":
@@ -268,7 +261,7 @@ def check_entropy_power(engine, G, q, name="entropy-power", bypass_hypotheses=Fa
     table = engine.tabulate(G)
     if np.min(table) < 0:
         raise PreconditionError("entropy-power bound needs G >= 0")
-    certs = _certify(engine, G, [PROP_DF_LE0])
+    certs = [certify_monotonicity(engine, G, PROP_DF_LE0)]
     lhs = entropy(engine, _power(G, table, q)).value
 
     def term(i):
@@ -299,7 +292,7 @@ def check_restricted_hypercontractivity(
         raise ValueError("negative time")
     table = engine.tabulate(F)
     nonneg = float(np.min(table)) >= 0.0
-    certs = _certify(engine, F, [PROP_DF_LE0])
+    certs = [certify_monotonicity(engine, F, PROP_DF_LE0)]
     q_t = 1.0 + (p - 1.0) * math.exp(t)
     lhs = lp_norm(engine, apply_semigroup(engine, F, t), q_t).value
     rhs = lp_norm(engine, F, p).value
@@ -356,13 +349,14 @@ def talagrand_bound(engine, F) -> float:
 
 
 def _talagrand_certs(engine, F):
-    inc = _certify(engine, F, [PROP_DF_GE0, PROP_D2F_LE0])
-    if all(c.valid for c in inc):
-        return inc, True
-    dec = _certify(engine, F, [PROP_DF_LE0, PROP_D2F_GE0])
-    if all(c.valid for c in dec):
-        return dec, True
-    return inc + dec, False
+    """Certificates of (DF >= 0, D2F <= 0), else of both reversed; met or not."""
+    tried = []
+    for props in ((PROP_DF_GE0, PROP_D2F_LE0), (PROP_DF_LE0, PROP_D2F_GE0)):
+        certs = [certify_monotonicity(engine, F, prop) for prop in props]
+        if all(c.valid for c in certs):
+            return certs, True
+        tried += certs
+    return tried, False
 
 
 def check_talagrand(engine, F, name="talagrand", bypass_hypotheses=False):
@@ -418,7 +412,7 @@ def check_concentration(
     over the threshold grid; per-threshold values sit in the parameters.
     """
     engine._require_exact(name)
-    certs = _certify(engine, F, [PROP_DF_LE0])
+    certs = [certify_monotonicity(engine, F, PROP_DF_LE0)]
     table = engine.tabulate(F)
     sq = grids.weighted_sq_diffs(table, engine.space.weights)
     alpha_sq = float(np.max(engine.interior(sq)))

@@ -24,6 +24,7 @@ from . import grids
 from .errors import BudgetExceededError, PreconditionError
 from .functionals import Functional, from_table
 from .ground import (
+    DEFAULT_REPLICATIONS,
     GroundSpace,
     TruncatedStateSpace,
     _min_cap,
@@ -58,7 +59,7 @@ class SemigroupEngine:
         space: GroundSpace,
         trunc: TruncatedStateSpace | None = None,
         mode: str = "exact",
-        replications: int = 100_000,
+        replications: int = DEFAULT_REPLICATIONS,
         seed=0,
     ):
         if mode not in ("exact", "mc"):
@@ -99,11 +100,6 @@ class SemigroupEngine:
         if self.mode != "exact":
             raise PreconditionError(f"{what} requires an exact-mode engine")
 
-    @property
-    def interior_shape(self) -> tuple[int, ...]:
-        """Grid of the declared truncation (states with c_i <= N_i)."""
-        return self.trunc.shape
-
     def tabulate(self, F: Functional) -> np.ndarray:
         self._require_exact("tabulation")
         return F.tabulate(self.shape)
@@ -117,7 +113,7 @@ class SemigroupEngine:
     def interior(self, table: np.ndarray) -> np.ndarray:
         """Restrict a (possibly reduced) table to the declared truncation grid."""
         shape = tuple(
-            min(s, n) for s, n in zip(table.shape, self.interior_shape)
+            min(s, n) for s, n in zip(table.shape, self.trunc.shape)
         )
         return grids.trim_to(table, shape)
 

@@ -207,6 +207,8 @@ STAIRS = "cumsum_g(0, 2) + cumsum_g(1, 1)"
 
 class TestSampledCertificates:
     space = GroundSpace((1.0, 1.0))
+    exact = SemigroupEngine(space)
+    mc = SemigroupEngine(space, mode="mc", replications=200, seed=0)
 
     def test_no_scalar_rule_calls(self):
         F = functional_from_text(STAIRS)
@@ -218,14 +220,14 @@ class TestSampledCertificates:
 
         F = dataclasses.replace(F, rule=counted)
         for prop in PROPS:
-            certify_monotonicity(F, self.space, prop, mode="sampled")
+            certify_monotonicity(self.mc, F, prop)
         assert calls == []
 
     @pytest.mark.parametrize("prop", PROPS)
     def test_agrees_with_exact(self, prop):
         F = functional_from_text(STAIRS)
-        exact = certify_monotonicity(F, self.space, prop)
-        sampled = certify_monotonicity(F, self.space, prop, mode="sampled")
+        exact = certify_monotonicity(self.exact, F, prop)
+        sampled = certify_monotonicity(self.mc, F, prop)
         assert sampled.kind == "sampled" and exact.valid == sampled.valid
         assert exact.valid == (prop in (PROP_DF_GE0, PROP_D2F_LE0))
         if not sampled.valid:
@@ -239,14 +241,14 @@ class TestSampledCertificates:
         # pair (0, 0) fails first in the scan, at the first sample with c_0 = 2;
         # a whole block of samples is counted per pair
         F = functional_from_text(STAIRS)
-        cert = certify_monotonicity(F, self.space, PROP_D2F_GE0, mode="sampled",
-                                    n_samples=200, seed=4)
-        samples = sample_configurations(self.space, 200, 4).tolist()
-        first = next(tuple(c) for c in samples if c[0] == 2)
+        engine = SemigroupEngine(self.space, mode="mc", replications=200, seed=4)
+        samples = sample_configurations(self.space, 200, 4)
+        assert np.array_equal(engine.samples, samples)
+        cert = certify_monotonicity(engine, F, PROP_D2F_GE0)
+        first = next(tuple(c) for c in samples.tolist() if c[0] == 2)
         assert cert.witness == (first, (0, 0), -1.0)
         assert cert.states_checked == 200
-        valid = certify_monotonicity(F, self.space, PROP_D2F_LE0, mode="sampled",
-                                     n_samples=200, seed=4)
+        valid = certify_monotonicity(engine, F, PROP_D2F_LE0)
         assert valid.valid and valid.states_checked == 3 * 200
 
 

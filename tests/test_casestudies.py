@@ -227,9 +227,9 @@ class TestNearOptimality:
 
     def test_exponential_functional_signs(self):
         F = exponential_functional(0.5)
-        space = GroundSpace((1.0,))
+        engine = SemigroupEngine(GroundSpace((1.0,)))
         for prop in (PROP_DF_LE0, PROP_D2F_GE0):
-            cert = certify_monotonicity(F, space, prop)
+            cert = certify_monotonicity(engine, F, prop)
             assert cert.valid and cert.kind == "exact"
         assert F.bounded_by == 1.0
         assert F((0,)) == 1.0

@@ -303,6 +303,33 @@ class TestExitCodes:
         assert not any(calls.values())
         assert not (out / "report.txt").exists()
 
+    @pytest.mark.parametrize("overrides", [
+        {"checks": [{"check": "concentration", "functional": "f",
+                     "params": {"thresholds": [["a"]]}}]},
+        {"checks": [{"check": "concentration", "functional": "f",
+                     "params": {"thresholds": 0.5}}]},
+        {"checks": [{"check": "concentration", "functional": "f",
+                     "params": {"thresholds": [[]]}}]},
+        {"engine": {"mode": "mc"}, "seed": "abc"},
+        {"engine": {"mode": "mc", "replications": 2.5}},
+        {"functionals": {"f": 5}},
+        {"checks": [{"check": "poincare", "functional": "f", "params": [1.0]}]},
+        {"checks": {"check": "poincare", "functional": "f"}},
+        {"checks": ["poincare"]},
+        {"space": {"weights": 1.0}},
+        {"engine": "mc"},
+        {"checks": [{"check": ["poincare"], "functional": "f"}]},
+        {"checks": [{"check": "talagrand", "functional": "f", "bypass_hypotheses": "no"}]},
+    ], ids=lambda overrides: json.dumps(overrides))
+    def test_bad_config_shape_exits_2(self, tmp_path, capsys, overrides):
+        out = tmp_path / "out"
+        path = write_config(tmp_path, base_config(**overrides))
+        assert main(["run", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("config error:") == 1 and len(err.splitlines()) == 1
+        assert "Traceback" not in err
+        assert not (out / "report.txt").exists()
+
     def test_library_error_exits_4(self, tmp_path, capsys):
         # F = count(0) is 0 at the empty configuration: a failed precondition,
         # not a violation of the inequality

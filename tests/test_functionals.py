@@ -121,44 +121,66 @@ class TestDifferenceOperators:
 
 
 class TestCertification:
+    engine = SemigroupEngine(GroundSpace((1.0,)))
+
     def test_decreasing_exact(self):
-        space = GroundSpace((1.0,))
         F = from_rule(lambda c: np.exp(-0.5 * float(c[0])))
-        cert = certify_monotonicity(F, space, PROP_DF_LE0)
+        cert = certify_monotonicity(self.engine, F, PROP_DF_LE0)
         assert cert.valid and cert.kind == "exact"
         assert cert.states_checked > 0
 
     def test_violation_produces_witness(self):
-        space = GroundSpace((1.0,))
         F = from_rule(lambda c: float(c[0]))  # DF = +1 everywhere
-        cert = certify_monotonicity(F, space, PROP_DF_LE0)
+        cert = certify_monotonicity(self.engine, F, PROP_DF_LE0)
         assert not cert.valid
         state, atom, value = cert.witness
         assert value == 1.0 and atom == 0
 
     def test_second_difference_signs(self):
-        space = GroundSpace((1.0,))
         convex = from_rule(lambda c: float(c[0]) ** 2)
         concave = from_rule(lambda c: -float(c[0]) ** 2)
-        assert certify_monotonicity(convex, space, PROP_D2F_GE0).valid
-        assert certify_monotonicity(concave, space, PROP_D2F_LE0).valid
-        assert not certify_monotonicity(convex, space, PROP_D2F_LE0).valid
+        assert certify_monotonicity(self.engine, convex, PROP_D2F_GE0).valid
+        assert certify_monotonicity(self.engine, concave, PROP_D2F_LE0).valid
+        assert not certify_monotonicity(self.engine, convex, PROP_D2F_LE0).valid
 
     def test_indicator_step_fails_both_d2_signs(self):
         # 1{c <= 1} has a second difference changing sign near the step
-        space = GroundSpace((1.0,))
         F = from_rule(lambda c: 1.0 if c[0] <= 1 else 0.0)
-        assert certify_monotonicity(F, space, PROP_DF_LE0).valid
-        assert not certify_monotonicity(F, space, PROP_D2F_LE0).valid
-        assert not certify_monotonicity(F, space, PROP_D2F_GE0).valid
+        assert certify_monotonicity(self.engine, F, PROP_DF_LE0).valid
+        assert not certify_monotonicity(self.engine, F, PROP_D2F_LE0).valid
+        assert not certify_monotonicity(self.engine, F, PROP_D2F_GE0).valid
 
     def test_sampled_mode(self):
-        space = GroundSpace((1.0, 1.0))
+        engine = SemigroupEngine(GroundSpace((1.0, 1.0)), mode="mc",
+                                 replications=200, seed=0)
         F = from_rule(lambda c: -float(c[0]) - float(c[1]))
-        cert = certify_monotonicity(F, space, PROP_DF_LE0, mode="sampled")
+        cert = certify_monotonicity(engine, F, PROP_DF_LE0)
         assert cert.valid and cert.kind == "sampled"
-        bad = certify_monotonicity(F, space, PROP_DF_GE0, mode="sampled")
+        bad = certify_monotonicity(engine, F, PROP_DF_GE0)
         assert not bad.valid
+
+    def test_exact_certificate_covers_the_engine_truncation(self):
+        # a coarse tail mass gives caps well below the default ones: the
+        # certificate must check exactly the engine's interior, once per atom
+        space = GroundSpace((1.0, 0.5, 2.0))
+        trunc = TruncatedStateSpace.from_tail_mass(space, tail_mass=1e-6)
+        assert trunc.caps != TruncatedStateSpace.from_tail_mass(space).caps
+        engine = SemigroupEngine(space, trunc)
+        F = from_rule(lambda c: -float(sum(c)))
+        cert = certify_monotonicity(engine, F, PROP_DF_LE0)
+        assert cert.valid and cert.states_checked == 3 * trunc.state_count()
+
+    def test_sampled_witness_is_a_row_of_the_engine_samples(self):
+        engine = SemigroupEngine(GroundSpace((1.0, 2.0)), mode="mc",
+                                 replications=50, seed=7)
+        F = from_rule(lambda c: 1.0 if c[1] <= 1 else 0.0)
+        cert = certify_monotonicity(engine, F, PROP_DF_LE0)
+        assert cert.valid and cert.states_checked == 2 * 50
+        bad = certify_monotonicity(engine, F, PROP_DF_GE0)
+        state, atom, value = bad.witness
+        assert (atom, value) == (1, -1.0)
+        assert list(state) in engine.samples.tolist()
+        assert state == tuple(next(r for r in engine.samples.tolist() if r[1] == 1))
 
 
 class TestGammaExpectation:

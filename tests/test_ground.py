@@ -12,9 +12,9 @@ from poisson_ou import (
     BudgetExceededError,
     Configuration,
     GroundSpace,
+    SemigroupEngine,
     TruncatedStateSpace,
     check_mecke,
-    poisson_law,
     sample_configurations,
 )
 from poisson_ou.ground import _min_cap
@@ -114,10 +114,13 @@ class TestSampling:
 
 
 class TestPoissonLaw:
+    """The exact engine's law, restricted to the declared truncation."""
+
     def test_product_of_pmfs(self):
         space = GroundSpace((1.0, 0.5))
         trunc = TruncatedStateSpace.from_tail_mass(space)
-        law = poisson_law(space, trunc)
+        engine = SemigroupEngine(space, trunc)
+        law = engine.interior(engine.law)
         assert law.shape == trunc.shape
         expected = np.outer(
             stats.poisson.pmf(np.arange(trunc.caps[0] + 1), 1.0),
@@ -128,7 +131,8 @@ class TestPoissonLaw:
     def test_mass_is_one_up_to_tail(self):
         space = GroundSpace((2.0,))
         trunc = TruncatedStateSpace.from_tail_mass(space, tail_mass=1e-12)
-        law = poisson_law(space, trunc)
+        engine = SemigroupEngine(space, trunc)
+        law = engine.interior(engine.law)
         assert abs(law.sum() - 1.0) <= 1e-12
 
 
