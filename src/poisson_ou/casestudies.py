@@ -15,8 +15,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy.special import pdtr, pdtrc
 
+from . import grids
 from .functionals import Functional
 from .ground import GroundSpace
 from .inequalities import entropy, talagrand_bound
@@ -204,12 +205,20 @@ def counterexample_fk(k: int, lam: float = 1.0) -> dict:
         raise ValueError("k must be at least 2")
     if lam != 1.0:
         raise ValueError("the counterexample is stated at unit rate")
-    low = float(stats.poisson.cdf(k - 1, lam))
-    high = float(stats.poisson.sf(k - 1, lam))
-    p_km1 = float(stats.poisson.pmf(k - 1, lam))
+    low = float(pdtr(k - 1, lam))
+    high = float(pdtrc(k - 1, lam))
+    log_p = float(grids.poisson_logpmf(k - 1, lam))
+    p_km1 = float(np.exp(log_p))
     variance = low * high
-    denom = 1.0 + 0.5 * math.log(1.0 / p_km1)
+    # where 1/p_km1 overflows (k >= 172) take logs, and high / p_km1 = S / k
+    # with P[X > k-1] = pmf(k) * S and pmf(k) / pmf(k-1) = 1 / k
+    normal = p_km1 >= np.finfo(float).tiny
+    denom = 1.0 + 0.5 * math.log(1.0 / p_km1) if normal else 1.0 - 0.5 * log_p
     rhs = 0.5 * lam * p_km1 / denom
+    if normal:
+        ratio = variance / rhs
+    else:
+        ratio = 2.0 * low * denom * float(grids.poisson_tail_series(k - 1, lam)) / k
     return {
         "variance": variance,
         "e_dF": -p_km1,  # D F_k = -1{X = k-1}
@@ -217,7 +226,7 @@ def counterexample_fk(k: int, lam: float = 1.0) -> dict:
         "e_dF_sq": p_km1,
         "denom": denom,
         "talagrand_rhs": rhs,
-        "lhs_over_rhs": variance / rhs,
+        "lhs_over_rhs": ratio,
     }
 
 

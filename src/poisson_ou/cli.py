@@ -211,6 +211,8 @@ def _check_shapes(config):
          "bypass_hypotheses must be true or false")
     need(_is_integer(config.get("engine", {}).get("replications", DEFAULT_REPLICATIONS)),
          "engine.replications must be an integer")
+    need(_is_integer(config.get("truncation", {}).get("budget", DEFAULT_BUDGET)),
+         "truncation.budget must be an integer")
     need(_is_integer(config.get("seed", 0)), "seed must be an integer")
 
 
@@ -264,7 +266,7 @@ def _build_engine(config: dict, mode: str, functionals: dict) -> SemigroupEngine
         trunc = TruncatedStateSpace.from_tail_mass(
             space,
             tail_mass=float(trunc_cfg.get("tail_mass", DEFAULT_TAIL_MASS)),
-            budget=int(trunc_cfg.get("budget", DEFAULT_BUDGET)),
+            budget=trunc_cfg.get("budget", DEFAULT_BUDGET),
         )
         return SemigroupEngine(
             space,

@@ -102,14 +102,19 @@ def constant(value: float) -> Functional:
 
 
 def affine(coeffs, funcs, const=0.0, name=None) -> Functional:
-    """a_1 F_1 + ... + a_k F_k + const, as a rule-backed functional."""
+    """a_1 F_1 + ... + a_k F_k + const, as a rule-backed functional whose
+    batch sums the children's ``values`` in the rule's order."""
     coeffs = [float(a) for a in coeffs]
     funcs = list(funcs)
 
     def rule(c):
         return const + sum(a * f(c) for a, f in zip(coeffs, funcs))
 
-    return Functional(rule=rule, name=name or "affine")
+    def batch(c):
+        start = np.zeros(c.shape[:-1])  # adds like the rule's int 0, keeps the shape
+        return const + sum((a * f.values(c) for a, f in zip(coeffs, funcs)), start)
+
+    return Functional(rule=rule, name=name or "affine", batch=batch)
 
 
 def add_one_cost(F: Functional, c, i: int):

@@ -7,12 +7,36 @@ are numpy arrays indexed by those counts. All helpers here are pure.
 from __future__ import annotations
 
 import numpy as np
-from scipy import stats
+from scipy.special import gammaln, xlogy
+
+
+def poisson_logpmf(k, lam):
+    """log pmf of Poisson(lam) at counts k: xlogy(k, lam) - gammaln(k + 1) - lam.
+
+    ``np.exp`` of it is the pmf (``math.exp`` can differ by one ulp).
+    """
+    return xlogy(k, lam) - gammaln(k + 1) - lam
 
 
 def poisson_pmf_vector(lam: float, size: int) -> np.ndarray:
     """pmf of Poisson(lam) on {0, ..., size-1}."""
-    return stats.poisson.pmf(np.arange(size), lam)
+    return np.exp(poisson_logpmf(np.arange(size), lam))
+
+
+def poisson_tail_series(k, lam):
+    """S with P[Poisson(lam) > k] = pmf(k + 1) * S, for integer arrays k:
+    S = 1 + lam/(k+2) + lam^2/((k+2)(k+3)) + ..., summed to float precision.
+
+    With it a caller can carry the upper tail in log space where it falls
+    below the smallest normal float (k >= 170 at unit rate).
+    """
+    k = np.asarray(k)
+    series, term, j = np.zeros(k.shape), np.ones(k.shape), 0
+    while np.any(term > np.finfo(float).eps * series):
+        series += term
+        term = term * lam / (k + 2 + j)
+        j += 1
+    return series
 
 
 def product_pmf(weights, shape) -> np.ndarray:

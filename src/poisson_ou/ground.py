@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy.special import pdtrc, pdtrik
 
 from . import grids
 from .errors import BudgetExceededError, NonFiniteValueError
@@ -72,14 +72,15 @@ class Configuration:
 def _min_cap(lam: float, per_atom_tail: float) -> int:
     """Smallest N with P[Poisson(lam) > N] <= per_atom_tail.
 
-    ``ppf(1 - tail)`` is the starting guess; for tails where ``1 - tail``
-    rounds to 1 it is inf, and the search starts at ``lam`` instead.
+    ``ceil(pdtrik(1 - tail, lam))``, the inverse of the cdf, is the starting
+    guess; for tails where ``1 - tail`` rounds to 1 it is nan, and the search
+    starts at ``lam`` instead. ``pdtrc(n, lam)`` is P[Poisson(lam) > n].
     """
-    guess = stats.poisson.ppf(1.0 - per_atom_tail, lam)
+    guess = np.ceil(pdtrik(1.0 - per_atom_tail, lam))
     n = int(guess) if math.isfinite(guess) else int(lam)
-    while stats.poisson.sf(n, lam) > per_atom_tail:
+    while pdtrc(n, lam) > per_atom_tail:
         n += 1
-    while n > 0 and stats.poisson.sf(n - 1, lam) <= per_atom_tail:
+    while n > 0 and pdtrc(n - 1, lam) <= per_atom_tail:
         n -= 1
     return n
 
@@ -102,7 +103,7 @@ class TruncatedStateSpace:
         object.__setattr__(self, "caps", caps)
         per_atom = self.tail_mass / self.space.atom_count
         for lam, n in zip(self.space.weights, caps):
-            if stats.poisson.sf(n, lam) > per_atom:
+            if pdtrc(n, lam) > per_atom:
                 raise ValueError(
                     f"cap {n} leaves more than tail_mass/m probability for lam={lam}"
                 )

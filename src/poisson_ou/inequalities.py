@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import stats
+from scipy.special import pdtrc
 
 from . import grids
 from .errors import NegativeValueError, PreconditionError
@@ -421,7 +421,7 @@ def check_concentration(
     worst_lhs, worst_rhs = 0.0, math.inf
     for t in thresholds:
         tail = engine.expect_table((table - mean > t).astype(float))
-        bound = math.exp(-t**2 / (2.0 * alpha_sq)) if alpha_sq > 0 else 0.0
+        bound = math.exp(-t * t / (2.0 * alpha_sq)) if alpha_sq > 0 else 0.0
         if alpha_sq == 0.0:
             bound = 1.0 if t <= 0 else 0.0
         pairs[f"t={t:g}"] = (tail, bound)
@@ -449,18 +449,14 @@ def lsi_failure_ratios(k_max: int) -> np.ndarray:
     S(k) (-log tau) / (k+1) and stays finite for every k.
     """
     k = np.arange(1, k_max + 1)
-    tail = stats.poisson.sf(k, 1.0)
+    tail = pdtrc(k, 1.0)
     normal = tail >= np.finfo(float).tiny
     ratios = np.empty(k_max)
     ratios[normal] = (-tail[normal] * np.log(tail[normal])
-                      / stats.poisson.pmf(k[normal], 1.0))
+                      / np.exp(grids.poisson_logpmf(k[normal], 1.0)))
     ku = k[~normal]
-    series, term, j = np.zeros(ku.size), np.ones(ku.size), 0
-    while np.any(term > np.finfo(float).eps * series):
-        series += term
-        term = term / (ku + 2 + j)
-        j += 1
-    log_tail = stats.poisson.logpmf(ku + 1, 1.0) + np.log(series)
+    series = grids.poisson_tail_series(ku, 1.0)
+    log_tail = grids.poisson_logpmf(ku + 1, 1.0) + np.log(series)
     ratios[~normal] = series * -log_tail / (ku + 1)
     return ratios
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import stats
+from scipy.special import _ufuncs
 
 from . import grids
 from .errors import BudgetExceededError, PreconditionError
@@ -43,10 +43,17 @@ def ou_kernel_1d(lam: float, size: int, t: float) -> np.ndarray:
         raise ValueError("negative time")
     keep = math.exp(-t)
     refresh = grids.poisson_pmf_vector((1.0 - keep) * lam, size)
+    binom_pmf = getattr(_ufuncs, "_binom_pmf", None)
+    if binom_pmf is None:  # a scipy without the private ufunc: its public wrapper
+        from scipy import stats
+
+        binom_pmf = stats.binom.pmf
+    n = np.arange(size)
+    # [n, k]; nan for k > n, which no row reads
+    thinned = binom_pmf(n, n[:, None], keep)
     kernel = np.zeros((size, size))
-    for n in range(size):
-        thinned = stats.binom.pmf(np.arange(n + 1), n, keep)
-        kernel[n] = np.convolve(thinned, refresh)[:size]
+    for row in range(size):
+        kernel[row] = np.convolve(thinned[row, : row + 1], refresh)[:size]
     return kernel
 
 

@@ -181,6 +181,12 @@ class TestCounterexample:
         assert np.all(seg > 1.0)
         assert np.all(np.diff(seg) > 0.0)
 
+    def test_ratio_finite_past_factorial_overflow(self):
+        # from k = 172 on, 1 / pmf(k - 1) overflows and the ratio is taken in logs
+        ratios = np.array([counterexample_fk(k)["lhs_over_rhs"] for k in range(170, 401)])
+        assert np.all(np.isfinite(ratios))
+        assert np.all(np.diff(ratios) > 0.0)
+
     def test_engine_agrees_with_closed_form(self):
         from poisson_ou import from_rule
 

@@ -312,6 +312,7 @@ class TestExitCodes:
                      "params": {"thresholds": [[]]}}]},
         {"engine": {"mode": "mc"}, "seed": "abc"},
         {"engine": {"mode": "mc", "replications": 2.5}},
+        {"truncation": {"tail_mass": 1e-12, "budget": 2.5}},
         {"functionals": {"f": 5}},
         {"checks": [{"check": "poincare", "functional": "f", "params": [1.0]}]},
         {"checks": {"check": "poincare", "functional": "f"}},
@@ -329,6 +330,15 @@ class TestExitCodes:
         assert err.count("config error:") == 1 and len(err.splitlines()) == 1
         assert "Traceback" not in err
         assert not (out / "report.txt").exists()
+
+    def test_huge_concentration_threshold(self, tmp_path, capsys):
+        # t * t overflows to inf, so the Gaussian bound is 0; t**2 raised
+        config = base_config(checks=[{"check": "concentration", "functional": "f",
+                                      "params": {"thresholds": [[1e200]]}}])
+        out = tmp_path / "out"
+        assert main(["run", str(write_config(tmp_path, config)), "--out", str(out)]) == 0
+        assert "Traceback" not in capsys.readouterr().err
+        assert "t=1e+200=0<=0" in (out / "report.txt").read_text()
 
     def test_library_error_exits_4(self, tmp_path, capsys):
         # F = count(0) is 0 at the empty configuration: a failed precondition,
@@ -423,12 +433,14 @@ class TestExamples:
         lines = (tmp_path / csv).read_text().splitlines()
         assert len(lines) > 1 and "," in lines[0]
 
-    def test_example_params(self, tmp_path):
+    @pytest.mark.parametrize("k_max", [10, 200])  # 1 / pmf(k - 1) overflows from k = 172
+    def test_example_params(self, tmp_path, k_max):
         assert main([
-            "example", "counterexample_fk", "k_max=10", "--out", str(tmp_path)
+            "example", "counterexample_fk", f"k_max={k_max}", "--out", str(tmp_path)
         ]) == 0
         lines = (tmp_path / "counterexample_fk.csv").read_text().splitlines()
-        assert len(lines) == 1 + 9  # header + k in 2..10
+        assert len(lines) == k_max  # header + k in 2..k_max
+        assert all(math.isfinite(float(line.split(",")[-1])) for line in lines[1:])
 
     def test_unknown_example_exits_2(self, tmp_path, capsys):
         assert main(["example", "nope", "--out", str(tmp_path)]) == 2

@@ -69,6 +69,21 @@ class TestEvaluation:
         with pytest.raises(ValueError):
             F((3,))
 
+    def test_affine_batch_matches_rule(self):
+        # three children and a constant, so a different summation order shows
+        funcs = [from_rule(lambda c: float(c[0]) ** 2 - 0.1 * float(c[1])),
+                 from_table(np.linspace(-1.0, 2.0, 48).reshape(6, 8)),
+                 from_rule(lambda c: 1.0 / (1.0 + c[0] + c[1]))]
+        coeffs = [0.3, -1.7, 0.77]
+        H = affine(coeffs, funcs, const=0.25)
+        counts = np.indices((6, 8)).reshape(2, -1).T
+        per_state = [0.25 + sum(a * f(c) for a, f in zip(coeffs, funcs)) for c in counts]
+        assert H.batch is not None
+        assert np.array_equal(H.tabulate((6, 8)).ravel(), per_state)
+        assert np.array_equal(H.values(counts), per_state)
+        assert H((2, 5)) == H.rule((2, 5))
+        assert affine([], [], const=1.5).tabulate((2, 3)).shape == (2, 3)
+
     def test_constant(self):
         F = constant(3.5)
         assert F((0, 0)) == 3.5

@@ -1,0 +1,118 @@
+"""The library computes Poisson and binomial laws with ``scipy.special`` ufuncs.
+
+``scipy.stats`` wraps the same ufuncs; here it is the reference, and every
+value must match it bit for bit over the kernel sizes and intensities the
+benchmark workloads use (one atom at lambda 1 and 15-40, three atoms at
+0.02-0.25 and 0.5-2).
+"""
+
+import math
+import subprocess
+import sys
+from pathlib import Path
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
+from scipy import special, stats
+from scipy.special import _ufuncs
+
+import poisson_ou
+from poisson_ou import grids, ou_kernel_1d, semigroup
+from poisson_ou.ground import _min_cap
+
+INTENSITIES = [0.02, 0.05, 0.13, 0.25, 0.5, 1.0, 2.0, 15.0, 27.5, 40.0]
+TIMES = [0.0, 0.01, 0.05, 0.3, 1.0, 2.0, 5.0]
+MAX_SIZE = 188
+
+
+def loop_kernel(lam, size, t):
+    """The one-row-at-a-time kernel built on ``scipy.stats``."""
+    keep = math.exp(-t)
+    refresh = stats.poisson.pmf(np.arange(size), (1.0 - keep) * lam)
+    kernel = np.zeros((size, size))
+    for n in range(size):
+        thinned = stats.binom.pmf(np.arange(n + 1), n, keep)
+        kernel[n] = np.convolve(thinned, refresh)[:size]
+    return kernel
+
+
+def stats_min_cap(lam, tail):
+    """``_min_cap`` with the ``scipy.stats`` ppf guess and sf."""
+    guess = stats.poisson.ppf(1.0 - tail, lam)
+    n = int(guess) if math.isfinite(guess) else int(lam)
+    while stats.poisson.sf(n, lam) > tail:
+        n += 1
+    while n > 0 and stats.poisson.sf(n - 1, lam) <= tail:
+        n -= 1
+    return n
+
+
+class TestMatchesStats:
+    @pytest.mark.parametrize("t", TIMES)
+    def test_binom_pmf(self, t):
+        keep = math.exp(-t)
+        n = np.arange(MAX_SIZE)
+        lower = n <= n[:, None]
+        k_idx, n_idx = np.broadcast_arrays(n, n[:, None])
+        ours = _ufuncs._binom_pmf(k_idx[lower], n_idx[lower], keep)
+        ref = stats.binom.pmf(k_idx[lower], n_idx[lower], keep)
+        assert np.array_equal(ours, ref)
+
+    @pytest.mark.parametrize("lam", INTENSITIES)
+    def test_poisson_pmf_logpmf_sf_cdf(self, lam):
+        k = np.arange(400)
+        assert np.array_equal(grids.poisson_pmf_vector(lam, k.size), stats.poisson.pmf(k, lam))
+        assert np.array_equal(grids.poisson_logpmf(k, lam), stats.poisson.logpmf(k, lam))
+        assert np.array_equal(special.pdtrc(k, lam), stats.poisson.sf(k, lam))
+        assert np.array_equal(special.pdtr(k, lam), stats.poisson.cdf(k, lam))
+
+    @pytest.mark.parametrize("lam", INTENSITIES)
+    def test_refresh_pmf(self, lam):
+        for t in TIMES:
+            mu = (1.0 - math.exp(-t)) * lam
+            assert np.array_equal(grids.poisson_pmf_vector(mu, MAX_SIZE),
+                                  stats.poisson.pmf(np.arange(MAX_SIZE), mu))
+
+    @pytest.mark.parametrize("lam,size", [
+        (0.02, 10), (0.13, 12), (0.25, 14), (1.0, 1), (1.0, 2), (1.0, 32),
+        (15.0, 102), (40.0, 188),
+    ])
+    def test_kernel(self, lam, size):
+        for t in TIMES:
+            assert np.array_equal(ou_kernel_1d(lam, size, t), loop_kernel(lam, size, t))
+
+    def test_min_cap(self):
+        rng = np.random.default_rng(0)
+        tails = [1e-30, 1e-17, 1e-16, 1e-12, 1e-6, 0.5, *10.0 ** rng.uniform(-30, -1, 34)]
+        for lam in INTENSITIES:
+            for tail in tails:
+                assert _min_cap(lam, tail) == stats_min_cap(lam, tail), (lam, tail)
+
+
+@pytest.mark.parametrize("lam", [0.5, 1.0, 2.5])
+def test_tail_series(lam):
+    # P[X > k] = pmf(k + 1) * S, where the sf is still a normal float; exp of
+    # a log pmf of size up to ~500 carries a relative error of ~500 eps
+    k = np.arange(1, 120)
+    tail = np.exp(grids.poisson_logpmf(k + 1, lam)) * grids.poisson_tail_series(k, lam)
+    assert np.allclose(tail, special.pdtrc(k, lam), rtol=1e-12, atol=0.0)
+
+
+class TestFallback:
+    @pytest.mark.parametrize("lam,size", [(1.0, 32), (0.25, 14), (27.5, 102)])
+    def test_kernel_without_private_ufunc(self, monkeypatch, lam, size):
+        # the library's view of a scipy without the ufunc; scipy.stats itself
+        # still calls it here, so the module's attribute stays in place
+        monkeypatch.setattr(semigroup, "_ufuncs", SimpleNamespace())
+        for t in (0.0, 0.3, 2.0):
+            assert np.array_equal(ou_kernel_1d(lam, size, t), loop_kernel(lam, size, t))
+
+
+def test_cli_import_leaves_scipy_stats_out():
+    src = str(Path(poisson_ou.__file__).resolve().parents[1])
+    code = (f"import sys; sys.path.insert(0, {src!r}); import poisson_ou.cli; "
+            "print('scipy.stats' in sys.modules)")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                            text=True, check=True)
+    assert result.stdout.strip() == "False"
