@@ -207,6 +207,13 @@ def counterexample_fk(k: int, lam: float = 1.0) -> dict:
         raise ValueError("the counterexample is stated at unit rate")
     low = float(pdtr(k - 1, lam))
     high = float(pdtrc(k - 1, lam))
+    if high < np.finfo(float).tiny:
+        # below the smallest normal float pdtrc loses digits (k = 171) and then
+        # flushes to 0 (k >= 172); take P[X > k-1] = pmf(k) * S(k-1) in logs,
+        # as lsi_failure_ratios does. The true tail leaves the float range at
+        # k = 178, where this is 0 as well.
+        series = float(grids.poisson_tail_series(k - 1, lam))
+        high = float(np.exp(grids.poisson_logpmf(k, lam) + math.log(series)))
     log_p = float(grids.poisson_logpmf(k - 1, lam))
     p_km1 = float(np.exp(log_p))
     variance = low * high

@@ -211,6 +211,8 @@ def _check_shapes(config):
          "bypass_hypotheses must be true or false")
     need(_is_integer(config.get("engine", {}).get("replications", DEFAULT_REPLICATIONS)),
          "engine.replications must be an integer")
+    need(_is_number(config.get("truncation", {}).get("tail_mass", DEFAULT_TAIL_MASS)),
+         "truncation.tail_mass must be a number")
     need(_is_integer(config.get("truncation", {}).get("budget", DEFAULT_BUDGET)),
          "truncation.budget must be an integer")
     need(_is_integer(config.get("seed", 0)), "seed must be an integer")

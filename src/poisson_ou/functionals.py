@@ -143,7 +143,8 @@ def certify_monotonicity(engine, F: Functional, prop: str) -> MonotonicityCertif
     """Certify one of the four sign conditions on D or D^2 on the engine's states.
 
     An exact engine checks every state with c_i <= N_i of ``engine.trunc``
-    against every atom (pair of atoms for D^2); a Monte Carlo engine checks
+    against every atom (pair of atoms for D^2), reading the table that
+    ``engine.tabulate`` already built; a Monte Carlo engine checks
     its own samples and labels the certificate as the weaker "sampled" kind.
     Both scan atom by atom (pairs i <= j for D^2), one array of differences
     at a time; a violation yields the first failing state of the first
@@ -152,7 +153,10 @@ def certify_monotonicity(engine, F: Functional, prop: str) -> MonotonicityCertif
     order = 2 if prop in (PROP_D2F_LE0, PROP_D2F_GE0) else 1
     kind = "exact" if engine.mode == "exact" else "sampled"
     if kind == "exact":
-        table = F.tabulate(tuple(n + 1 + order for n in engine.trunc.caps))
+        # the padding (>= 3) covers caps + 1 + order, and tables are elementwise,
+        # so the trimmed padded table equals a tabulation of the smaller grid
+        shape = tuple(n + 1 + order for n in engine.trunc.caps)
+        table = grids.trim_to(engine.tabulate(F), shape)
     else:
         operator = add_one_cost if order == 1 else second_difference
     checked = 0
@@ -186,7 +190,7 @@ def gamma_expectation(engine, F: Functional, G: Functional = None):
         G = F
     if engine.mode == "exact":
         tf = engine.tabulate(F)
-        tg = tf if G is F else engine.tabulate(G)
+        tg = engine.tabulate(G)
 
         def term(i):
             df = grids.diff_axis(tf, i)

@@ -79,6 +79,7 @@ class SemigroupEngine:
             trunc = TruncatedStateSpace.from_tail_mass(space)
         self.trunc = trunc
         self._kernels: dict[float, list[np.ndarray]] = {}
+        self._tables: dict[int, tuple[Functional, np.ndarray]] = {}
         if mode == "exact":
             per_atom = trunc.tail_mass / space.atom_count
             # pad each axis so that any kernel row started at c <= N_i + 2
@@ -108,8 +109,22 @@ class SemigroupEngine:
             raise PreconditionError(f"{what} requires an exact-mode engine")
 
     def tabulate(self, F: Functional) -> np.ndarray:
+        """F on the padded grid, built once per functional and read-only.
+
+        The memo holds F beside its table, so F's id cannot be reused while
+        the engine lives. A table-backed F is not held: its table is a view
+        of F's own, and holding it would only keep transient tables (such
+        as P_t F) alive for the engine's lifetime.
+        """
         self._require_exact("tabulation")
-        return F.tabulate(self.shape)
+        hit = self._tables.get(id(F))
+        if hit is not None:
+            return hit[1]
+        table = F.tabulate(self.shape)
+        table.setflags(write=False)
+        if F.table is None:
+            self._tables[id(F)] = (F, table)
+        return table
 
     def expect_table(self, table: np.ndarray) -> float:
         """E[table(eta)] under the truncated law; accepts reduced shapes."""

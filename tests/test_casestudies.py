@@ -187,6 +187,24 @@ class TestCounterexample:
         assert np.all(np.isfinite(ratios))
         assert np.all(np.diff(ratios) > 0.0)
 
+    def test_variance_positive_past_tail_underflow(self):
+        # pdtrc(k - 1, 1) flushes to 0 from k = 172; the tail is then taken in logs
+        recs = [counterexample_fk(k) for k in range(170, 176)]
+        variances = np.array([rec["variance"] for rec in recs])
+        assert np.all(variances > 0.0)
+        assert np.all(np.diff(variances) < 0.0)
+        # the columns give the ratio again while the sides keep enough digits
+        for rec in recs[:4]:
+            assert rec["variance"] / rec["talagrand_rhs"] == pytest.approx(
+                rec["lhs_over_rhs"], rel=1e-8)
+
+    def test_variance_unchanged_where_scipy_tail_is_normal(self):
+        from scipy.special import pdtr, pdtrc
+
+        for k in range(2, 171):
+            assert pdtrc(k - 1, 1.0) >= np.finfo(float).tiny
+            assert counterexample_fk(k)["variance"] == pdtr(k - 1, 1.0) * pdtrc(k - 1, 1.0)
+
     def test_engine_agrees_with_closed_form(self):
         from poisson_ou import from_rule
 

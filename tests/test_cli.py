@@ -313,6 +313,10 @@ class TestExitCodes:
         {"engine": {"mode": "mc"}, "seed": "abc"},
         {"engine": {"mode": "mc", "replications": 2.5}},
         {"truncation": {"tail_mass": 1e-12, "budget": 2.5}},
+        {"truncation": {"tail_mass": [1e-12]}},
+        {"truncation": {"tail_mass": None}},
+        {"truncation": {"tail_mass": True}},
+        {"truncation": {"tail_mass": "abc"}},
         {"functionals": {"f": 5}},
         {"checks": [{"check": "poincare", "functional": "f", "params": [1.0]}]},
         {"checks": {"check": "poincare", "functional": "f"}},

@@ -185,6 +185,17 @@ class TestCertification:
         cert = certify_monotonicity(engine, F, PROP_DF_LE0)
         assert cert.valid and cert.states_checked == 3 * trunc.state_count()
 
+    def test_three_atom_second_difference_witness(self):
+        # D2 is <= 0 on the pairs (0,0), (0,1), (0,2) and (1,1); on (1,2) it is
+        # (1 - c_0) * 1{c_2 >= 2}, first positive at (0, 0, 2) in row order
+        space = GroundSpace((1.0, 0.5, 2.0))
+        engine = SemigroupEngine(space, TruncatedStateSpace.from_tail_mass(space, 1e-6))
+        F = from_rule(lambda c: float(-c[0] ** 2 - c[1] ** 2 - c[2] ** 2
+                                      + (1 - c[0]) * c[1] * max(c[2] - 2, 0)))
+        cert = certify_monotonicity(engine, F, PROP_D2F_LE0)
+        assert cert.witness == ((0, 0, 2), (1, 2), 1.0)
+        assert cert.states_checked == 5 * engine.trunc.state_count()
+
     def test_sampled_witness_is_a_row_of_the_engine_samples(self):
         engine = SemigroupEngine(GroundSpace((1.0, 2.0)), mode="mc",
                                  replications=50, seed=7)

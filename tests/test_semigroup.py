@@ -1,6 +1,8 @@
 """Exact kernel semigroup: oracles, structural identities, and norms."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -28,7 +30,9 @@ from poisson_ou import (
     symmetry_check,
     variance,
 )
+from poisson_ou import cli
 from poisson_ou.errors import PreconditionError
+from poisson_ou.functionals import Functional
 
 from conftest import engine_for, random_bounded_functional
 
@@ -246,3 +250,73 @@ class TestEngineModes:
         engine = engine_for(1.0)
         with pytest.raises(ValueError):
             apply_semigroup(engine, from_rule(lambda c: 1.0), -0.1)
+
+
+class TestTableMemo:
+    def test_one_read_only_table_per_functional(self):
+        engine = engine_for(1.0)
+        F = from_rule(lambda c: float(c[0]), name="count")
+        table = engine.tabulate(F)
+        assert engine.tabulate(F) is table
+        assert np.array_equal(table, F.tabulate(engine.shape))
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = 1.0
+
+    def test_throwaway_functionals_never_share_a_table(self):
+        # CPython reuses the id of a freed functional; a memo that does not
+        # hold F would hand the new one the old one's table
+        engine = SemigroupEngine(GroundSpace((1.0, 0.5)))
+        for k in range(200):
+            F = from_rule(lambda c, k=k: float(k * c[0] + c[1]), name=f"F{k}")
+            assert np.array_equal(engine.tabulate(F), F.tabulate(engine.shape))
+
+    def test_table_backed_functionals_are_not_held(self):
+        engine = engine_for(1.0)
+        F = from_rule(lambda c: np.exp(-0.4 * float(c[0])))
+        ptf = apply_semigroup(engine, F, 0.5)
+        held = weakref.ref(ptf)
+        table = engine.tabulate(ptf)
+        assert not table.flags.writeable
+        del ptf, table
+        gc.collect()
+        assert held() is None
+
+    def test_run_tabulates_each_functional_once(self, tmp_path, monkeypatch):
+        seen = {}
+        original = Functional.tabulate
+
+        def spy(self, shape):
+            seen.setdefault(id(self), [self, 0])[1] += 1
+            return original(self, shape)
+
+        monkeypatch.setattr(Functional, "tabulate", spy)
+        checks = [
+            {"check": "mecke", "functional": "f"},
+            {"check": "poincare", "functional": "f"},
+            {"check": "modified-lsi", "functional": "f"},
+            {"check": "min-form-lsi", "functional": "f"},
+            {"check": "pathwise-lemma", "params": {"a": 2.0, "b": 1.0, "q": 2.0}},
+            {"check": "entropy-power", "functional": "f", "params": {"q": 2.0}},
+            {"check": "restricted-hypercontractivity", "functional": "f",
+             "params": {"t": [0.5, 1.0], "p": 2.0}},
+            {"check": "weak-hypercontractivity", "functional": "g", "params": {"t": 0.5}},
+            {"check": "talagrand", "functional": "f"},
+            {"check": "talagrand", "functional": "g"},
+            {"check": "l1-variance", "functional": "g"},
+            {"check": "concentration", "functional": "f",
+             "params": {"thresholds": [[0.05, 0.2]]}},
+            {"check": "lsi-failure", "params": {"k_max": 10}},
+        ]
+        config = {
+            "space": {"weights": [0.03, 0.1, 0.2]},
+            "truncation": {"tail_mass": 1e-6},
+            "functionals": {
+                "f": "exp_neg(0.3, 0) + exp_neg(0.5, 1) + exp_neg(0.7, 2)",
+                "g": "cumsum_g(0, 1) + cumsum_g(1, 2) + cumsum_g(2, 0)",
+            },
+            "checks": checks,
+        }
+        assert cli.run_config(config, tmp_path) == 0
+        assert sorted(F.name for F, _ in seen.values()) == [
+            "P_0.5[f]", "P_1[f]", "f", "f^2", "g"]
+        assert all(calls == 1 for _, calls in seen.values())
