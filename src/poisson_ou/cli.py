@@ -69,8 +69,7 @@ class CheckSpec:
 
 def _mecke(engine, func, params, bypass):
     h = func if func is not None else dsl.to_functional(dsl.Expr(1.0, ()))
-    return check_mecke(engine.space, h, trunc=engine.trunc, mode=engine.mode,
-                       replications=engine.replications, seed=engine.seed)
+    return check_mecke(engine, h)
 
 
 #: stable catalog of checkers, in report order

@@ -241,7 +241,7 @@ class BatchRule:
 
     Every builtin reads one atom's count, so each term is a 1-D line of its
     values at counts 0..n (coefficient included), filled by the scalar
-    ``_term_value`` and grown on demand. Values are gathered per term and
+    ``_term_value`` and extended on demand. Values are gathered per term and
     added in term order, as the scalar rule adds them, so both give the same
     floats bit for bit.
     """
@@ -257,12 +257,12 @@ class BatchRule:
         line = self._lines[k]
         if top >= line.size:
             term, axis = self.terms[k], self.axes[k]
-            c = np.zeros(axis + 1, dtype=np.int64)
+            c = [0] * (axis + 1)
             values = []
-            for n in range(max(top + 1, 2 * line.size)):
+            for n in range(line.size, max(top + 1, 2 * line.size)):
                 c[axis] = n
                 values.append(term.coeff * _term_value(term, c))
-            line = self._lines[k] = np.array(values)
+            line = self._lines[k] = np.concatenate([line, values])
         return line
 
     def __call__(self, counts) -> np.ndarray:
@@ -270,10 +270,12 @@ class BatchRule:
         if counts.size and counts.min() < 0:
             raise ValueError("counts must be non-negative")
         total = np.zeros(counts.shape[:-1])
-        for k, axis in enumerate(self.axes):
-            n = counts[..., axis]
-            total += self._line(k, int(n.max()) if n.size else 0)[n]
-        return self.const + total
+        # an overflow is left to Functional.values, which names the state
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k, axis in enumerate(self.axes):
+                n = counts[..., axis]
+                total += self._line(k, int(n.max()) if n.size else 0)[n]
+            return self.const + total
 
 
 def to_functional(expr: Expr, name: str | None = None) -> Functional:

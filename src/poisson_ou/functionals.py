@@ -199,13 +199,11 @@ def gamma_expectation(engine, F: Functional, G: Functional = None):
 
         return engine.atom_sum(term)
     lam = engine.space.weight_array()
-    samples = engine.samples
-    f0 = F.values(samples)
-    g0 = f0 if G is F else G.values(samples)
-    vals = np.zeros(len(samples))
+    f0 = engine.sample_values(F)
+    g0 = f0 if G is F else engine.sample_values(G)
+    vals = np.zeros(len(f0))
     for i in range(engine.space.atom_count):
-        bumped = grids.add_unit(samples, i)
-        df = F.values(bumped) - f0
-        dg = df if G is F else G.values(bumped) - g0
+        df = engine.sample_values(F, i) - f0
+        dg = df if G is F else engine.sample_values(G, i) - g0
         vals += lam[i] * df * dg
     return float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(len(vals)))

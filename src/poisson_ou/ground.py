@@ -133,12 +133,6 @@ class TruncatedStateSpace:
         return tuple(n + 1 for n in self.caps)
 
 
-def _require_replications(replications: int) -> None:
-    """Monte Carlo needs two samples for a standard error."""
-    if replications < 2:
-        raise ValueError(f"Monte Carlo needs at least 2 replications, got {replications}")
-
-
 def sample_configurations(space: GroundSpace, n: int, seed) -> np.ndarray:
     """(n, m) array of independent configurations, deterministic given seed."""
     rng = np.random.default_rng(seed)
@@ -146,7 +140,7 @@ def sample_configurations(space: GroundSpace, n: int, seed) -> np.ndarray:
 
 
 def check_mecke(
-    space: GroundSpace,
+    engine,
     h,
     trunc: TruncatedStateSpace | None = None,
     mode: str = "exact",
@@ -156,34 +150,44 @@ def check_mecke(
 ):
     """Verify E int h(eta, x) eta(dx) = E int h(eta + delta_x, x) lambda(dx).
 
-    ``h`` is either a Functional F, meaning h(eta, x) = F(eta), evaluated on
-    whole arrays of states, or a callable mapping (counts array, atom index)
-    to a real, evaluated one state at a time. Exact mode sums over the
-    truncated grid, extended internally by one level so the shifted side is
-    never clipped; Monte Carlo mode averages both sides over sampled
-    configurations and reports the standard error of their difference.
+    ``engine`` is a SemigroupEngine, whose states the check runs on. The
+    older form passes a GroundSpace instead, with ``trunc``, ``mode``,
+    ``replications`` and ``seed`` as for the engine, and builds that engine
+    first; with an engine those four are ignored.
+
+    ``h`` is either a Functional F, meaning h(eta, x) = F(eta), or a callable
+    mapping (counts array, atom index) to a real, evaluated one state at a
+    time for each atom. Exact mode sums over the truncated grid extended by
+    one level (caps + 2), so the shifted side is never clipped, and reads
+    F from the engine's memoized table. Monte Carlo mode averages both sides
+    over the engine's samples, reading F from ``engine.sample_values``, and
+    reports the standard error of their difference.
     """
     from .functionals import Functional
 
-    if isinstance(h, Functional):
-        def h_values(counts, i):
-            return h.values(counts)
-    else:
-        def h_values(counts, i):
-            return grids.map_rows(lambda c: h(c, i), counts)
+    if isinstance(engine, GroundSpace):
+        from .semigroup import SemigroupEngine
 
+        engine = SemigroupEngine(engine, trunc, mode=mode,
+                                 replications=replications, seed=seed)
+    space = engine.space
     lam = space.weight_array()
-    if mode == "exact":
-        if trunc is None:
-            trunc = TruncatedStateSpace.from_tail_mass(space)
-        shape = tuple(n + 2 for n in trunc.caps)  # one extra level for eta+delta_x
-        law = grids.product_pmf(space.weights, shape)
-        states = grids.grid_counts(shape)
+    if engine.mode == "exact":
+        shape = tuple(n + 2 for n in engine.trunc.caps)  # one level for eta+delta_x
+        law = grids.trim_to(engine.law, shape)
+        if isinstance(h, Functional):
+            # a table-backed h need only cover caps + 2, not the padded grid
+            fixed = (h.values(grids.grid_counts(shape)) if h.table is not None
+                     else grids.trim_to(engine.tabulate(h), shape))
+            tables = (fixed for _ in range(space.atom_count))
+        else:
+            states = grids.grid_counts(shape)
+            tables = (grids.map_rows(lambda c: h(c, i), states)
+                      for i in range(space.atom_count))
         lhs = 0.0
         rhs = 0.0
         sup_h = 1.0
-        for i in range(space.atom_count):
-            table = h_values(states, i)
+        for i, table in enumerate(tables):
             if not np.all(np.isfinite(table)):
                 raise NonFiniteValueError(f"h produced a non-finite value at atom {i}")
             lhs += float(np.sum(law * grids.counts_along(shape, i) * table))
@@ -191,24 +195,34 @@ def check_mecke(
                 np.sum(grids.drop_top(law, i) * grids.shift_up(table, i))
             )
             sup_h = max(sup_h, float(np.max(np.abs(table))))
-        tol = 10.0 * trunc.tail_mass * sup_h * (1.0 + space.total_mass)
+        tol = 10.0 * engine.trunc.tail_mass * sup_h * (1.0 + space.total_mass)
         return make_report(
             name, lhs, rhs, tolerance=tol, equality_form=True,
             parameters={"mode": "exact"},
         )
-    if mode != "mc":
-        raise ValueError(f"unknown mode {mode!r}")
-    _require_replications(replications)
-    samples = sample_configurations(space, replications, seed)
+    samples = engine.samples
+    replications = engine.replications
+    if isinstance(h, Functional):
+        def occupied_values(occupied, i):
+            return engine.sample_values(h)[occupied]
+
+        def shifted_values(i):
+            return engine.sample_values(h, i)
+    else:
+        def occupied_values(occupied, i):
+            return grids.map_rows(lambda c: h(c, i), samples[occupied])
+
+        def shifted_values(i):
+            return grids.map_rows(lambda c: h(c, i), grids.add_unit(samples, i))
     left = np.zeros(replications)
     for i in range(space.atom_count):
-        # only occupied atoms carry a point; h is not evaluated where c_i = 0
+        # only occupied atoms carry a point; a callable h is not evaluated
+        # where c_i = 0
         occupied = samples[:, i] > 0
-        rows = samples[occupied]
-        left[occupied] += rows[:, i] * h_values(rows, i)
+        left[occupied] += samples[occupied, i] * occupied_values(occupied, i)
     right = np.zeros(replications)
     for i in range(space.atom_count):
-        right += lam[i] * h_values(grids.add_unit(samples, i), i)
+        right += lam[i] * shifted_values(i)
     diffs = left - right
     if not np.all(np.isfinite(diffs)):
         raise NonFiniteValueError("h produced a non-finite value")

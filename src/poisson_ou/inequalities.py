@@ -50,7 +50,7 @@ def entropy(engine: SemigroupEngine, F: Functional) -> EntropyValue:
         mean = engine.expect_table(table)
         mean_phi = engine.expect_table(phi_table)
     else:
-        vals = F.values(engine.samples)
+        vals = engine.sample_values(F)
         phi_vals, hits = _phi(vals)
         mean = float(vals.mean())
         mean_phi = float(phi_vals.mean())

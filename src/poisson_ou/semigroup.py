@@ -28,7 +28,6 @@ from .ground import (
     GroundSpace,
     TruncatedStateSpace,
     _min_cap,
-    _require_replications,
     sample_configurations,
 )
 from .reports import LpNorm, make_report
@@ -79,7 +78,8 @@ class SemigroupEngine:
             trunc = TruncatedStateSpace.from_tail_mass(space)
         self.trunc = trunc
         self._kernels: dict[float, list[np.ndarray]] = {}
-        self._tables: dict[int, tuple[Functional, np.ndarray]] = {}
+        #: (id(F), atom) -> (F, read-only values); see ``_memo``
+        self._tables: dict[tuple[int, int | None], tuple[Functional, np.ndarray]] = {}
         if mode == "exact":
             per_atom = trunc.tail_mass / space.atom_count
             # pad each axis so that any kernel row started at c <= N_i + 2
@@ -97,7 +97,9 @@ class SemigroupEngine:
             self.law = grids.product_pmf(space.weights, self.shape)
             self.samples = None
         else:
-            _require_replications(self.replications)
+            if self.replications < 2:  # a standard error needs two samples
+                raise ValueError("Monte Carlo needs at least 2 replications, "
+                                 f"got {self.replications}")
             self.shape = None
             self.law = None
             self.samples = sample_configurations(space, self.replications, seed)
@@ -108,23 +110,28 @@ class SemigroupEngine:
         if self.mode != "exact":
             raise PreconditionError(f"{what} requires an exact-mode engine")
 
-    def tabulate(self, F: Functional) -> np.ndarray:
-        """F on the padded grid, built once per functional and read-only.
+    def _memo(self, F: Functional, atom: int | None, build) -> np.ndarray:
+        """``build()`` once per (F, atom) for the engine's lifetime, read-only.
 
-        The memo holds F beside its table, so F's id cannot be reused while
-        the engine lives. A table-backed F is not held: its table is a view
-        of F's own, and holding it would only keep transient tables (such
+        The memo holds F beside its values, so F's id cannot be reused while
+        the engine lives. A table-backed F is not held: its values come from
+        F's own table, and holding it would only keep transient tables (such
         as P_t F) alive for the engine's lifetime.
         """
-        self._require_exact("tabulation")
-        hit = self._tables.get(id(F))
+        key = (id(F), atom)
+        hit = self._tables.get(key)
         if hit is not None:
             return hit[1]
-        table = F.tabulate(self.shape)
-        table.setflags(write=False)
+        values = build()
+        values.setflags(write=False)
         if F.table is None:
-            self._tables[id(F)] = (F, table)
-        return table
+            self._tables[key] = (F, values)
+        return values
+
+    def tabulate(self, F: Functional) -> np.ndarray:
+        """F on the padded grid, built once per functional and read-only."""
+        self._require_exact("tabulation")
+        return self._memo(F, None, lambda: F.tabulate(self.shape))
 
     def expect_table(self, table: np.ndarray) -> float:
         """E[table(eta)] under the truncated law; accepts reduced shapes."""
@@ -163,9 +170,17 @@ class SemigroupEngine:
 
     # ------------------------------------------------------------------ mc
 
+    def sample_values(self, F: Functional, atom: int | None = None) -> np.ndarray:
+        """F on the engine's samples, or on each sample plus one point at
+        ``atom``; evaluated once per (F, atom) and read-only, like ``tabulate``."""
+        if self.mode != "mc":
+            raise PreconditionError("sample evaluation requires a Monte Carlo engine")
+        return self._memo(F, atom, lambda: F.values(
+            self.samples if atom is None else grids.add_unit(self.samples, atom)))
+
     def expect_mc(self, F: Functional) -> tuple[float, float]:
         """Sample mean and stderr of F over the engine's samples."""
-        vals = F.values(self.samples)
+        vals = self.sample_values(F)
         return float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(len(vals)))
 
     # ----------------------------------------------------------- atom sums
@@ -208,7 +223,7 @@ def variance(engine: SemigroupEngine, F: Functional):
         table = engine.tabulate(F)
         mean = engine.expect_table(table)
         return engine.expect_table((table - mean) ** 2)
-    vals = F.values(engine.samples)
+    vals = engine.sample_values(F)
     var = float(vals.var(ddof=1))
     n = len(vals)
     centered = (vals - vals.mean()) ** 2
@@ -230,7 +245,7 @@ def lp_norm(engine: SemigroupEngine, F: Functional, p) -> LpNorm:
             return LpNorm(p=p, value=float(np.max(engine.interior(table))))
         moment = engine.expect_table(table**p)
         return LpNorm(p=p, value=float(moment ** (1.0 / p)))
-    vals = np.abs(F.values(engine.samples))
+    vals = np.abs(engine.sample_values(F))
     if math.isinf(p):
         return LpNorm(p=p, value=float(vals.max()), lower_bound=True)
     powers = vals**p

@@ -27,6 +27,7 @@ from poisson_ou import (
     entropy,
     expectation,
     from_rule,
+    from_table,
     functional_from_text,
     gamma_expectation,
     lp_norm,
@@ -313,3 +314,40 @@ class TestMonteCarloParity:
 
         report = check_mecke(space, h, mode="mc", replications=400, seed=3)
         assert math.isfinite(report.lhs) and report.ok
+
+
+class TestMeckeOnTheEngine:
+    """The engine form of ``check_mecke`` and the form that builds its engine
+    from (space, trunc, mode, replications, seed) give the same report."""
+
+    space = GroundSpace((0.8, 1.5, 0.4))
+    trunc = TruncatedStateSpace.from_tail_mass(space, tail_mass=1e-9)
+
+    @pytest.mark.parametrize("mode", ["exact", "mc"])
+    def test_engine_form_matches_space_form(self, mode):
+        F, R = pair(EXPR)
+        engine = SemigroupEngine(self.space, self.trunc, mode=mode,
+                                 replications=900, seed=5)
+        for h in (F, R, lambda c, i: R(c)):
+            old = check_mecke(self.space, h, trunc=self.trunc, mode=mode,
+                              replications=900, seed=5)
+            assert format_report_line(check_mecke(engine, h)) == format_report_line(old)
+
+    @pytest.mark.parametrize("mode, line", [
+        ("exact", "name=mecke params=mode=exact lhs=12.879205540357709 "
+                  "rhs=12.879205540357709 slack=0 stderr=- verdict=holds certs=-"),
+        ("mc", "name=mecke params=mode=mc,replications=900 lhs=-0.16010597064228982 "
+               "rhs=0 slack=0.16010597064228982 stderr=0.28715001737434581 "
+               "verdict=holds-within-stat-error certs=-"),
+    ], ids=["exact", "mc"])
+    def test_table_backed_h_needs_only_caps_plus_two(self, mode, line):
+        # the table covers the caps + 2 grid that exact Mecke sums over, not
+        # the engine's padded grid; the lines are those of the code that
+        # evaluated h on its own caps + 2 grid
+        shape = tuple(n + 2 for n in self.trunc.caps)
+        T = from_table(functional_from_text(EXPR).tabulate(shape), name="T")
+        engine = SemigroupEngine(self.space, self.trunc, mode=mode,
+                                 replications=900, seed=5)
+        if mode == "exact":
+            assert any(t < s for t, s in zip(T.table.shape, engine.shape))
+        assert format_report_line(check_mecke(engine, T)) == line

@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 from pathlib import Path
 
 import pytest
@@ -22,6 +23,7 @@ from poisson_ou.reports import make_report
 ROOT = Path(__file__).resolve().parents[1]
 REPO_CONFIG = ROOT / "configs" / "onedim_suite.json"
 REFERENCE_REPORT = ROOT / "bench" / "reference" / "onedim_suite.report.txt"
+DATA = ROOT / "tests" / "data"
 
 
 def base_config(**overrides):
@@ -356,6 +358,16 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert not (out / "report.txt").exists()
 
+    def test_overflow_names_the_state_and_nothing_else(self, tmp_path, capsys):
+        config = base_config(space={"weights": [1.0, 10.0]},
+                             functionals={"f": "1e308 * count(0) + 4e306 * count(1)"})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["run", str(write_config(tmp_path, config)),
+                         "--out", str(tmp_path / "out")])
+        assert code == 4
+        assert capsys.readouterr().err == "error: f is non-finite at (0, 45)\n"
+
 
 class TestDeterminism:
     def test_byte_identical_reports(self, tmp_path):
@@ -367,6 +379,15 @@ class TestDeterminism:
         b = (tmp_path / "b" / "report.txt").read_bytes()
         assert a == b and len(a) > 0
         assert a == REFERENCE_REPORT.read_bytes()
+
+    @pytest.mark.parametrize("name", ["mc_3atom", "grid_3atom"])
+    def test_three_atom_reports_unchanged(self, tmp_path, name):
+        # reports written by the code before Mecke and the Monte Carlo
+        # checks read the engine's memoized values
+        config = load_config(str(DATA / f"{name}.json"))
+        assert cli.run_config(config, tmp_path) == 0
+        expected = (DATA / f"{name}.report.txt").read_bytes()
+        assert (tmp_path / "report.txt").read_bytes() == expected
 
     def test_shipped_suite_exits_zero_with_tagged_demo(self, tmp_path):
         assert main(["run", str(REPO_CONFIG), "--out", str(tmp_path / "out")]) == 0

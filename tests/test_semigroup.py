@@ -30,7 +30,7 @@ from poisson_ou import (
     symmetry_check,
     variance,
 )
-from poisson_ou import cli
+from poisson_ou import cli, ground, semigroup
 from poisson_ou.errors import PreconditionError
 from poisson_ou.functionals import Functional
 
@@ -221,6 +221,10 @@ class TestEngineModes:
         with pytest.raises(PreconditionError):
             apply_semigroup(engine, from_rule(lambda c: 1.0), 0.5)
 
+    def test_sample_values_refused_in_exact(self):
+        with pytest.raises(PreconditionError):
+            engine_for(1.0).sample_values(from_rule(lambda c: 1.0))
+
     def test_unknown_mode_rejected(self):
         space = GroundSpace((1.0,))
         with pytest.raises(ValueError):
@@ -320,3 +324,54 @@ class TestTableMemo:
         assert sorted(F.name for F, _ in seen.values()) == [
             "P_0.5[f]", "P_1[f]", "f", "f^2", "g"]
         assert all(calls == 1 for _, calls in seen.values())
+
+
+class TestSampleMemo:
+    def test_one_read_only_array_per_functional_and_atom(self):
+        engine = SemigroupEngine(GroundSpace((1.0, 0.5)), mode="mc",
+                                 replications=300, seed=2)
+        F = from_rule(lambda c: float(c[0] - 2 * c[1]), name="F")
+        for atom in (None, 0, 1):
+            vals = engine.sample_values(F, atom)
+            assert engine.sample_values(F, atom) is vals
+            with pytest.raises(ValueError, match="read-only"):
+                vals[0] = 1.0
+        assert np.array_equal(engine.sample_values(F), F.values(engine.samples))
+        assert np.array_equal(engine.sample_values(F, 1),
+                              F.values(engine.samples + [0, 1]))
+
+    def test_throwaway_functionals_never_share_values(self):
+        engine = SemigroupEngine(GroundSpace((1.0, 0.5)), mode="mc",
+                                 replications=50, seed=3)
+        for k in range(200):
+            F = from_rule(lambda c, k=k: float(k * c[0] + c[1]), name=f"F{k}")
+            assert np.array_equal(engine.sample_values(F), F.values(engine.samples))
+
+    def test_mecke_and_poincare_evaluate_once_per_atom(self, tmp_path, monkeypatch):
+        calls = {"values": 0, "sample_configurations": 0}
+        values = Functional.values
+
+        def values_spy(self, counts):
+            calls["values"] += 1
+            return values(self, counts)
+
+        monkeypatch.setattr(Functional, "values", values_spy)
+        for module in (ground, semigroup):
+            original = module.sample_configurations
+
+            def draw_spy(*args, _original=original, **kwargs):
+                calls["sample_configurations"] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(module, "sample_configurations", draw_spy)
+        weights = [0.7, 1.3, 1.9]
+        config = {
+            "space": {"weights": weights},
+            "engine": {"mode": "mc", "replications": 500},
+            "seed": 4,
+            "functionals": {"f": "exp_neg(0.3, 0) + cumsum_g(1, 2) + count(2)"},
+            "checks": [{"check": "mecke", "functional": "f"},
+                       {"check": "poincare", "functional": "f"}],
+        }
+        assert cli.run_config(config, tmp_path) == 0
+        assert calls == {"values": len(weights) + 1, "sample_configurations": 1}
