@@ -215,15 +215,16 @@ def check_mecke(
         def shifted_values(i):
             return grids.map_rows(lambda c: h(c, i), grids.add_unit(samples, i))
     left = np.zeros(replications)
-    for i in range(space.atom_count):
-        # only occupied atoms carry a point; a callable h is not evaluated
-        # where c_i = 0
-        occupied = samples[:, i] > 0
-        left[occupied] += samples[occupied, i] * occupied_values(occupied, i)
     right = np.zeros(replications)
-    for i in range(space.atom_count):
-        right += lam[i] * shifted_values(i)
-    diffs = left - right
+    with np.errstate(over="ignore", invalid="ignore"):  # the check below reports
+        for i in range(space.atom_count):
+            # only occupied atoms carry a point; a callable h is not evaluated
+            # where c_i = 0
+            occupied = samples[:, i] > 0
+            left[occupied] += samples[occupied, i] * occupied_values(occupied, i)
+        for i in range(space.atom_count):
+            right += lam[i] * shifted_values(i)
+        diffs = left - right
     if not np.all(np.isfinite(diffs)):
         raise NonFiniteValueError("h produced a non-finite value")
     mean = float(diffs.mean())

@@ -113,98 +113,64 @@ def check_min_form_lsi(engine, F, name="min-form-lsi"):
     return make_report(name, lhs, rhs, tolerance=tol)
 
 
-#: beyond this value of q*log(a/b) the sides exceed the float range for
-#: small b and are handled in log space
+#: q*log(a/b) beyond which the sides exceed the float range for small b
+#: and are compared as logarithms
 _LOG_REGIME = 350.0
+#: relative tolerance of the pathwise comparison (absolute on the log scale)
+_REL_TOL = 1e-12
+#: the sweep draws a and b from [0, _SWEEP_A_MAX] and q from (1, _SWEEP_Q_MAX]
+_SWEEP_A_MAX, _SWEEP_Q_MAX = 100.0, 5.0
 
 
-def _pathwise_eval(a, b, q, rel_tol):
+def _pathwise_eval(a, b, q):
     """Sides of the pathwise power inequality plus a violation mask.
 
-    Returns (lhs, rhs, log_lhs, log_rhs, violated). The log columns carry
-    the regime where the absolute sides overflow a double; the violation
-    mask always uses the numerically appropriate comparison.
+    Returns (lhs, rhs, log_lhs, log_rhs, violated). Every point is evaluated
+    as b^q times the sides in u = a/b. Where t = q log u exceeds _LOG_REGIME,
+    or that product leaves the double range, the sides are compared as
+    logarithms, carried in the log columns (-inf elsewhere), and the
+    absolute sides are their exponentials.
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    q = np.asarray(q, dtype=float)
+    a, b, q = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in (a, b, q)))
     if np.any(a < 0) or np.any(b < 0) or np.any(q <= 1):
         raise ValueError("need a, b >= 0 and q > 1")
-    shape = np.broadcast(a, b, q).shape
-    lhs = np.zeros(shape)
-    rhs = np.zeros_like(lhs)
-    log_lhs = np.full(shape, -np.inf)
-    log_rhs = np.full(shape, -np.inf)
-    violated = np.zeros(shape, dtype=bool)
-    a, b, q = np.broadcast_arrays(a, b, q)
-    # b = 0, a > 0: lhs finite a^q, rhs = +inf by convention; never violated
-    lone = (b == 0.0) & (a > 0)
-    lhs[lone] = a[lone] ** q[lone]
-    rhs[lone] = np.inf
-    log_lhs[lone] = q[lone] * np.log(a[lone])
-    log_rhs[lone] = np.inf
-    pos = b > 0.0
-    if np.any(pos):
-        ap, bp, qp = a[pos], b[pos], q[pos]
+    pos, lone = b > 0.0, (b == 0.0) & (a > 0)
+    with np.errstate(all="ignore"):
         # u = a/b via log1p of the relative difference when it is
         # representable, else directly through logs (precision is moot there)
-        with np.errstate(over="ignore"):
-            delta = (ap - bp) / bp
-        huge = ~np.isfinite(delta)
-        with np.errstate(divide="ignore"):  # a = 0 gives log_u = -inf, as it should
-            log_u = np.where(
-                huge,
-                np.log(np.where(ap > 0, ap, 1.0)) - np.log(bp),
-                np.log1p(np.where(huge, 0.0, delta)),
-            )
-        t = qp * log_u
-        extreme = t > _LOG_REGIME
-        mod = ~extreme
-        l_sub = np.zeros(ap.shape)
-        r_sub = np.zeros(ap.shape)
-        v_sub = np.zeros(ap.shape, dtype=bool)
-        if np.any(mod):
-            am, bm, qm = ap[mod], bp[mod], qp[mod]
-            dm, lm, tm = delta[mod], log_u[mod], t[mod]
-            uq_m1 = np.expm1(tm)  # u^q - 1
-            uqm1_m1 = np.expm1((qm - 1.0) * lm)  # u^{q-1} - 1
-            scale = bm**qm
-            l_val = scale * uq_m1**2
-            r_val = (
-                scale * qm**2 / (qm - 1.0) * dm * uqm1_m1 * np.maximum(np.exp(tm), 1.0)
-            )
-            l_sub[mod] = l_val
-            r_sub[mod] = r_val
-            v_sub[mod] = l_val > r_val + rel_tol * np.maximum(l_val, r_val)
-        if np.any(extreme):
-            # a >> b: both sides scale like a^2q / b^q; compare logarithms.
-            # The exp(-t) corrections are below 1e-150 here and are kept via
-            # log1p only to make the comparison self-evidently one-sided.
-            ae, be, qe = ap[extreme], bp[extreme], qp[extreme]
-            le, te = log_u[extreme], t[extreme]
-            ll = qe * np.log(be) + 2.0 * te + 2.0 * np.log1p(-np.exp(-te))
-            lr = (
-                qe * np.log(be)
-                + np.log(qe**2 / (qe - 1.0))
-                + np.log(ae - be)
-                - np.log(be)
-                + (qe - 1.0) * le
-                + np.log1p(-np.exp(-(qe - 1.0) * le))
-                + te
-            )
-            with np.errstate(over="ignore"):
-                l_sub[extreme] = np.exp(ll)
-                r_sub[extreme] = np.exp(lr)
-            v_sub[extreme] = ll > lr + rel_tol
-            tmp_l = log_lhs[pos]
-            tmp_r = log_rhs[pos]
-            tmp_l[extreme] = ll
-            tmp_r[extreme] = lr
-            log_lhs[pos] = tmp_l
-            log_rhs[pos] = tmp_r
-        lhs[pos] = l_sub
-        rhs[pos] = r_sub
-        violated[pos] = v_sub
+        delta = (a - b) / b
+        log_u = np.where(np.isfinite(delta), np.log1p(delta), np.log(a) - np.log(b))
+        t = q * log_u
+        uq_m1 = np.expm1(t)  # u^q - 1
+        uqm1_m1 = np.expm1((q - 1.0) * log_u)  # u^{q-1} - 1
+        scale = b**q
+        lhs = scale * uq_m1**2
+        rhs = scale * q**2 / (q - 1.0) * delta * uqm1_m1 * np.maximum(np.exp(t), 1.0)
+        violated = pos & (lhs > rhs + _REL_TOL * np.maximum(lhs, rhs))
+        # b = 0 < a: lhs = a^q and rhs = +inf by convention; a = b = 0: both 0
+        lhs = np.where(pos, lhs, np.where(lone, a**q, 0.0))
+        rhs = np.where(pos, rhs, np.where(lone, np.inf, 0.0))
+        log_lhs = np.where(lone, q * np.log(a), -np.inf)
+        log_rhs = np.where(lone, np.inf, -np.inf)
+        extreme = pos & (t > _LOG_REGIME)
+        in_logs = extreme | (pos & ~(np.isfinite(lhs) & np.isfinite(rhs)))
+        if np.any(in_logs):
+            # a >> b: both sides scale like a^2q / b^q; the exp(-t) terms are
+            # below 1e-150 and kept only to make the comparison one-sided
+            ll = q * np.log(b) + 2.0 * t + 2.0 * np.log1p(-np.exp(-t))
+            lr = (q * np.log(b) + np.log(q**2 / (q - 1.0)) + np.log(a - b) - np.log(b)
+                  + (q - 1.0) * log_u + np.log1p(-np.exp(-(q - 1.0) * log_u)) + t)
+            # moderate t but b^q overflows: q log b plus the log of the side in
+            # u, with rhs through its ratio to lhs (1 at a = b, where both are
+            # 0) so that a large q log b cannot round nearly equal sides apart
+            ratio = np.where(delta == 0.0, 1.0, q**2 / (q - 1.0) * delta * uqm1_m1 / uq_m1**2)
+            ll_mod = q * np.log(b) + np.log(uq_m1**2)
+            lr_mod = ll_mod + (np.log(ratio) + np.maximum(t, 0.0))
+            log_lhs = np.where(extreme, ll, np.where(in_logs, ll_mod, log_lhs))
+            log_rhs = np.where(extreme, lr, np.where(in_logs, lr_mod, log_rhs))
+            lhs = np.where(in_logs, np.exp(log_lhs), lhs)
+            rhs = np.where(in_logs, np.exp(log_rhs), rhs)
+            violated = np.where(in_logs, log_lhs > log_rhs + _REL_TOL, violated)
     return lhs, rhs, log_lhs, log_rhs, violated
 
 
@@ -218,39 +184,36 @@ def pathwise_lemma_sides(a, b, q):
     the comparison meaningful at relative tolerance 1e-12. Sides whose true
     value exceeds the double range come back as inf.
     """
-    lhs, rhs, _, _, _ = _pathwise_eval(a, b, q, rel_tol=0.0)
-    return lhs, rhs
+    return _pathwise_eval(a, b, q)[:2]
 
 
-def check_pathwise_lemma(a, b, q, name="pathwise-lemma", rel_tol=1e-12):
+def check_pathwise_lemma(a, b, q):
     """Single-point check of the pathwise power inequality.
 
     When the absolute sides overflow a double the report carries the
     logarithms of both sides instead (flagged in the parameters).
     """
-    lhs, rhs, log_lhs, log_rhs, violated = _pathwise_eval(a, b, q, rel_tol)
+    lhs, rhs, log_lhs, log_rhs, violated = _pathwise_eval(a, b, q)
     lhs, rhs = float(lhs), float(rhs)
     params = {"a": a, "b": b, "q": q}
     if math.isinf(lhs):
         lhs, rhs = float(log_lhs), float(log_rhs)
         params["log_scale"] = True
-        tol = rel_tol
+        tol = _REL_TOL
     else:
-        tol = rel_tol * max(abs(lhs), abs(lhs) if math.isinf(rhs) else abs(rhs))
-    report = make_report(name, lhs, rhs, tolerance=tol, parameters=params)
+        tol = _REL_TOL * max(abs(lhs), abs(lhs) if math.isinf(rhs) else abs(rhs))
+    report = make_report("pathwise-lemma", lhs, rhs, tolerance=tol, parameters=params)
     assert (report.verdict == VIOLATED) == bool(violated)
     return report
 
 
-def pathwise_lemma_sweep(n, seed=0, a_max=100.0, q_max=5.0, rel_tol=1e-12):
+def pathwise_lemma_sweep(n, seed=0):
     """Randomized sweep; returns the number of violations (expected 0)."""
     rng = np.random.default_rng(seed)
-    a = rng.uniform(0.0, a_max, n)
-    b = rng.uniform(0.0, a_max, n)
-    q = rng.uniform(1.0, q_max, n)
-    q = np.clip(q, 1.0 + 1e-9, q_max)
-    _, _, _, _, violated = _pathwise_eval(a, b, q, rel_tol)
-    return int(np.count_nonzero(violated))
+    a = rng.uniform(0.0, _SWEEP_A_MAX, n)
+    b = rng.uniform(0.0, _SWEEP_A_MAX, n)
+    q = np.clip(rng.uniform(1.0, _SWEEP_Q_MAX, n), 1.0 + 1e-9, _SWEEP_Q_MAX)
+    return int(np.count_nonzero(_pathwise_eval(a, b, q)[4]))
 
 
 def check_entropy_power(engine, G, q, name="entropy-power", bypass_hypotheses=False):
@@ -262,7 +225,7 @@ def check_entropy_power(engine, G, q, name="entropy-power", bypass_hypotheses=Fa
     if np.min(table) < 0:
         raise PreconditionError("entropy-power bound needs G >= 0")
     certs = [certify_monotonicity(engine, G, PROP_DF_LE0)]
-    lhs = entropy(engine, _power(G, table, q)).value
+    lhs = entropy(engine, from_table(table**q, name=f"{G.name}^{q:g}")).value
 
     def term(i):
         d_qm1 = grids.diff_axis(table ** (q - 1.0), i)
@@ -275,10 +238,6 @@ def check_entropy_power(engine, G, q, name="entropy-power", bypass_hypotheses=Fa
         certificates=certs, parameters={"q": q},
         hypothesis_met=bypass_hypotheses or all(c.valid for c in certs),
     )
-
-
-def _power(G, table, q):
-    return from_table(table**q, name=f"{G.name}^{q:g}")
 
 
 def check_restricted_hypercontractivity(

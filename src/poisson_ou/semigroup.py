@@ -21,7 +21,7 @@ import numpy as np
 from scipy.special import _ufuncs
 
 from . import grids
-from .errors import BudgetExceededError, PreconditionError
+from .errors import BudgetExceededError, NonFiniteValueError, PreconditionError
 from .functionals import Functional, from_table
 from .ground import (
     DEFAULT_REPLICATIONS,
@@ -219,15 +219,19 @@ def expectation(engine: SemigroupEngine, F: Functional):
 
 
 def variance(engine: SemigroupEngine, F: Functional):
-    if engine.mode == "exact":
-        table = engine.tabulate(F)
-        mean = engine.expect_table(table)
-        return engine.expect_table((table - mean) ** 2)
-    vals = engine.sample_values(F)
-    var = float(vals.var(ddof=1))
-    n = len(vals)
-    centered = (vals - vals.mean()) ** 2
-    return var, float(centered.std(ddof=1) / np.sqrt(n))
+    """Var(F), with its stderr in Monte Carlo mode; raises if not a finite double."""
+    exact = engine.mode == "exact"
+    vals = engine.tabulate(F) if exact else engine.sample_values(F)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if exact:
+            var = engine.expect_table((vals - engine.expect_table(vals)) ** 2)
+        else:
+            var = float(vals.var(ddof=1))
+            centered = (vals - vals.mean()) ** 2
+            stderr = float(centered.std(ddof=1) / np.sqrt(len(vals)))
+    if not math.isfinite(var):
+        raise NonFiniteValueError(f"the variance of {F.name} is not a finite double")
+    return var if exact else (var, stderr)
 
 
 def lp_norm(engine: SemigroupEngine, F: Functional, p) -> LpNorm:

@@ -369,6 +369,67 @@ class TestExitCodes:
         assert capsys.readouterr().err == "error: f is non-finite at (0, 45)\n"
 
 
+def lemma_at(a, b, q):
+    return base_config(checks=[{"check": "pathwise-lemma", "params": {"a": a, "b": b, "q": q}}])
+
+
+#: finite everywhere, but its square (and so its variance) overflows a double
+HUGE = {"f": "1e308 * indicator_le(0, 50)"}
+
+#: configs whose values leave the double range, with the exit code each must give
+OVERFLOW_RUNS = {
+    # b^q overflows though q log(a/b) is about 6.9; the sides are beyond doubles
+    "lemma-b^q": (lemma_at(1e300, 1e299, 3.0), 0),
+    # b^q overflows and multiplies a zero difference
+    "lemma-a=b": (lemma_at(1e200, 1e200, 2.0), 0),
+    # b^q overflows, but lhs is about 4e300, a double
+    "lemma-finite-lhs": (lemma_at(1e160 * (1 + 1e-10), 1e160, 2.0), 0),
+    "poincare-exact": (base_config(functionals=HUGE), 4),
+    "mecke-mc": (base_config(engine={"mode": "mc"}, functionals=HUGE,
+                             checks=[{"check": "mecke", "functional": "f"}]), 4),
+}
+
+
+def run_quietly(tmp_path, config, name="config.json"):
+    """``main`` on one config with RuntimeWarnings raised as errors."""
+    path = write_config(tmp_path, config, name)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        return main(["run", str(path), "--out", str(tmp_path / f"{name}.out")])
+
+
+class TestOverflow:
+    @pytest.mark.parametrize("name", ["lemma-b^q", "lemma-a=b", "lemma-finite-lhs"])
+    def test_pathwise_lemma_beyond_the_double_range(self, tmp_path, capsys, name):
+        assert run_quietly(tmp_path, OVERFLOW_RUNS[name][0]) == 0
+        assert capsys.readouterr().err == ""
+        line = (tmp_path / "config.json.out" / "report.txt").read_text()
+        fields = dict(field.split("=", 1) for field in line.split())
+        assert fields["verdict"] == "holds"
+        assert ("log_scale=True" in fields["params"]) == (name == "lemma-b^q")
+        if name == "lemma-a=b":
+            assert fields["lhs"] == fields["rhs"] == "0"
+        if name == "lemma-finite-lhs":
+            assert float(fields["lhs"]) == pytest.approx(4e300, rel=1e-5)
+
+    def test_exact_poincare_variance_overflow_exits_4(self, tmp_path, capsys):
+        assert run_quietly(tmp_path, OVERFLOW_RUNS["poincare-exact"][0]) == 4
+        assert capsys.readouterr().err == "error: the variance of f is not a finite double\n"
+
+    def test_mc_mecke_overflow_prints_one_line(self, tmp_path, capsys):
+        assert run_quietly(tmp_path, OVERFLOW_RUNS["mecke-mc"][0]) == 4
+        assert capsys.readouterr().err == "error: h produced a non-finite value\n"
+
+    def test_no_runtime_warnings(self, tmp_path):
+        runs = {"onedim_suite": (load_config(str(REPO_CONFIG)), 0)}
+        runs.update({name: (load_config(str(DATA / f"{name}.json")), 0)
+                     for name in ("mc_3atom", "grid_3atom")})
+        runs.update(OVERFLOW_RUNS)
+        codes = {name: run_quietly(tmp_path, config, f"{k}.json")
+                 for k, (name, (config, _)) in enumerate(runs.items())}
+        assert codes == {name: code for name, (_, code) in runs.items()}
+
+
 class TestDeterminism:
     def test_byte_identical_reports(self, tmp_path):
         for out in ("a", "b"):

@@ -1,6 +1,10 @@
 """Inequality checkers against closed-form oracles and property sweeps."""
 
+import hashlib
+import json
 import math
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,6 +31,7 @@ from poisson_ou import (
     pathwise_lemma_sweep,
     talagrand_bound,
 )
+from poisson_ou import inequalities
 from poisson_ou.errors import PreconditionError
 
 from conftest import engine_for, random_bounded_functional, random_decreasing_functional
@@ -169,6 +174,59 @@ class TestPathwiseLemma:
     @settings(max_examples=300, deadline=None)
     def test_property(self, a, b, q):
         assert check_pathwise_lemma(a, b, q).verdict == "holds"
+
+    @given(
+        log_a=st.floats(-300.0, 300.0),
+        log_b=st.floats(-300.0, 300.0),
+        log_q=st.floats(-9.0, math.log10(299.0)),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_property_over_magnitudes(self, log_a, log_b, log_q):
+        a, b, q = 10.0**log_a, 10.0**log_b, 1.0 + 10.0**log_q
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rep = check_pathwise_lemma(a, b, q)
+        assert rep.verdict == "holds"
+        assert not (math.isnan(rep.lhs) or math.isnan(rep.rhs))
+
+    def test_nearly_equal_sides_beyond_the_double_range(self):
+        # a and b one part in 1e14 apart with b^q far beyond a double: the
+        # log sides share q log b ~ 3e4, whose rounding must not split them
+        rep = check_pathwise_lemma(6.541656404063829e284, 6.541656404063816e284, 50.0)
+        assert rep.parameters["log_scale"] and rep.verdict == "holds"
+        assert rep.lhs <= rep.rhs
+
+
+#: (a, b, q) and the evaluator's five outputs, as float.hex, recorded with the
+#: subset-copy evaluator that preceded the one-pass form; no point whose sides
+#: that evaluator left non-finite below the log regime
+GOLDEN = Path(__file__).parent / "data" / "pathwise_golden.json"
+
+
+class TestPathwiseGolden:
+    @pytest.mark.parametrize("rel_tol", [1e-12, 0.0])
+    def test_table_bit_for_bit(self, monkeypatch, rel_tol):
+        monkeypatch.setattr(inequalities, "_REL_TOL", rel_tol)
+        data = json.loads(GOLDEN.read_text())
+        rows = data["rows"]
+        a, b, q = (np.array([float.fromhex(row[k]) for row in rows]) for k in range(3))
+        *sides, violated = inequalities._pathwise_eval(a, b, q)
+        got = [[float(x).hex() for x in col] for col in sides]
+        assert got == [[row[3 + k] for row in rows] for k in range(4)]
+        column = data["columns"].index(f"violated_rel_tol_{rel_tol:g}")
+        assert violated.tolist() == [row[column] for row in rows]
+
+    @pytest.mark.parametrize("rel_tol", [1e-12, 0.0])
+    def test_sweep_set_digest(self, monkeypatch, rel_tol):
+        # the draws of pathwise_lemma_sweep(1_000_000, seed=0)
+        monkeypatch.setattr(inequalities, "_REL_TOL", rel_tol)
+        rng = np.random.default_rng(0)
+        a = rng.uniform(0.0, 100.0, 1_000_000)
+        b = rng.uniform(0.0, 100.0, 1_000_000)
+        q = np.clip(rng.uniform(1.0, 5.0, 1_000_000), 1.0 + 1e-9, 5.0)
+        out = inequalities._pathwise_eval(a, b, q)
+        digest = hashlib.sha256(b"".join(x.tobytes() for x in out)).hexdigest()
+        assert digest == json.loads(GOLDEN.read_text())["sweep_sha256"][f"{rel_tol:g}"]
 
 
 class TestEntropyPower:
