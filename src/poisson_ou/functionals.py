@@ -148,8 +148,13 @@ def certify_monotonicity(engine, F: Functional, prop: str) -> MonotonicityCertif
     its own samples and labels the certificate as the weaker "sampled" kind.
     Both scan atom by atom (pairs i <= j for D^2), one array of differences
     at a time; a violation yields the first failing state of the first
-    failing atom as a witness, not an error.
+    failing atom as a witness, not an error. Each (F, prop) is scanned once
+    per engine (see ``SemigroupEngine._memo``).
     """
+    return engine._memo(F, prop, lambda: _scan_signs(engine, F, prop))
+
+
+def _scan_signs(engine, F: Functional, prop: str) -> MonotonicityCertificate:
     order = 2 if prop in (PROP_D2F_LE0, PROP_D2F_GE0) else 1
     kind = "exact" if engine.mode == "exact" else "sampled"
     if kind == "exact":

@@ -216,7 +216,8 @@ def check_mecke(
             return grids.map_rows(lambda c: h(c, i), grids.add_unit(samples, i))
     left = np.zeros(replications)
     right = np.zeros(replications)
-    with np.errstate(over="ignore", invalid="ignore"):  # the check below reports
+    # the check below and make_report reject what overflows here
+    with np.errstate(over="ignore", invalid="ignore"):
         for i in range(space.atom_count):
             # only occupied atoms carry a point; a callable h is not evaluated
             # where c_i = 0
@@ -225,10 +226,10 @@ def check_mecke(
         for i in range(space.atom_count):
             right += lam[i] * shifted_values(i)
         diffs = left - right
+        stderr = float(diffs.std(ddof=1) / np.sqrt(replications))
     if not np.all(np.isfinite(diffs)):
         raise NonFiniteValueError("h produced a non-finite value")
     mean = float(diffs.mean())
-    stderr = float(diffs.std(ddof=1) / np.sqrt(replications))
     return make_report(
         name, mean, 0.0, stderr=stderr, equality_form=True,
         parameters={"mode": "mc", "replications": replications},

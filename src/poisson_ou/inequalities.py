@@ -28,7 +28,7 @@ from .functionals import (
     gamma_expectation,
 )
 from .reports import VIOLATED, EntropyValue, make_report
-from .semigroup import SemigroupEngine, apply_semigroup, lp_norm, variance
+from .semigroup import SemigroupEngine, apply_semigroup, lp_norm, overflow_to_inf, variance
 
 
 def _phi(values: np.ndarray) -> tuple[np.ndarray, int]:
@@ -58,14 +58,18 @@ def entropy(engine: SemigroupEngine, F: Functional) -> EntropyValue:
     return EntropyValue(value=mean_phi - base, convention_hits=hits)
 
 
+def _variance_tolerance(engine, sup: float) -> float:
+    """Exact tolerance of a variance-sized quantity: scale sup|F|^2 (1 + total mass)."""
+    return engine.tolerance(overflow_to_inf(lambda: sup**2 * (1 + engine.space.total_mass)))
+
+
 def check_poincare(engine, F, name="poincare"):
     """Var(F) <= sum_i lam_i E[(D_i F)^2]; holds for every F, no gate."""
     if engine.mode == "exact":
         lhs = variance(engine, F)
         rhs = gamma_expectation(engine, F)
-        tf = engine.tabulate(F)
-        tol = engine.tolerance(float(np.max(np.abs(tf))) ** 2 * (1 + engine.space.total_mass))
-        return make_report(name, lhs, rhs, tolerance=tol)
+        sup = float(np.max(np.abs(engine.tabulate(F))))
+        return make_report(name, lhs, rhs, tolerance=_variance_tolerance(engine, sup))
     lhs, se_l = variance(engine, F)
     rhs, se_r = gamma_expectation(engine, F)
     return make_report(name, lhs, rhs, stderr=math.hypot(se_l, se_r))
@@ -232,7 +236,8 @@ def check_entropy_power(engine, G, q, name="entropy-power", bypass_hypotheses=Fa
         return engine.expect_table(d_qm1 * grids.diff_axis(table, i))
 
     rhs = engine.atom_sum(term) * (q**2 / (q - 1.0))
-    scale = float(np.max(table) ** q) * (1 + engine.space.total_mass) * q**2 / (q - 1)
+    with np.errstate(over="ignore"):  # an overflow is inf, which tolerance rejects
+        scale = float(np.max(table) ** q) * (1 + engine.space.total_mass) * q**2 / (q - 1)
     return make_report(
         name, lhs, rhs, tolerance=engine.tolerance(scale),
         certificates=certs, parameters={"q": q},
@@ -267,14 +272,13 @@ def check_weak_hypercontractivity(engine, F, t, name="weak-hypercontractivity"):
     """||exp(P_t F)||_{e^t} <= ||exp(F)||_1 for bounded F of any sign; no gate."""
     engine._require_exact(name)
     table = engine.tabulate(F)
+    # before the sides: where exp(max|F|) is beyond doubles, exp(F) overflows too
+    tol = engine.tolerance(overflow_to_inf(lambda: math.exp(float(np.max(np.abs(table))))))
     pt = engine.apply_table(table, t)
     q_t = math.exp(t)
     lhs = engine.expect_table(np.exp(q_t * pt)) ** (1.0 / q_t)
     rhs = engine.expect_table(np.exp(table))
-    scale = math.exp(float(np.max(np.abs(table))))
-    return make_report(
-        name, lhs, rhs, tolerance=engine.tolerance(scale), parameters={"t": t}
-    )
+    return make_report(name, lhs, rhs, tolerance=tol, parameters={"t": t})
 
 
 def _derivative_norms(engine, table, i):
@@ -324,10 +328,9 @@ def check_talagrand(engine, F, name="talagrand", bypass_hypotheses=False):
     certs, met = _talagrand_certs(engine, F)
     lhs = variance(engine, F)
     rhs = talagrand_bound(engine, F)
-    table = engine.tabulate(F)
-    scale = float(np.max(np.abs(table))) ** 2 * (1 + engine.space.total_mass)
+    sup = float(np.max(np.abs(engine.tabulate(F))))
     return make_report(
-        name, lhs, rhs, tolerance=engine.tolerance(scale),
+        name, lhs, rhs, tolerance=_variance_tolerance(engine, sup),
         certificates=certs, hypothesis_met=bypass_hypotheses or met,
     )
 
@@ -354,9 +357,8 @@ def l1_variance_bound(engine, F, name="l1-variance", bypass_hypotheses=False):
 
     rhs = 11.0 * (2.0 * sup) ** alpha * engine.atom_sum(term)
     lhs = variance(engine, F)
-    scale = sup**2 * (1 + engine.space.total_mass)
     return make_report(
-        name, lhs, rhs, tolerance=engine.tolerance(scale),
+        name, lhs, rhs, tolerance=_variance_tolerance(engine, sup),
         certificates=certs, parameters={"alpha": alpha},
         hypothesis_met=bypass_hypotheses or met,
     )

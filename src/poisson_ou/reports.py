@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+
+from .errors import NonFiniteValueError
 
 
 #: verdict values, in the order they are considered
@@ -108,7 +111,11 @@ def make_report(
     lhs > rhs + tolerance; an equality check when |lhs - rhs| > tolerance.
     Monte Carlo mode: the same with ``Z_STAT * stderr`` in place of the
     tolerance, and the in-between zone reported as holds-within-stat-error.
+    A stderr that is not a finite double raises NonFiniteValueError, since
+    no statistical verdict can be stated with it.
     """
+    if stderr is not None and not math.isfinite(stderr):
+        raise NonFiniteValueError(f"the standard error of {name} is not a finite double")
     certificates = list(certificates or [])
     parameters = dict(parameters or {})
     slack = rhs - lhs

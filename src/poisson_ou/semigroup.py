@@ -78,8 +78,8 @@ class SemigroupEngine:
             trunc = TruncatedStateSpace.from_tail_mass(space)
         self.trunc = trunc
         self._kernels: dict[float, list[np.ndarray]] = {}
-        #: (id(F), atom) -> (F, read-only values); see ``_memo``
-        self._tables: dict[tuple[int, int | None], tuple[Functional, np.ndarray]] = {}
+        #: (id(F), what) -> (F, result); see ``_memo``
+        self._results: dict[tuple[int, object], tuple[Functional, object]] = {}
         if mode == "exact":
             per_atom = trunc.tail_mass / space.atom_count
             # pad each axis so that any kernel row started at c <= N_i + 2
@@ -110,23 +110,28 @@ class SemigroupEngine:
         if self.mode != "exact":
             raise PreconditionError(f"{what} requires an exact-mode engine")
 
-    def _memo(self, F: Functional, atom: int | None, build) -> np.ndarray:
-        """``build()`` once per (F, atom) for the engine's lifetime, read-only.
+    def _memo(self, F: Functional, what, build):
+        """``build()`` once per (F, what) for the engine's lifetime.
 
-        The memo holds F beside its values, so F's id cannot be reused while
+        ``what`` names the result: None for F's table or samples, an atom
+        for F on the samples shifted there, a property for F's sign
+        certificate, "variance" for Var(F). Arrays come back read-only.
+        The memo holds F beside its result, so F's id cannot be reused while
         the engine lives. A table-backed F is not held: its values come from
         F's own table, and holding it would only keep transient tables (such
-        as P_t F) alive for the engine's lifetime.
+        as P_t F) alive for the engine's lifetime. A ``build()`` that raises
+        stores nothing.
         """
-        key = (id(F), atom)
-        hit = self._tables.get(key)
+        key = (id(F), what)
+        hit = self._results.get(key)
         if hit is not None:
             return hit[1]
-        values = build()
-        values.setflags(write=False)
+        result = build()
+        if isinstance(result, np.ndarray):
+            result.setflags(write=False)
         if F.table is None:
-            self._tables[key] = (F, values)
-        return values
+            self._results[key] = (F, result)
+        return result
 
     def tabulate(self, F: Functional) -> np.ndarray:
         """F on the padded grid, built once per functional and read-only."""
@@ -196,9 +201,26 @@ class SemigroupEngine:
     # ------------------------------------------------------------ tolerance
 
     def tolerance(self, *scales) -> float:
-        """Exact-mode tolerance: 10 * tail_mass * (scale of the quantity)."""
-        scale = max([1.0] + [abs(float(s)) for s in scales])
-        return 10.0 * self.trunc.tail_mass * scale
+        """Exact-mode tolerance: 10 * tail_mass * (scale of the quantity).
+
+        Raises NonFiniteValueError when a scale, or the tolerance, is not a
+        finite double: no verdict can be stated on that quantity.
+        """
+        sizes = [abs(float(s)) for s in scales]
+        tol = 10.0 * self.trunc.tail_mass * max([1.0] + sizes)
+        if not all(math.isfinite(x) for x in sizes + [tol]):
+            raise NonFiniteValueError("the tolerance scale is not a finite double")
+        return tol
+
+
+def overflow_to_inf(form) -> float:
+    """``form()``, a tolerance scale in Python floats, or inf where that
+    arithmetic overflows (and raises), for ``SemigroupEngine.tolerance`` to
+    reject."""
+    try:
+        return form()
+    except OverflowError:
+        return math.inf
 
 
 # ----------------------------------------------------------------- operations
@@ -219,7 +241,14 @@ def expectation(engine: SemigroupEngine, F: Functional):
 
 
 def variance(engine: SemigroupEngine, F: Functional):
-    """Var(F), with its stderr in Monte Carlo mode; raises if not a finite double."""
+    """Var(F), with its stderr in Monte Carlo mode; raises if not a finite double.
+
+    Taken once per functional per engine (see ``SemigroupEngine._memo``).
+    """
+    return engine._memo(F, "variance", lambda: _variance(engine, F))
+
+
+def _variance(engine: SemigroupEngine, F: Functional):
     exact = engine.mode == "exact"
     vals = engine.tabulate(F) if exact else engine.sample_values(F)
     with np.errstate(over="ignore", invalid="ignore"):

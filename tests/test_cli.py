@@ -375,6 +375,7 @@ def lemma_at(a, b, q):
 
 #: finite everywhere, but its square (and so its variance) overflows a double
 HUGE = {"f": "1e308 * indicator_le(0, 50)"}
+HUGE_SCALE = {"f": "1e200 * indicator_le(0, 50)"}
 
 #: configs whose values leave the double range, with the exit code each must give
 OVERFLOW_RUNS = {
@@ -387,6 +388,20 @@ OVERFLOW_RUNS = {
     "poincare-exact": (base_config(functionals=HUGE), 4),
     "mecke-mc": (base_config(engine={"mode": "mc"}, functionals=HUGE,
                              checks=[{"check": "mecke", "functional": "f"}]), 4),
+    # the constant 1e200 on the padded grid: variance 0, but the tolerance
+    # scale sup|F|^2 is beyond doubles
+    "poincare-scale": (base_config(functionals=HUGE_SCALE), 4),
+    "talagrand-scale": (base_config(functionals=HUGE_SCALE,
+                                    checks=[{"check": "talagrand", "functional": "f"}]), 4),
+    # exp(max|F|) = e^800 is beyond doubles
+    "weak-hypercontractivity-scale": (base_config(
+        functionals={"f": "800 * indicator_le(0, 50)"},
+        checks=[{"check": "weak-hypercontractivity", "functional": "f",
+                 "params": {"t": 0.5}}]), 4),
+    # finite differences whose squares, and so whose stderr, overflow
+    "mecke-mc-stderr": (base_config(
+        engine={"mode": "mc"}, functionals={"f": "1e300 * indicator_le(0, 50)"},
+        checks=[{"check": "mecke", "functional": "f"}]), 4),
 }
 
 
@@ -419,6 +434,17 @@ class TestOverflow:
     def test_mc_mecke_overflow_prints_one_line(self, tmp_path, capsys):
         assert run_quietly(tmp_path, OVERFLOW_RUNS["mecke-mc"][0]) == 4
         assert capsys.readouterr().err == "error: h produced a non-finite value\n"
+
+    @pytest.mark.parametrize("name,message", [
+        ("poincare-scale", "the tolerance scale is not a finite double"),
+        ("talagrand-scale", "the tolerance scale is not a finite double"),
+        ("weak-hypercontractivity-scale", "the tolerance scale is not a finite double"),
+        ("mecke-mc-stderr", "the standard error of mecke is not a finite double"),
+    ])
+    def test_no_finite_error_model_exits_4(self, tmp_path, capsys, name, message):
+        assert run_quietly(tmp_path, OVERFLOW_RUNS[name][0]) == 4
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "config.json.out" / "report.txt").exists()
 
     def test_no_runtime_warnings(self, tmp_path):
         runs = {"onedim_suite": (load_config(str(REPO_CONFIG)), 0)}

@@ -3,6 +3,7 @@
 import gc
 import math
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,9 +31,17 @@ from poisson_ou import (
     symmetry_check,
     variance,
 )
-from poisson_ou import cli, ground, semigroup
-from poisson_ou.errors import PreconditionError
-from poisson_ou.functionals import Functional
+from poisson_ou import cli, functionals, ground, inequalities, semigroup
+from poisson_ou.errors import NonFiniteValueError, PreconditionError
+from poisson_ou.functionals import (
+    PROP_D2F_GE0,
+    PROP_D2F_LE0,
+    PROP_DF_GE0,
+    PROP_DF_LE0,
+    Functional,
+    certify_monotonicity,
+    from_table,
+)
 
 from conftest import engine_for, random_bounded_functional
 
@@ -281,6 +290,9 @@ class TestTableMemo:
         held = weakref.ref(ptf)
         table = engine.tabulate(ptf)
         assert not table.flags.writeable
+        # nor by its certificates or its variance
+        assert certify_monotonicity(engine, ptf, PROP_DF_LE0).valid
+        assert variance(engine, ptf) > 0
         del ptf, table
         gc.collect()
         assert held() is None
@@ -375,3 +387,100 @@ class TestSampleMemo:
         }
         assert cli.run_config(config, tmp_path) == 0
         assert calls == {"values": len(weights) + 1, "sample_configurations": 1}
+
+
+def counting(monkeypatch, module, name):
+    """Replace ``module.name`` by a spy; returns the list of its call args."""
+    calls = []
+    original = getattr(module, name)
+
+    def spy(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(module, name, spy)
+    return calls
+
+
+#: the checks of one pass of the grid-3atom benchmark workload
+GRID_3ATOM_CHECKS = [
+    {"check": "mecke", "functional": "expsum"},
+    {"check": "poincare", "functional": "expsum"},
+    {"check": "poincare", "functional": "cumsum"},
+    {"check": "modified-lsi", "functional": "expsum"},
+    {"check": "entropy-power", "functional": "expsum", "params": {"q": 2.0}},
+    {"check": "restricted-hypercontractivity", "functional": "expsum",
+     "params": {"t": 0.7, "p": 2.0}},
+    {"check": "weak-hypercontractivity", "functional": "cumsum", "params": {"t": 0.7}},
+    {"check": "talagrand", "functional": "expsum"},
+    {"check": "talagrand", "functional": "cumsum"},
+    {"check": "l1-variance", "functional": "cumsum"},
+    {"check": "concentration", "functional": "expsum",
+     "params": {"thresholds": [[0.05, 0.2]]}},
+]
+
+
+class TestResultMemo:
+    @pytest.mark.parametrize("mode", ["exact", "mc"])
+    def test_certificate_and_variance_once_per_functional(self, monkeypatch, mode):
+        engine = SemigroupEngine(GroundSpace((1.0, 0.5)), mode=mode,
+                                 replications=300, seed=5)
+        scans = counting(monkeypatch, functionals, "_scan_signs")
+        variances = counting(monkeypatch, semigroup, "_variance")
+        F = from_rule(lambda c: float(c[0] + 2 * c[1]), name="F")
+        for prop in (PROP_DF_GE0, PROP_DF_LE0, PROP_D2F_GE0, PROP_D2F_LE0):
+            cert = certify_monotonicity(engine, F, prop)
+            assert certify_monotonicity(engine, F, prop) is cert
+            assert cert.property == prop
+        var = variance(engine, F)
+        assert variance(engine, F) is var
+        assert len(scans) == 4 and len(variances) == 1
+
+    def test_grid_3atom_pass_scans_each_certificate_once(self, tmp_path, monkeypatch):
+        config = cli.load_config(str(Path(__file__).parent / "data" / "grid_3atom.json"))
+        config["checks"] = GRID_3ATOM_CHECKS
+        certified = counting(monkeypatch, inequalities, "certify_monotonicity")
+        varied = counting(monkeypatch, inequalities, "variance")
+        scans = counting(monkeypatch, functionals, "_scan_signs")
+        variances = counting(monkeypatch, semigroup, "_variance")
+        assert cli.run_config(config, tmp_path / "all") == 0
+        assert (len(certified), len(scans)) == (11, 6)
+        assert (len(varied), len(variances)) == (5, 2)
+        assert len({(id(F), prop) for _, F, prop in scans}) == 6
+        # the memo changes no record: each check alone, on its own engine,
+        # writes the same line
+        alone = []
+        for k, item in enumerate(GRID_3ATOM_CHECKS):
+            assert cli.run_config(dict(config, checks=[item]), tmp_path / str(k)) == 0
+            alone += (tmp_path / str(k) / "report.txt").read_text().splitlines()
+        together = (tmp_path / "all" / "report.txt").read_text().splitlines()
+        assert sorted(together) == sorted(alone)
+
+    @pytest.mark.parametrize("mode", ["exact", "mc"])
+    def test_throwaway_functionals_never_share_a_certificate(self, mode):
+        # increasing and decreasing functionals alternate, rule-backed and
+        # table-backed, so an id reused by a freed functional would be served
+        # the other sign's certificate and variance
+        engine = SemigroupEngine(GroundSpace((1.0, 0.5)), mode=mode,
+                                 replications=50, seed=3)
+        counts = np.indices(engine.shape or (30, 30), dtype=float)
+        for k in range(200):
+            sign = 1.0 if k % 2 else -1.0
+            if k % 4 < 2:
+                F = from_rule(lambda c, a=sign * (k + 1): a * float(c[0] + c[1]))
+            else:
+                F = from_table(sign * (k + 1) * (counts[0] + counts[1]))
+            assert certify_monotonicity(engine, F, PROP_DF_GE0).valid == (sign > 0)
+            assert certify_monotonicity(engine, F, PROP_DF_LE0).valid == (sign < 0)
+            if mode == "exact":  # Var(c_0 + c_1) = 1 + 0.5
+                assert variance(engine, F) == pytest.approx(1.5 * (k + 1) ** 2, rel=1e-9)
+            else:
+                assert variance(engine, F)[0] == F.values(engine.samples).var(ddof=1)
+
+    def test_a_call_that_raises_stores_nothing(self):
+        engine = engine_for(1.0)
+        F = from_rule(lambda c: 1e200 * float(c[0]), name="huge")  # finite; its square is not
+        for _ in range(2):
+            with pytest.raises(NonFiniteValueError, match="variance of huge"):
+                variance(engine, F)
+        assert (id(F), "variance") not in engine._results
