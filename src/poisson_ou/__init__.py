@@ -8,6 +8,8 @@ L1-L2 variance bounds, concentration) either exactly on a truncated
 state space or by simulation.
 """
 
+from types import ModuleType as _ModuleType
+
 from .errors import (
     BudgetExceededError,
     CapOverflowError,
@@ -17,7 +19,6 @@ from .errors import (
     PreconditionError,
 )
 from .ground import (
-    Configuration,
     GroundSpace,
     TruncatedStateSpace,
     check_mecke,
@@ -96,79 +97,8 @@ from .reports import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BudgetExceededError",
-    "CapOverflowError",
-    "Configuration",
-    "DslError",
-    "Functional",
-    "GroundSpace",
-    "HOLDS",
-    "HOLDS_STAT",
-    "HYPOTHESIS_NOT_MET",
-    "InequalityReport",
-    "LpNorm",
-    "MaximaModel",
-    "MonotonicityCertificate",
-    "NegativeValueError",
-    "NonFiniteValueError",
-    "PoissonOUError",
-    "PreconditionError",
-    "SemigroupEngine",
-    "TruncatedStateSpace",
-    "VIOLATED",
-    "add_one_cost",
-    "affine",
-    "apply_semigroup",
-    "certify_monotonicity",
-    "check_concentration",
-    "check_entropy_power",
-    "check_lsi_failure",
-    "check_mecke",
-    "check_min_form_lsi",
-    "check_modified_lsi",
-    "check_pathwise_lemma",
-    "check_poincare",
-    "check_restricted_hypercontractivity",
-    "check_talagrand",
-    "check_weak_hypercontractivity",
-    "commutation_check",
-    "constant",
-    "counterexample_fk",
-    "counterexample_scan",
-    "entropy",
-    "expectation",
-    "exponential_functional",
-    "from_rule",
-    "from_table",
-    "functional_from_text",
-    "gamma_expectation",
-    "generator_check",
-    "generator_table",
-    "indicator_family",
-    "integrated_gradient_check",
-    "l1_variance_bound",
-    "lp_norm",
-    "lsi_failure_ratios",
-    "make_report",
-    "maxima_closed_forms",
-    "maxima_monte_carlo",
-    "mean_preservation_check",
-    "near_optimality_scan",
-    "near_optimality_sides",
-    "one_dim_bound_comparison",
-    "one_dim_cumulative",
-    "ou_kernel_1d",
-    "parse",
-    "pathwise_lemma_sides",
-    "pathwise_lemma_sweep",
-    "pointwise_gradient_check",
-    "sample_configurations",
-    "second_difference",
-    "semigroup_property_check",
-    "serialize",
-    "symmetry_check",
-    "talagrand_bound",
-    "talagrand_crosscheck",
-    "variance",
-]
+#: every public name imported above, the one list of exports
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

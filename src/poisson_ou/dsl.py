@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import grids
 from .functionals import Functional
 
 
@@ -237,13 +238,16 @@ _AXIS_ARG = {
 
 
 class BatchRule:
-    """Array form of an expression: counts of shape (..., m) -> values (...).
+    """Array form of an expression: counts in index form (``grids.index_form``)
+    -> values of their broadcast shape.
 
     Every builtin reads one atom's count, so each term is a 1-D line of its
     values at counts 0..n (coefficient included), filled by the scalar
-    ``_term_value`` and extended on demand. Values are gathered per term and
-    added in term order, as the scalar rule adds them, so both give the same
-    floats bit for bit.
+    ``_term_value`` and extended on demand. Each term gathers its line at
+    ``counts[axis]`` alone, so on a sparse grid it reads one axis, and the
+    terms are added in term order, broadcast over all states, as the scalar
+    rule adds them: both give the same floats bit for bit. A negative count
+    that a term reads raises ValueError.
     """
 
     def __init__(self, expr: Expr):
@@ -266,16 +270,20 @@ class BatchRule:
         return line
 
     def __call__(self, counts) -> np.ndarray:
-        counts = np.asarray(counts, dtype=np.int64)
-        if counts.size and counts.min() < 0:
-            raise ValueError("counts must be non-negative")
-        total = np.zeros(counts.shape[:-1])
+        counts = grids.index_form(counts)
+        total = np.zeros(grids.count_shape(counts))
         # an overflow is left to Functional.values, which names the state
         with np.errstate(over="ignore", invalid="ignore"):
             for k, axis in enumerate(self.axes):
-                n = counts[..., axis]
-                total += self._line(k, int(n.max()) if n.size else 0)[n]
-            return self.const + total
+                n = counts[axis]
+                # one reduction for both bounds: read as uint64, a negative
+                # int64 is at least 2**63
+                top = int(n.view(np.uint64).max()) if n.size else 0
+                if top >= 2**63:
+                    raise ValueError("counts must be non-negative")
+                total += self._line(k, top)[n]
+            total += self.const  # in place: addition commutes, bit for bit
+        return total
 
 
 def to_functional(expr: Expr, name: str | None = None) -> Functional:

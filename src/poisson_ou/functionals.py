@@ -9,7 +9,6 @@ import numpy as np
 
 from . import grids
 from .errors import CapOverflowError, NonFiniteValueError
-from .ground import Configuration
 # unused here, but the per-layer tracer (bench/layers.py) wraps this name on
 # every module that imports it and fails with KeyError where it is missing
 from .ground import sample_configurations  # noqa: F401
@@ -29,10 +28,11 @@ class Functional:
     A rule-backed functional is total on all configurations; a table-backed
     one is defined only on the grid of its table and raises CapOverflowError
     beyond it (the engines size tables so this never happens in normal use).
-    ``batch``, when present, is the rule's array form: counts of shape
-    (..., m) -> values of shape (...), equal to the rule bit for bit.
-    ``values`` is the one evaluator: calls, grid tables, the difference
-    operators and sampled certificates all go through it and its checks.
+    ``batch``, when present, is the rule's array form: counts in index form
+    (``grids.index_form``) -> values of their broadcast shape, equal to the
+    rule bit for bit. ``values`` is the one evaluator: calls, grid tables, the
+    difference operators and sampled certificates all go through it and its
+    checks.
     """
 
     rule: object | None = None
@@ -46,21 +46,26 @@ class Functional:
             raise ValueError("functional needs a rule or a table")
 
     def __call__(self, counts) -> float:
-        return float(self.values(counts))
+        """F at one state, given as a sequence of m counts."""
+        return float(self.values(tuple(counts)))
 
     def values(self, counts) -> np.ndarray:
-        """F on every state of a (..., m) count array.
+        """F on every state held by counts in index form (``grids.index_form``),
+        as an array of their broadcast shape.
 
         Raises NonFiniteValueError for a non-finite value and ValueError for
-        one beyond ``bounded_by``, naming the first bad state in row order.
+        one beyond ``bounded_by``, naming the first bad state in C order.
         """
-        c = np.asarray(counts, dtype=np.int64)
+        c = grids.index_form(counts)
         if self.table is not None:
-            if np.any((c < 0) | (c >= np.asarray(self.table.shape))):
+            if len(c) != self.table.ndim:
+                raise ValueError(f"{self.name} takes {self.table.ndim} counts per "
+                                 f"state, got {len(c)}")
+            if any(np.any((x < 0) | (x >= s)) for x, s in zip(c, self.table.shape)):
                 raise CapOverflowError(
                     f"{self.name} is tabulated only up to {self.table.shape}"
                 )
-            out = np.asarray(self.table[tuple(np.moveaxis(c, -1, 0))], dtype=float)
+            out = np.asarray(self.table[c], dtype=float)
         elif self.batch is not None:
             out = np.asarray(self.batch(c), dtype=float)
         else:
@@ -69,9 +74,9 @@ class Functional:
         if self.bounded_by is not None:
             bad |= np.abs(out) > self.bounded_by + 1e-12
         if np.any(bad):
-            first = int(np.flatnonzero(bad)[0])
-            state = tuple(int(x) for x in c.reshape(-1, c.shape[-1])[first])
-            if not np.isfinite(out.flat[first]):
+            first = np.unravel_index(int(np.flatnonzero(bad)[0]), bad.shape)
+            state = tuple(int(np.broadcast_to(x, bad.shape)[first]) for x in c)
+            if not np.isfinite(out[first]):
                 raise NonFiniteValueError(f"{self.name} is non-finite at {state}")
             raise ValueError(
                 f"{self.name} exceeds its declared bound {self.bounded_by} at {state}"
@@ -85,7 +90,7 @@ class Functional:
             ts >= s for ts, s in zip(self.table.shape, shape)
         ):
             return grids.trim_to(self.table, shape)
-        return self.values(grids.grid_counts(shape))
+        return self.values(np.indices(shape, sparse=True))
 
 
 def from_rule(rule, name="F", **kwargs) -> Functional:
@@ -111,32 +116,26 @@ def affine(coeffs, funcs, const=0.0, name=None) -> Functional:
         return const + sum(a * f(c) for a, f in zip(coeffs, funcs))
 
     def batch(c):
-        start = np.zeros(c.shape[:-1])  # adds like the rule's int 0, keeps the shape
+        # adds like the rule's int 0 and keeps the shape of the states
+        start = np.zeros(grids.count_shape(c))
         return const + sum((a * f.values(c) for a, f in zip(coeffs, funcs)), start)
 
     return Functional(rule=rule, name=name or "affine", batch=batch)
 
 
 def add_one_cost(F: Functional, c, i: int):
-    """D_i F(c) = F(c + e_i) - F(c); a float for one state, an array for (..., m)."""
-    c = _counts(c)
+    """D_i F(c) = F(c + e_i) - F(c) for counts in index form; a float for one
+    state, else an array."""
     out = F.values(grids.add_unit(c, i)) - F.values(c)
-    return float(out) if c.ndim == 1 else out
+    return float(out) if np.ndim(out) == 0 else out
 
 
 def second_difference(F: Functional, c, i: int, j: int):
     """D2_{i,j} F(c) = F(c+e_i+e_j) - F(c+e_i) - F(c+e_j) + F(c), per state."""
-    c = _counts(c)
     ei = grids.add_unit(c, i)
     out = (F.values(grids.add_unit(ei, j)) - F.values(ei)
            - F.values(grids.add_unit(c, j)) + F.values(c))
-    return float(out) if c.ndim == 1 else out
-
-
-def _counts(c) -> np.ndarray:
-    if isinstance(c, Configuration):
-        return c.array()
-    return np.asarray(c, dtype=np.int64)
+    return float(out) if np.ndim(out) == 0 else out
 
 
 def certify_monotonicity(engine, F: Functional, prop: str) -> MonotonicityCertificate:
@@ -172,7 +171,7 @@ def _scan_signs(engine, F: Functional, prop: str) -> MonotonicityCertificate:
                 diff = grids.diff_axis(diff, a)
             diff = grids.trim_to(diff, engine.trunc.shape)
         else:
-            diff = operator(F, engine.samples, *atoms)
+            diff = operator(F, tuple(engine.samples.T), *atoms)
         checked += diff.size
         ok = diff <= 0.0 if prop in (PROP_DF_LE0, PROP_D2F_LE0) else diff >= 0.0
         if not np.all(ok):

@@ -87,33 +87,46 @@ def weighted_sq_diffs(table: np.ndarray, weights) -> np.ndarray:
     return out
 
 
-def counts_along(shape, axis: int) -> np.ndarray:
-    """Array broadcastable to ``shape`` holding the count on one axis."""
-    view = [1] * len(shape)
-    view[axis] = shape[axis]
-    return np.arange(shape[axis]).reshape(view)
+def index_form(counts) -> tuple:
+    """Counts in numpy's advanced-index form, the one count format: a tuple of
+    m int64 arrays that broadcast together, one per atom. A grid is
+    ``np.indices(shape, sparse=True)``, samples are ``tuple(samples.T)`` and
+    one state is a tuple of m ints. Anything else raises TypeError, so that an
+    array of rows is never read as a tuple of axes.
+    """
+    if not isinstance(counts, tuple):
+        raise TypeError("counts must be a tuple of m integer arrays (numpy index "
+                        f"form), not {type(counts).__name__}")
+    return tuple(np.asarray(c, dtype=np.int64) for c in counts)
 
 
-def grid_counts(shape) -> np.ndarray:
-    """(*shape, m) array holding every state of the grid, in C order."""
-    return np.moveaxis(np.indices(tuple(shape), dtype=np.int64), 0, -1)
+def count_shape(counts) -> tuple:
+    """Shape of the states held by counts in index form."""
+    shapes = {np.shape(c) for c in counts}
+    # samples have one shape; np.broadcast_shapes costs microseconds even then
+    return shapes.pop() if len(shapes) == 1 else np.broadcast_shapes(*shapes)
 
 
-def add_unit(counts: np.ndarray, axis: int) -> np.ndarray:
-    """counts + e_axis for a (..., m) count array."""
-    unit = np.zeros(counts.shape[-1], dtype=counts.dtype)
-    unit[axis] = 1
-    return counts + unit
+def add_unit(counts, axis: int) -> tuple:
+    """counts + e_axis in index form: only the axis component changes."""
+    counts = index_form(counts)
+    return counts[:axis] + (counts[axis] + 1,) + counts[axis + 1:]
 
 
 def map_rows(rule, counts) -> np.ndarray:
-    """Evaluate a scalar rule counts -> real on every state of a (..., m) array."""
-    counts = np.asarray(counts, dtype=np.int64)
-    rows = counts.reshape(-1, counts.shape[-1])
+    """Evaluate a scalar rule counts -> real state by state, handing it each
+    state as a length-m int64 array: the one place counts in index form are
+    broadcast to rows."""
+    counts = index_form(counts)
+    shape = count_shape(counts)
+    rows = np.empty(shape + (len(counts),), dtype=np.int64)
+    for k, c in enumerate(counts):
+        rows[..., k] = c
+    rows = rows.reshape(-1, len(counts))
     out = np.fromiter((rule(row) for row in rows), dtype=float, count=len(rows))
-    return out.reshape(counts.shape[:-1])
+    return out.reshape(shape)
 
 
 def tabulate_rule(rule, shape) -> np.ndarray:
     """Evaluate a scalar rule counts -> real on every state of the grid."""
-    return map_rows(rule, grid_counts(shape))
+    return map_rows(rule, np.indices(tuple(shape), sparse=True))

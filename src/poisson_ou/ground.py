@@ -3,7 +3,8 @@
 The intensity measure is a finite atomic measure: ``m`` atoms with strictly
 positive weights ``lam_i``. A configuration is the vector of per-atom counts,
 so the Poisson random measure over the space is a vector of independent
-Poisson(lam_i) counts.
+Poisson(lam_i) counts. Collections of configurations are passed around in
+numpy's index form (``grids.index_form``).
 """
 
 from __future__ import annotations
@@ -47,26 +48,6 @@ class GroundSpace:
 
     def weight_array(self) -> np.ndarray:
         return np.asarray(self.weights, dtype=float)
-
-
-@dataclass(frozen=True)
-class Configuration:
-    """A point configuration collapsed to per-atom counts."""
-
-    counts: tuple[int, ...]
-
-    def __post_init__(self):
-        c = tuple(int(x) for x in self.counts)
-        if any(x < 0 for x in c):
-            raise ValueError("counts must be non-negative")
-        object.__setattr__(self, "counts", c)
-
-    @property
-    def total(self) -> int:
-        return sum(self.counts)
-
-    def array(self) -> np.ndarray:
-        return np.asarray(self.counts, dtype=np.int64)
 
 
 def _min_cap(lam: float, per_atom_tail: float) -> int:
@@ -156,7 +137,7 @@ def check_mecke(
     first; with an engine those four are ignored.
 
     ``h`` is either a Functional F, meaning h(eta, x) = F(eta), or a callable
-    mapping (counts array, atom index) to a real, evaluated one state at a
+    mapping (counts row, atom index) to a real, evaluated one state at a
     time for each atom. Exact mode sums over the truncated grid extended by
     one level (caps + 2), so the shifted side is never clipped, and reads
     F from the engine's memoized table. Monte Carlo mode averages both sides
@@ -175,13 +156,13 @@ def check_mecke(
     if engine.mode == "exact":
         shape = tuple(n + 2 for n in engine.trunc.caps)  # one level for eta+delta_x
         law = grids.trim_to(engine.law, shape)
+        states = np.indices(shape, sparse=True)
         if isinstance(h, Functional):
             # a table-backed h need only cover caps + 2, not the padded grid
-            fixed = (h.values(grids.grid_counts(shape)) if h.table is not None
+            fixed = (h.values(states) if h.table is not None
                      else grids.trim_to(engine.tabulate(h), shape))
             tables = (fixed for _ in range(space.atom_count))
         else:
-            states = grids.grid_counts(shape)
             tables = (grids.map_rows(lambda c: h(c, i), states)
                       for i in range(space.atom_count))
         lhs = 0.0
@@ -190,17 +171,17 @@ def check_mecke(
         for i, table in enumerate(tables):
             if not np.all(np.isfinite(table)):
                 raise NonFiniteValueError(f"h produced a non-finite value at atom {i}")
-            lhs += float(np.sum(law * grids.counts_along(shape, i) * table))
+            lhs += float(np.sum(law * states[i] * table))
             rhs += lam[i] * float(
                 np.sum(grids.drop_top(law, i) * grids.shift_up(table, i))
             )
             sup_h = max(sup_h, float(np.max(np.abs(table))))
-        tol = 10.0 * engine.trunc.tail_mass * sup_h * (1.0 + space.total_mass)
+        tol = engine.tolerance(sup_h * (1.0 + space.total_mass))
         return make_report(
             name, lhs, rhs, tolerance=tol, equality_form=True,
             parameters={"mode": "exact"},
         )
-    samples = engine.samples
+    samples = tuple(engine.samples.T)
     replications = engine.replications
     if isinstance(h, Functional):
         def occupied_values(occupied, i):
@@ -210,7 +191,7 @@ def check_mecke(
             return engine.sample_values(h, i)
     else:
         def occupied_values(occupied, i):
-            return grids.map_rows(lambda c: h(c, i), samples[occupied])
+            return grids.map_rows(lambda c: h(c, i), tuple(x[occupied] for x in samples))
 
         def shifted_values(i):
             return grids.map_rows(lambda c: h(c, i), grids.add_unit(samples, i))
@@ -221,8 +202,8 @@ def check_mecke(
         for i in range(space.atom_count):
             # only occupied atoms carry a point; a callable h is not evaluated
             # where c_i = 0
-            occupied = samples[:, i] > 0
-            left[occupied] += samples[occupied, i] * occupied_values(occupied, i)
+            occupied = samples[i] > 0
+            left[occupied] += samples[i][occupied] * occupied_values(occupied, i)
         for i in range(space.atom_count):
             right += lam[i] * shifted_values(i)
         diffs = left - right

@@ -16,7 +16,7 @@ import numpy as np
 from scipy.special import pdtrc
 
 from . import grids
-from .errors import NegativeValueError, PreconditionError
+from .errors import NegativeValueError, NonFiniteValueError, PreconditionError
 from .functionals import (
     PROP_D2F_GE0,
     PROP_D2F_LE0,
@@ -229,17 +229,18 @@ def check_entropy_power(engine, G, q, name="entropy-power", bypass_hypotheses=Fa
     if np.min(table) < 0:
         raise PreconditionError("entropy-power bound needs G >= 0")
     certs = [certify_monotonicity(engine, G, PROP_DF_LE0)]
-    lhs = entropy(engine, from_table(table**q, name=f"{G.name}^{q:g}")).value
 
     def term(i):
         d_qm1 = grids.diff_axis(table ** (q - 1.0), i)
         return engine.expect_table(d_qm1 * grids.diff_axis(table, i))
 
-    rhs = engine.atom_sum(term) * (q**2 / (q - 1.0))
-    with np.errstate(over="ignore"):  # an overflow is inf, which tolerance rejects
+    # an overflow is inf or nan, which _finite_sides and tolerance reject
+    with np.errstate(over="ignore", invalid="ignore"):
+        lhs = entropy(engine, from_table(table**q, name=f"{G.name}^{q:g}")).value
+        rhs = engine.atom_sum(term) * (q**2 / (q - 1.0))
         scale = float(np.max(table) ** q) * (1 + engine.space.total_mass) * q**2 / (q - 1)
     return make_report(
-        name, lhs, rhs, tolerance=engine.tolerance(scale),
+        name, *_finite_sides(name, lhs, rhs), tolerance=engine.tolerance(scale),
         certificates=certs, parameters={"q": q},
         hypothesis_met=bypass_hypotheses or all(c.valid for c in certs),
     )
@@ -276,9 +277,20 @@ def check_weak_hypercontractivity(engine, F, t, name="weak-hypercontractivity"):
     tol = engine.tolerance(overflow_to_inf(lambda: math.exp(float(np.max(np.abs(table))))))
     pt = engine.apply_table(table, t)
     q_t = math.exp(t)
-    lhs = engine.expect_table(np.exp(q_t * pt)) ** (1.0 / q_t)
-    rhs = engine.expect_table(np.exp(table))
-    return make_report(name, lhs, rhs, tolerance=tol, parameters={"t": t})
+    # e^t P_t F may pass the log of the largest double where F does not
+    with np.errstate(over="ignore", invalid="ignore"):
+        lhs = engine.expect_table(np.exp(q_t * pt)) ** (1.0 / q_t)
+        rhs = engine.expect_table(np.exp(table))
+    return make_report(name, *_finite_sides(name, lhs, rhs), tolerance=tol,
+                       parameters={"t": t})
+
+
+def _finite_sides(name, lhs, rhs):
+    """(lhs, rhs), or NonFiniteValueError when a side is not a finite double:
+    no verdict can be stated on it."""
+    if not (math.isfinite(lhs) and math.isfinite(rhs)):
+        raise NonFiniteValueError(f"a side of {name} is not a finite double")
+    return lhs, rhs
 
 
 def _derivative_norms(engine, table, i):

@@ -180,8 +180,11 @@ class SemigroupEngine:
         ``atom``; evaluated once per (F, atom) and read-only, like ``tabulate``."""
         if self.mode != "mc":
             raise PreconditionError("sample evaluation requires a Monte Carlo engine")
-        return self._memo(F, atom, lambda: F.values(
-            self.samples if atom is None else grids.add_unit(self.samples, atom)))
+        def build():
+            counts = tuple(self.samples.T)
+            return F.values(counts if atom is None else grids.add_unit(counts, atom))
+
+        return self._memo(F, atom, build)
 
     def expect_mc(self, F: Functional) -> tuple[float, float]:
         """Sample mean and stderr of F over the engine's samples."""
@@ -272,17 +275,18 @@ def lp_norm(engine: SemigroupEngine, F: Functional, p) -> LpNorm:
     p = float(p)
     if not (p >= 1.0):
         raise ValueError("p must be in [1, inf]")
-    if engine.mode == "exact":
-        table = np.abs(engine.tabulate(F))
-        if math.isinf(p):
-            return LpNorm(p=p, value=float(np.max(engine.interior(table))))
-        moment = engine.expect_table(table**p)
-        return LpNorm(p=p, value=float(moment ** (1.0 / p)))
-    vals = np.abs(engine.sample_values(F))
+    exact = engine.mode == "exact"
+    vals = np.abs(engine.tabulate(F) if exact else engine.sample_values(F))
     if math.isinf(p):
-        return LpNorm(p=p, value=float(vals.max()), lower_bound=True)
-    powers = vals**p
-    moment = float(powers.mean())
+        top = np.max(engine.interior(vals) if exact else vals)
+        return LpNorm(p=p, value=float(top), lower_bound=not exact)
+    with np.errstate(over="ignore", invalid="ignore"):  # rejected below
+        powers = vals**p
+        moment = engine.expect_table(powers) if exact else float(powers.mean())
+    if not math.isfinite(moment):
+        raise NonFiniteValueError(f"E|{F.name}|^{p:g} is not a finite double")
+    if exact:
+        return LpNorm(p=p, value=float(moment ** (1.0 / p)))
     se_moment = float(powers.std(ddof=1) / np.sqrt(len(vals)))
     value = moment ** (1.0 / p)
     stderr = se_moment * value / (p * moment) if moment > 0 else se_moment
@@ -302,6 +306,7 @@ def _generator_of_table(engine: SemigroupEngine, table: np.ndarray) -> np.ndarra
     reduced = tuple(s - 1 for s in table.shape)
     out = np.zeros(reduced)
     lam = engine.space.weight_array()
+    counts = np.indices(reduced, sparse=True)
     for i in range(engine.space.atom_count):
         diff = grids.trim_to(grids.diff_axis(table, i), reduced)
         out += lam[i] * diff
@@ -312,7 +317,7 @@ def _generator_of_table(engine: SemigroupEngine, table: np.ndarray) -> np.ndarra
         idx_lo[i] = slice(0, reduced[i] - 1)
         base = grids.trim_to(table, reduced)
         down[tuple(idx_hi)] = base[tuple(idx_lo)] - base[tuple(idx_hi)]
-        out += grids.counts_along(reduced, i) * down
+        out += counts[i] * down
     return out
 
 

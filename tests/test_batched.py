@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from poisson_ou import (
@@ -46,6 +46,11 @@ def same_bits(a, b) -> bool:
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def columns(rows) -> tuple:
+    """States given row by row, in the index form ``Functional.values`` takes."""
+    return tuple(np.asarray(rows).T)
+
+
 @st.composite
 def expressions(draw, atoms):
     """A random DSL expression over the given number of atoms."""
@@ -72,8 +77,18 @@ def grid_cases(draw):
     return draw(expressions(len(shape))), shape
 
 
+#: an expression reading each of four atoms, on a four-atom grid
+FOUR_ATOMS = (Expr(0.25, (Term(2.0, "exp_neg", (0.3, 3.0)),
+                          Term(-1.5, "cumsum_g", (0.0, 2.0)),
+                          Term(0.7, "indicator_le", (2.0, 1.5)),
+                          Term(1.0, "count", (1.0,)),
+                          Term(3.0, "max_radius_gt", (3.0,)))),
+              (4, 3, 5, 6))
+
+
 class TestGridParity:
     @given(case=grid_cases())
+    @example(case=FOUR_ATOMS)
     @settings(max_examples=120, deadline=None)
     def test_tabulate_matches_scalar_rule(self, case):
         expr, shape = case
@@ -89,18 +104,30 @@ class TestGridParity:
         expr, shape = case
         F = functional_from_text(serialize(expr))
         counts = np.random.default_rng(seed).poisson(3.0, size=(40, len(shape)))
-        assert same_bits(F.values(counts), [F(c) for c in counts])
+        assert same_bits(F.values(columns(counts)), [F(c) for c in counts])
 
     def test_lines_grow_on_demand(self):
         F = functional_from_text("exp_neg(0.7, 0) + 3*cumsum_g(1, 4) - count(1)")
         for top in (2, 40, 5, 300):
             counts = np.array([[top, 0], [0, top], [top // 2, top]])
-            assert same_bits(F.values(counts), [F(c) for c in counts])
+            assert same_bits(F.values(columns(counts)), [F(c) for c in counts])
 
     def test_negative_counts_rejected(self):
         F = functional_from_text("count(0)")
         with pytest.raises(ValueError, match="non-negative"):
-            F.values([[1], [-1]])
+            F.values(columns([[1], [-1]]))
+
+    @pytest.mark.parametrize("counts", [np.array([[0, 1], [2, 3]]), [[0, 1], [2, 3]]],
+                             ids=["array", "list"])
+    def test_rows_are_refused(self, counts):
+        # rows of states are not index form: read as axes they would give
+        # F at (0, 2) and (1, 3)
+        F = functional_from_text("count(0) + 10*count(1)")
+        with pytest.raises(TypeError, match="tuple of m integer arrays"):
+            F.values(counts)
+        with pytest.raises(TypeError, match="tuple of m integer arrays"):
+            add_one_cost(F, counts, 0)
+        assert same_bits(F.values(columns(counts)), [10.0, 32.0])
 
     def test_axes_name_the_atoms_read(self):
         F = functional_from_text("exp_neg(0.5, 2) + count(0) - indicator_le(1, 3)")
@@ -114,7 +141,7 @@ class TestChecksMatchCall:
     def blows_up_at_2(**kwargs):
         return Functional(
             rule=lambda c: math.inf if c[0] == 2 else float(c[0]),
-            batch=lambda c: np.where(c[..., 0] == 2, np.inf, c[..., 0].astype(float)),
+            batch=lambda c: np.where(c[0] == 2, np.inf, c[0].astype(float)),
             name="blowup", **kwargs,
         )
 
@@ -123,7 +150,7 @@ class TestChecksMatchCall:
         with pytest.raises(NonFiniteValueError) as scalar:
             F((2, 5))
         with pytest.raises(NonFiniteValueError) as batched:
-            F.values([[0, 0], [2, 5], [2, 0]])
+            F.values(columns([[0, 0], [2, 5], [2, 0]]))
         assert str(batched.value) == str(scalar.value)
         assert "(2, 5)" in str(batched.value)
 
@@ -132,7 +159,7 @@ class TestChecksMatchCall:
         with pytest.raises(NonFiniteValueError) as scalar:
             F((2, 5))
         with pytest.raises(NonFiniteValueError) as batched:
-            F.values([[0, 0], [2, 5]])
+            F.values(columns([[0, 0], [2, 5]]))
         assert str(batched.value) == str(scalar.value)
 
     def test_bound_violation(self):
@@ -140,7 +167,7 @@ class TestChecksMatchCall:
         with pytest.raises(ValueError) as scalar:
             F((2,))
         with pytest.raises(ValueError) as batched:
-            F.values([[1], [2], [3]])
+            F.values(columns([[1], [2], [3]]))
         assert str(batched.value) == str(scalar.value)
         assert "declared bound 1.5" in str(batched.value)
 
@@ -156,9 +183,9 @@ class TestChecksMatchCall:
         # the bound breaks at c = 1 before the value blows up at c = 2
         F = self.blows_up_at_2(bounded_by=0.5)
         with pytest.raises(ValueError, match="declared bound"):
-            F.values([[0, 0], [1, 0], [2, 0]])
+            F.values(columns([[0, 0], [1, 0], [2, 0]]))
         with pytest.raises(NonFiniteValueError):
-            F.values([[0, 0], [2, 0], [1, 0]])
+            F.values(columns([[0, 0], [2, 0], [1, 0]]))
 
 
 def unit(m, *atoms):
@@ -169,7 +196,8 @@ def unit(m, *atoms):
 
 
 class TestDifferenceParity:
-    """D and D^2 on a (n, m) array equal the per-state calls and the scalar rule."""
+    """D and D^2 on n states in index form equal the per-state calls and the
+    scalar rule."""
 
     @given(case=grid_cases(), seed=st.integers(0, 2**16), python_rule=st.booleans())
     @settings(max_examples=60, deadline=None)
@@ -182,12 +210,12 @@ class TestDifferenceParity:
         counts = np.random.default_rng(seed).poisson(2.0, size=(25, m))
         rule = F.rule
         for i in range(m):
-            d = add_one_cost(F, counts, i)
-            assert same_bits(d, [add_one_cost(F, c, i) for c in counts])
+            d = add_one_cost(F, columns(counts), i)
+            assert same_bits(d, [add_one_cost(F, tuple(c), i) for c in counts])
             assert same_bits(d, [rule(c + unit(m, i)) - rule(c) for c in counts])
             for j in range(m):
-                d2 = second_difference(F, counts, i, j)
-                assert same_bits(d2, [second_difference(F, c, i, j) for c in counts])
+                d2 = second_difference(F, columns(counts), i, j)
+                assert same_bits(d2, [second_difference(F, tuple(c), i, j) for c in counts])
                 assert same_bits(d2, [
                     rule(c + unit(m, i, j)) - rule(c + unit(m, i))
                     - rule(c + unit(m, j)) + rule(c)
@@ -198,7 +226,7 @@ class TestDifferenceParity:
         F = functional_from_text("exp_neg(0.5, 0) + count(1)")
         assert type(add_one_cost(F, (2, 3), 0)) is float
         assert type(second_difference(F, (2, 3), 0, 1)) is float
-        assert add_one_cost(F, [[2, 3]], 1).shape == (1,)
+        assert add_one_cost(F, ([2], [3]), 1).shape == (1,)
 
 
 PROPS = [PROP_DF_LE0, PROP_DF_GE0, PROP_D2F_LE0, PROP_D2F_GE0]

@@ -398,6 +398,20 @@ OVERFLOW_RUNS = {
         functionals={"f": "800 * indicator_le(0, 50)"},
         checks=[{"check": "weak-hypercontractivity", "functional": "f",
                  "params": {"t": 0.5}}]), 4),
+    # exp(max|F|) = e^700 is a double, but exp(e^t P_t F) is not
+    "weak-hypercontractivity-sides": (base_config(
+        functionals={"f": "700 * indicator_le(0, 50)"},
+        checks=[{"check": "weak-hypercontractivity", "functional": "f",
+                 "params": {"t": 0.5}}]), 4),
+    # ||P_t F||_q(t) with q(t) = 1 + e^0.5: its moment E|P_t F|^q(t) overflows
+    "restricted-hypercontractivity-moment": (base_config(
+        functionals={"f": "1e300 * indicator_le(0, 50)"},
+        checks=[{"check": "restricted-hypercontractivity", "functional": "f",
+                 "params": {"t": 0.5, "p": 2}}]), 4),
+    # G^q overflows, and with it the tolerance scale max(G)^q
+    "entropy-power-scale": (base_config(
+        functionals={"f": "1e200 * indicator_le(0, 50)"},
+        checks=[{"check": "entropy-power", "functional": "f", "params": {"q": 2}}]), 4),
     # finite differences whose squares, and so whose stderr, overflow
     "mecke-mc-stderr": (base_config(
         engine={"mode": "mc"}, functionals={"f": "1e300 * indicator_le(0, 50)"},
@@ -440,6 +454,11 @@ class TestOverflow:
         ("talagrand-scale", "the tolerance scale is not a finite double"),
         ("weak-hypercontractivity-scale", "the tolerance scale is not a finite double"),
         ("mecke-mc-stderr", "the standard error of mecke is not a finite double"),
+        ("weak-hypercontractivity-sides",
+         "a side of weak-hypercontractivity is not a finite double"),
+        ("restricted-hypercontractivity-moment",
+         "E|P_0.5[f]|^2.64872 is not a finite double"),
+        ("entropy-power-scale", "a side of entropy-power is not a finite double"),
     ])
     def test_no_finite_error_model_exits_4(self, tmp_path, capsys, name, message):
         assert run_quietly(tmp_path, OVERFLOW_RUNS[name][0]) == 4

@@ -49,8 +49,8 @@ class TestEvaluation:
             F((5,))
 
     @pytest.mark.parametrize("evaluate", [
-        lambda F: F.values([[0, 0], [2, 1], [0, 2]]),
-        lambda F: F.values([[0, 0], [-1, 0]]),
+        lambda F: F.values(((0, 2, 0), (0, 1, 2))),
+        lambda F: F.values(((0, -1), (0, 0))),
         lambda F: F.tabulate((4, 2)),
     ], ids=["values", "values-negative", "tabulate"])
     def test_table_has_no_values_beyond_it(self, evaluate):
@@ -80,7 +80,7 @@ class TestEvaluation:
         per_state = [0.25 + sum(a * f(c) for a, f in zip(coeffs, funcs)) for c in counts]
         assert H.batch is not None
         assert np.array_equal(H.tabulate((6, 8)).ravel(), per_state)
-        assert np.array_equal(H.values(counts), per_state)
+        assert np.array_equal(H.values(tuple(counts.T)), per_state)
         assert H((2, 5)) == H.rule((2, 5))
         assert affine([], [], const=1.5).tabulate((2, 3)).shape == (2, 3)
 
@@ -130,7 +130,7 @@ class TestDifferenceOperators:
         F = from_rule(lambda x: float(x[0]) ** 3 - 2.0 * float(x[1]))
         c = (2, 1)
         via_d = add_one_cost(
-            from_rule(lambda x: add_one_cost(F, x, 1)), c, 0
+            from_rule(lambda x: add_one_cost(F, tuple(x), 1)), c, 0
         )
         assert second_difference(F, c, 0, 1) == via_d
 

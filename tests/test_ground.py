@@ -10,7 +10,6 @@ from scipy import stats
 
 from poisson_ou import (
     BudgetExceededError,
-    Configuration,
     GroundSpace,
     SemigroupEngine,
     TruncatedStateSpace,
@@ -31,17 +30,6 @@ class TestGroundSpace:
     def test_rejects_bad_weights(self, weights):
         with pytest.raises(ValueError):
             GroundSpace(weights)
-
-
-class TestConfiguration:
-    def test_total_and_array(self):
-        c = Configuration((2, 0, 3))
-        assert c.total == 5
-        assert c.array().dtype == np.int64
-
-    def test_rejects_negative_counts(self):
-        with pytest.raises(ValueError):
-            Configuration((1, -1))
 
 
 class TestTruncation:

@@ -348,16 +348,18 @@ class TestSampleMemo:
             assert engine.sample_values(F, atom) is vals
             with pytest.raises(ValueError, match="read-only"):
                 vals[0] = 1.0
-        assert np.array_equal(engine.sample_values(F), F.values(engine.samples))
+        samples = tuple(engine.samples.T)
+        assert np.array_equal(engine.sample_values(F), F.values(samples))
         assert np.array_equal(engine.sample_values(F, 1),
-                              F.values(engine.samples + [0, 1]))
+                              F.values((samples[0], samples[1] + 1)))
 
     def test_throwaway_functionals_never_share_values(self):
         engine = SemigroupEngine(GroundSpace((1.0, 0.5)), mode="mc",
                                  replications=50, seed=3)
         for k in range(200):
             F = from_rule(lambda c, k=k: float(k * c[0] + c[1]), name=f"F{k}")
-            assert np.array_equal(engine.sample_values(F), F.values(engine.samples))
+            assert np.array_equal(engine.sample_values(F),
+                                  F.values(tuple(engine.samples.T)))
 
     def test_mecke_and_poincare_evaluate_once_per_atom(self, tmp_path, monkeypatch):
         calls = {"values": 0, "sample_configurations": 0}
@@ -475,7 +477,8 @@ class TestResultMemo:
             if mode == "exact":  # Var(c_0 + c_1) = 1 + 0.5
                 assert variance(engine, F) == pytest.approx(1.5 * (k + 1) ** 2, rel=1e-9)
             else:
-                assert variance(engine, F)[0] == F.values(engine.samples).var(ddof=1)
+                samples = tuple(engine.samples.T)
+                assert variance(engine, F)[0] == F.values(samples).var(ddof=1)
 
     def test_a_call_that_raises_stores_nothing(self):
         engine = engine_for(1.0)
