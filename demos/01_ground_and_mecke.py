@@ -36,7 +36,7 @@ print("sample means vs weights:", samples.mean(axis=0), "vs", space.weights)
 report = check_mecke(space, lambda c, i: np.exp(-0.3 * float(np.asarray(c)[i])))
 print(f"mecke: lhs={report.lhs:.12f} rhs={report.rhs:.12f} -> {report.verdict}")
 
-report_mc = check_mecke(space, lambda c, i: np.exp(-0.3 * float(np.asarray(c)[i])),
-                        mode="mc", replications=50_000, seed=3)
+engine_mc = SemigroupEngine(space, mode="mc", replications=50_000, seed=3)
+report_mc = check_mecke(engine_mc, lambda c, i: np.exp(-0.3 * float(np.asarray(c)[i])))
 print(f"mecke (monte carlo): slack={report_mc.slack:.2e} "
       f"stderr={report_mc.stderr:.2e} -> {report_mc.verdict}")

@@ -40,14 +40,11 @@ class MaximaModel:
     """
 
     m: float
-    mode: str = "analytic"
     radial_tail: object | None = None
 
     def __post_init__(self):
         if not self.m > 0:
             raise ValueError("m must be positive")
-        if self.mode not in ("analytic", "monte-carlo"):
-            raise ValueError(f"unknown mode {self.mode!r}")
 
 
 def maxima_closed_forms(model: MaximaModel) -> dict:
@@ -70,9 +67,9 @@ def maxima_closed_forms(model: MaximaModel) -> dict:
     }
 
 
-def _invert_tail(radial_tail, u, r_hi=1.0):
+def _invert_tail(radial_tail, u):
     """Smallest r with radial_tail(r) <= u (bisection; tail is non-increasing)."""
-    lo = 0.0
+    lo, r_hi = 0.0, 1.0
     while radial_tail(r_hi) > u:
         r_hi *= 2.0
         if r_hi > 1e12:
@@ -149,7 +146,7 @@ def maxima_monte_carlo(
 # --------------------------------------------------- one-dimensional examples
 
 
-def one_dim_cumulative(g, lam: float) -> Functional:
+def one_dim_cumulative(g) -> Functional:
     """G(0) = 0, G(n) = sum_{j<n} g(j) for non-increasing, non-negative g.
 
     DG(n) = g(n) >= 0 and D2G(n) = g(n+1) - g(n) <= 0: G is increasing and
@@ -176,7 +173,7 @@ def one_dim_bound_comparison(g, lam: float, engine: SemigroupEngine | None = Non
     """
     if engine is None:
         engine = SemigroupEngine(GroundSpace((float(lam),)))
-    G = one_dim_cumulative(g, lam)
+    G = one_dim_cumulative(g)
     g_vals = np.array([float(g(n)) for n in range(engine.shape[0])])
     e_g2 = engine.expect_table(g_vals**2)
     e_g1 = engine.expect_table(np.abs(g_vals))
@@ -194,7 +191,7 @@ def one_dim_bound_comparison(g, lam: float, engine: SemigroupEngine | None = Non
     }
 
 
-def counterexample_fk(k: int, lam: float = 1.0) -> dict:
+def counterexample_fk(k: int) -> dict:
     """Exact values for F_k = 1{X <= k-1} on a unit-rate atom.
 
     This functional is decreasing but not concave in the difference sense, so
@@ -203,8 +200,7 @@ def counterexample_fk(k: int, lam: float = 1.0) -> dict:
     """
     if k < 2:
         raise ValueError("k must be at least 2")
-    if lam != 1.0:
-        raise ValueError("the counterexample is stated at unit rate")
+    lam = 1.0  # the counterexample is stated at unit rate
     low = float(pdtr(k - 1, lam))
     high = float(pdtrc(k - 1, lam))
     if high < np.finfo(float).tiny:
@@ -237,10 +233,10 @@ def counterexample_fk(k: int, lam: float = 1.0) -> dict:
     }
 
 
-def counterexample_scan(k_hi: int = 50, lam: float = 1.0) -> tuple[int, np.ndarray]:
+def counterexample_scan(k_hi: int = 50) -> tuple[int, np.ndarray]:
     """Smallest k0 with Var/bound > 1 and increasing on [k0, k_hi]."""
     ratios = np.array(
-        [counterexample_fk(k, lam)["lhs_over_rhs"] for k in range(2, k_hi + 1)]
+        [counterexample_fk(k)["lhs_over_rhs"] for k in range(2, k_hi + 1)]
     )
     k0 = None
     for start in range(len(ratios)):
@@ -253,9 +249,9 @@ def counterexample_scan(k_hi: int = 50, lam: float = 1.0) -> tuple[int, np.ndarr
     return k0, ratios
 
 
-def indicator_family(M: int, lam: float):
+def indicator_family(M: int):
     """g(j) = 1{j <= M}: the cumulative family whose L1-L2 denominator diverges."""
-    return one_dim_cumulative(lambda j: 1.0 if j <= M else 0.0, lam)
+    return one_dim_cumulative(lambda j: 1.0 if j <= M else 0.0)
 
 
 # ------------------------------------------------------ near-optimality scan
@@ -307,11 +303,11 @@ def near_optimality_scan(a_grid, q_grid, gamma: float = 1.0) -> dict:
     }
 
 
-def exponential_functional(a: float, atom: int = 0) -> Functional:
-    """G = exp(-a * eta({x_atom})), the near-optimal decreasing functional."""
+def exponential_functional(a: float) -> Functional:
+    """G = exp(-a * eta({x_0})), the near-optimal decreasing functional."""
     return Functional(
-        rule=lambda c: math.exp(-a * c[atom]),
-        name=f"exp_neg({a:g},{atom})",
+        rule=lambda c: math.exp(-a * c[0]),
+        name=f"exp_neg({a:g},0)",
         bounded_by=1.0,
     )
 
@@ -319,7 +315,7 @@ def exponential_functional(a: float, atom: int = 0) -> Functional:
 def talagrand_crosscheck(engine: SemigroupEngine, M: int) -> dict:
     """Engine-side Talagrand quantities for the indicator cumulative family."""
     lam = engine.space.weights[0]
-    F = indicator_family(M, lam)
+    F = indicator_family(M)
     return {
         "talagrand_rhs_engine": talagrand_bound(engine, F),
         "comparison": one_dim_bound_comparison(

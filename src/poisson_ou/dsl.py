@@ -238,8 +238,9 @@ _AXIS_ARG = {
 
 
 class BatchRule:
-    """Array form of an expression: counts in index form (``grids.index_form``)
-    -> values of their broadcast shape.
+    """Array form of an expression: counts already in index form (as
+    ``grids.index_form`` returns them, unvalidated here) -> values of their
+    broadcast shape.
 
     Every builtin reads one atom's count, so each term is a 1-D line of its
     values at counts 0..n (coefficient included), filled by the scalar
@@ -270,7 +271,6 @@ class BatchRule:
         return line
 
     def __call__(self, counts) -> np.ndarray:
-        counts = grids.index_form(counts)
         total = np.zeros(grids.count_shape(counts))
         # an overflow is left to Functional.values, which names the state
         with np.errstate(over="ignore", invalid="ignore"):

@@ -106,7 +106,7 @@ def constant(value: float) -> Functional:
     return Functional(rule=lambda c: v, name=f"const({v})", bounded_by=abs(v))
 
 
-def affine(coeffs, funcs, const=0.0, name=None) -> Functional:
+def affine(coeffs, funcs, const=0.0) -> Functional:
     """a_1 F_1 + ... + a_k F_k + const, as a rule-backed functional whose
     batch sums the children's ``values`` in the rule's order."""
     coeffs = [float(a) for a in coeffs]
@@ -120,7 +120,7 @@ def affine(coeffs, funcs, const=0.0, name=None) -> Functional:
         start = np.zeros(grids.count_shape(c))
         return const + sum((a * f.values(c) for a, f in zip(coeffs, funcs)), start)
 
-    return Functional(rule=rule, name=name or "affine", batch=batch)
+    return Functional(rule=rule, name="affine", batch=batch)
 
 
 def add_one_cost(F: Functional, c, i: int):

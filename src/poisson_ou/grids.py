@@ -61,10 +61,10 @@ def shift_up(table: np.ndarray, axis: int) -> np.ndarray:
     return table[tuple(index)]
 
 
-def drop_top(table: np.ndarray, axis: int, k: int = 1) -> np.ndarray:
-    """Discard the top k layers along axis."""
+def drop_top(table: np.ndarray, axis: int) -> np.ndarray:
+    """Discard the top layer along axis."""
     index = [slice(None)] * table.ndim
-    index[axis] = slice(0, table.shape[axis] - k)
+    index[axis] = slice(0, table.shape[axis] - 1)
     return table[tuple(index)]
 
 
@@ -116,8 +116,8 @@ def add_unit(counts, axis: int) -> tuple:
 def map_rows(rule, counts) -> np.ndarray:
     """Evaluate a scalar rule counts -> real state by state, handing it each
     state as a length-m int64 array: the one place counts in index form are
-    broadcast to rows."""
-    counts = index_form(counts)
+    broadcast to rows. ``counts`` must already be in index form (as
+    ``index_form`` returns it); it is not validated again here."""
     shape = count_shape(counts)
     rows = np.empty(shape + (len(counts),), dtype=np.int64)
     for k, c in enumerate(counts):

@@ -120,21 +120,12 @@ def sample_configurations(space: GroundSpace, n: int, seed) -> np.ndarray:
     return rng.poisson(space.weight_array(), size=(n, space.atom_count))
 
 
-def check_mecke(
-    engine,
-    h,
-    trunc: TruncatedStateSpace | None = None,
-    mode: str = "exact",
-    replications: int = DEFAULT_REPLICATIONS,
-    seed=0,
-    name: str = "mecke",
-):
+def check_mecke(engine, h, trunc: TruncatedStateSpace | None = None):
     """Verify E int h(eta, x) eta(dx) = E int h(eta + delta_x, x) lambda(dx).
 
     ``engine`` is a SemigroupEngine, whose states the check runs on. The
-    older form passes a GroundSpace instead, with ``trunc``, ``mode``,
-    ``replications`` and ``seed`` as for the engine, and builds that engine
-    first; with an engine those four are ignored.
+    older form passes a GroundSpace instead, with ``trunc``, and runs on an
+    exact engine built on them; with an engine ``trunc`` is ignored.
 
     ``h`` is either a Functional F, meaning h(eta, x) = F(eta), or a callable
     mapping (counts row, atom index) to a real, evaluated one state at a
@@ -149,8 +140,7 @@ def check_mecke(
     if isinstance(engine, GroundSpace):
         from .semigroup import SemigroupEngine
 
-        engine = SemigroupEngine(engine, trunc, mode=mode,
-                                 replications=replications, seed=seed)
+        engine = SemigroupEngine(engine, trunc)
     space = engine.space
     lam = space.weight_array()
     if engine.mode == "exact":
@@ -178,7 +168,7 @@ def check_mecke(
             sup_h = max(sup_h, float(np.max(np.abs(table))))
         tol = engine.tolerance(sup_h * (1.0 + space.total_mass))
         return make_report(
-            name, lhs, rhs, tolerance=tol, equality_form=True,
+            "mecke", lhs, rhs, tolerance=tol, equality_form=True,
             parameters={"mode": "exact"},
         )
     samples = tuple(engine.samples.T)
@@ -212,6 +202,6 @@ def check_mecke(
         raise NonFiniteValueError("h produced a non-finite value")
     mean = float(diffs.mean())
     return make_report(
-        name, mean, 0.0, stderr=stderr, equality_form=True,
+        "mecke", mean, 0.0, stderr=stderr, equality_form=True,
         parameters={"mode": "mc", "replications": replications},
     )

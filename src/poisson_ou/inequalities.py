@@ -63,21 +63,22 @@ def _variance_tolerance(engine, sup: float) -> float:
     return engine.tolerance(overflow_to_inf(lambda: sup**2 * (1 + engine.space.total_mass)))
 
 
-def check_poincare(engine, F, name="poincare"):
+def check_poincare(engine, F):
     """Var(F) <= sum_i lam_i E[(D_i F)^2]; holds for every F, no gate."""
     if engine.mode == "exact":
         lhs = variance(engine, F)
         rhs = gamma_expectation(engine, F)
         sup = float(np.max(np.abs(engine.tabulate(F))))
-        return make_report(name, lhs, rhs, tolerance=_variance_tolerance(engine, sup))
+        tol = _variance_tolerance(engine, sup)
+        return make_report("poincare", lhs, rhs, tolerance=tol)
     lhs, se_l = variance(engine, F)
     rhs, se_r = gamma_expectation(engine, F)
-    return make_report(name, lhs, rhs, stderr=math.hypot(se_l, se_r))
+    return make_report("poincare", lhs, rhs, stderr=math.hypot(se_l, se_r))
 
 
-def check_modified_lsi(engine, F, name="modified-lsi"):
+def check_modified_lsi(engine, F):
     """Ent(F) <= sum_i lam_i E[Phi(F(.+e_i)) - Phi(F) - (log F + 1) D_i F]."""
-    engine._require_exact(name)
+    engine._require_exact("modified-lsi")
     table = engine.tabulate(F)
     if np.min(table) <= 0.0:
         raise PreconditionError("modified LSI needs F > 0 on the probed states")
@@ -93,12 +94,12 @@ def check_modified_lsi(engine, F, name="modified-lsi"):
     rhs = engine.atom_sum(term)
     scale = float(np.max(np.abs(phi_table))) + float(np.max(np.abs(table)))
     tol = engine.tolerance(scale * (1 + engine.space.total_mass))
-    return make_report(name, lhs, rhs, tolerance=tol)
+    return make_report("modified-lsi", lhs, rhs, tolerance=tol)
 
 
-def check_min_form_lsi(engine, F, name="min-form-lsi"):
+def check_min_form_lsi(engine, F):
     """Ent(F) <= sum_i lam_i E[min((D_i F)^2 / F, D_i F * D_i log F)]."""
-    engine._require_exact(name)
+    engine._require_exact("min-form-lsi")
     table = engine.tabulate(F)
     if np.min(table) <= 0.0:
         raise PreconditionError("min-form LSI needs F > 0 on the probed states")
@@ -114,7 +115,7 @@ def check_min_form_lsi(engine, F, name="min-form-lsi"):
     rhs = engine.atom_sum(term)
     scale = float(np.max(np.abs(table * (1 + np.abs(log_table)))))
     tol = engine.tolerance(scale * (1 + engine.space.total_mass))
-    return make_report(name, lhs, rhs, tolerance=tol)
+    return make_report("min-form-lsi", lhs, rhs, tolerance=tol)
 
 
 #: q*log(a/b) beyond which the sides exceed the float range for small b
@@ -220,9 +221,9 @@ def pathwise_lemma_sweep(n, seed=0):
     return int(np.count_nonzero(_pathwise_eval(a, b, q)[4]))
 
 
-def check_entropy_power(engine, G, q, name="entropy-power", bypass_hypotheses=False):
+def check_entropy_power(engine, G, q, bypass_hypotheses=False):
     """Ent(G^q) <= q^2/(q-1) * E[Gamma(G^{q-1}, G)] for G >= 0 non-increasing."""
-    engine._require_exact(name)
+    engine._require_exact("entropy-power")
     if not q > 1:
         raise ValueError("q must exceed 1")
     table = engine.tabulate(G)
@@ -239,18 +240,17 @@ def check_entropy_power(engine, G, q, name="entropy-power", bypass_hypotheses=Fa
         lhs = entropy(engine, from_table(table**q, name=f"{G.name}^{q:g}")).value
         rhs = engine.atom_sum(term) * (q**2 / (q - 1.0))
         scale = float(np.max(table) ** q) * (1 + engine.space.total_mass) * q**2 / (q - 1)
+    lhs, rhs = _finite_sides("entropy-power", lhs, rhs)
     return make_report(
-        name, *_finite_sides(name, lhs, rhs), tolerance=engine.tolerance(scale),
+        "entropy-power", lhs, rhs, tolerance=engine.tolerance(scale),
         certificates=certs, parameters={"q": q},
         hypothesis_met=bypass_hypotheses or all(c.valid for c in certs),
     )
 
 
-def check_restricted_hypercontractivity(
-    engine, F, t, p, name="restricted-hypercontractivity", bypass_hypotheses=False
-):
+def check_restricted_hypercontractivity(engine, F, t, p, bypass_hypotheses=False):
     """||P_t F||_{1 + (p-1) e^t} <= ||F||_p for F >= 0 with DF <= 0."""
-    engine._require_exact(name)
+    engine._require_exact("restricted-hypercontractivity")
     if not p > 1:
         raise ValueError("p must exceed 1")
     if t < 0:
@@ -263,15 +263,15 @@ def check_restricted_hypercontractivity(
     rhs = lp_norm(engine, F, p).value
     scale = max(1.0, float(np.max(np.abs(table))))
     return make_report(
-        name, lhs, rhs, tolerance=engine.tolerance(scale),
+        "restricted-hypercontractivity", lhs, rhs, tolerance=engine.tolerance(scale),
         certificates=certs, parameters={"t": t, "p": p, "q(t)": q_t},
         hypothesis_met=bypass_hypotheses or (nonneg and all(c.valid for c in certs)),
     )
 
 
-def check_weak_hypercontractivity(engine, F, t, name="weak-hypercontractivity"):
+def check_weak_hypercontractivity(engine, F, t):
     """||exp(P_t F)||_{e^t} <= ||exp(F)||_1 for bounded F of any sign; no gate."""
-    engine._require_exact(name)
+    engine._require_exact("weak-hypercontractivity")
     table = engine.tabulate(F)
     # before the sides: where exp(max|F|) is beyond doubles, exp(F) overflows too
     tol = engine.tolerance(overflow_to_inf(lambda: math.exp(float(np.max(np.abs(table))))))
@@ -281,7 +281,8 @@ def check_weak_hypercontractivity(engine, F, t, name="weak-hypercontractivity"):
     with np.errstate(over="ignore", invalid="ignore"):
         lhs = engine.expect_table(np.exp(q_t * pt)) ** (1.0 / q_t)
         rhs = engine.expect_table(np.exp(table))
-    return make_report(name, *_finite_sides(name, lhs, rhs), tolerance=tol,
+    lhs, rhs = _finite_sides("weak-hypercontractivity", lhs, rhs)
+    return make_report("weak-hypercontractivity", lhs, rhs, tolerance=tol,
                        parameters={"t": t})
 
 
@@ -334,23 +335,23 @@ def _talagrand_certs(engine, F):
     return tried, False
 
 
-def check_talagrand(engine, F, name="talagrand", bypass_hypotheses=False):
+def check_talagrand(engine, F, bypass_hypotheses=False):
     """Var(F) <= the L1-L2 bound, gated on (DF>=0, D2F<=0) or (DF<=0, D2F>=0)."""
-    engine._require_exact(name)
+    engine._require_exact("talagrand")
     certs, met = _talagrand_certs(engine, F)
     lhs = variance(engine, F)
     rhs = talagrand_bound(engine, F)
     sup = float(np.max(np.abs(engine.tabulate(F))))
     return make_report(
-        name, lhs, rhs, tolerance=_variance_tolerance(engine, sup),
+        "talagrand", lhs, rhs, tolerance=_variance_tolerance(engine, sup),
         certificates=certs, hypothesis_met=bypass_hypotheses or met,
     )
 
 
-def l1_variance_bound(engine, F, name="l1-variance", bypass_hypotheses=False):
+def l1_variance_bound(engine, F, bypass_hypotheses=False):
     """Var(F) <= 11 (2||F||_inf)^alpha * sum_i lam_i B(E|D_i F|), where B is
     2/(1 + log(1/x)) for x <= 1 and x for x >= 1 (min of both at x = 1)."""
-    engine._require_exact(name)
+    engine._require_exact("l1-variance")
     table = engine.tabulate(F)
     sup = float(np.max(np.abs(engine.interior(table))))
     if not np.all(np.isfinite(table)):
@@ -370,21 +371,19 @@ def l1_variance_bound(engine, F, name="l1-variance", bypass_hypotheses=False):
     rhs = 11.0 * (2.0 * sup) ** alpha * engine.atom_sum(term)
     lhs = variance(engine, F)
     return make_report(
-        name, lhs, rhs, tolerance=_variance_tolerance(engine, sup),
+        "l1-variance", lhs, rhs, tolerance=_variance_tolerance(engine, sup),
         certificates=certs, parameters={"alpha": alpha},
         hypothesis_met=bypass_hypotheses or met,
     )
 
 
-def check_concentration(
-    engine, F, thresholds, name="concentration", bypass_hypotheses=False
-):
+def check_concentration(engine, F, thresholds, bypass_hypotheses=False):
     """P[F - E F > t] <= exp(-t^2 / (2 alpha^2)) with alpha^2 = sup sum_i lam_i (D_i F)^2.
 
     Gated on DF <= 0. The report's lhs/rhs are the worst (tail - bound) pair
     over the threshold grid; per-threshold values sit in the parameters.
     """
-    engine._require_exact(name)
+    engine._require_exact("concentration")
     certs = [certify_monotonicity(engine, F, PROP_DF_LE0)]
     table = engine.tabulate(F)
     sq = grids.weighted_sq_diffs(table, engine.space.weights)
@@ -403,7 +402,7 @@ def check_concentration(
     params = {"alpha^2": alpha_sq}
     params.update({k: f"{v[0]:.6g}<={v[1]:.6g}" for k, v in pairs.items()})
     return make_report(
-        name, worst_lhs, worst_rhs, tolerance=engine.tolerance(1.0),
+        "concentration", worst_lhs, worst_rhs, tolerance=engine.tolerance(1.0),
         certificates=certs, parameters=params,
         hypothesis_met=bypass_hypotheses or all(c.valid for c in certs),
     )
@@ -434,7 +433,7 @@ def lsi_failure_ratios(k_max: int) -> np.ndarray:
     return ratios
 
 
-def check_lsi_failure(k_max=50, name="lsi-failure"):
+def check_lsi_failure(k_max=50):
     """Report the unboundedness of the would-be log-Sobolev constant.
 
     Verdict "holds" means the failure is confirmed: the ratio sequence is
@@ -445,7 +444,8 @@ def check_lsi_failure(k_max=50, name="lsi-failure"):
     increasing = bool(np.all(np.diff(ratios[half:]) > 0))
     mid, last = float(ratios[half]), float(ratios[-1])
     return make_report(
-        name, mid, last,  # the end of the sequence must exceed its midpoint value
+        # the end of the sequence must exceed its midpoint value
+        "lsi-failure", mid, last,
         tolerance=0.0,
         parameters={
             "k_max": k_max,

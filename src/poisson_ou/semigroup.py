@@ -22,7 +22,7 @@ from scipy.special import _ufuncs
 
 from . import grids
 from .errors import BudgetExceededError, NonFiniteValueError, PreconditionError
-from .functionals import Functional, from_table
+from .functionals import Functional, from_table, gamma_expectation
 from .ground import (
     DEFAULT_REPLICATIONS,
     GroundSpace,
@@ -203,15 +203,16 @@ class SemigroupEngine:
 
     # ------------------------------------------------------------ tolerance
 
-    def tolerance(self, *scales) -> float:
-        """Exact-mode tolerance: 10 * tail_mass * (scale of the quantity).
+    def tolerance(self, scale) -> float:
+        """Exact-mode tolerance: 10 * tail_mass * max(1, |scale|), for the
+        scale of the quantity.
 
-        Raises NonFiniteValueError when a scale, or the tolerance, is not a
+        Raises NonFiniteValueError when the scale, or the tolerance, is not a
         finite double: no verdict can be stated on that quantity.
         """
-        sizes = [abs(float(s)) for s in scales]
-        tol = 10.0 * self.trunc.tail_mass * max([1.0] + sizes)
-        if not all(math.isfinite(x) for x in sizes + [tol]):
+        size = abs(float(scale))
+        tol = 10.0 * self.trunc.tail_mass * max(1.0, size)
+        if not (math.isfinite(size) and math.isfinite(tol)):
             raise NonFiniteValueError("the tolerance scale is not a finite double")
         return tol
 
@@ -307,35 +308,32 @@ def _generator_of_table(engine: SemigroupEngine, table: np.ndarray) -> np.ndarra
     out = np.zeros(reduced)
     lam = engine.space.weight_array()
     counts = np.indices(reduced, sparse=True)
+    base = grids.trim_to(table, reduced)
     for i in range(engine.space.atom_count):
-        diff = grids.trim_to(grids.diff_axis(table, i), reduced)
-        out += lam[i] * diff
+        out += lam[i] * grids.trim_to(grids.diff_axis(table, i), reduced)
+        # F(c - e_i) - F(c) where c_i >= 1, and 0 where c_i = 0
         down = np.zeros(reduced)
-        idx_hi = [slice(0, s) for s in reduced]
-        idx_hi[i] = slice(1, reduced[i])
-        idx_lo = [slice(0, s) for s in reduced]
-        idx_lo[i] = slice(0, reduced[i] - 1)
-        base = grids.trim_to(table, reduced)
-        down[tuple(idx_hi)] = base[tuple(idx_lo)] - base[tuple(idx_hi)]
+        grids.shift_up(down, i)[...] = -grids.diff_axis(base, i)
         out += counts[i] * down
     return out
 
 
-def mean_preservation_check(engine, F, t, name="mean-preservation"):
+def mean_preservation_check(engine, F, t):
     """E[P_t F] = E[F], exact tolerance 10 * tail_mass * sup|F|."""
-    engine._require_exact(name)
+    engine._require_exact("mean-preservation")
     table = engine.tabulate(F)
     lhs = engine.expect_table(engine.apply_table(table, t))
     rhs = engine.expect_table(table)
     tol = engine.tolerance(np.max(np.abs(table)))
     return make_report(
-        name, lhs, rhs, tolerance=tol, equality_form=True, parameters={"t": t}
+        "mean-preservation", lhs, rhs, tolerance=tol, equality_form=True,
+        parameters={"t": t},
     )
 
 
-def commutation_check(engine, F, t, name="commutation"):
+def commutation_check(engine, F, t):
     """max over interior states and atoms of |D_i(P_t F) - e^-t P_t(D_i F)|."""
-    engine._require_exact(name)
+    engine._require_exact("commutation")
     table = engine.tabulate(F)
     pt = engine.apply_table(table, t)
     worst = 0.0
@@ -346,31 +344,32 @@ def commutation_check(engine, F, t, name="commutation"):
         worst = max(worst, float(np.max(resid)))
     tol = engine.tolerance(np.max(np.abs(table)))
     return make_report(
-        name, worst, 0.0, tolerance=tol, equality_form=True, parameters={"t": t}
+        "commutation", worst, 0.0, tolerance=tol, equality_form=True,
+        parameters={"t": t},
     )
 
 
-def semigroup_property_check(engine, F, s, t, name="semigroup-property"):
+def semigroup_property_check(engine, F, s, t):
     """max over interior states of |P_s P_t F - P_{s+t} F|."""
-    engine._require_exact(name)
+    engine._require_exact("semigroup-property")
     table = engine.tabulate(F)
     two_step = engine.apply_table(engine.apply_table(table, t), s)
     one_step = engine.apply_table(table, s + t)
     worst = float(np.max(np.abs(engine.interior(two_step - one_step))))
     tol = engine.tolerance(np.max(np.abs(table)))
     return make_report(
-        name, worst, 0.0, tolerance=tol, equality_form=True,
+        "semigroup-property", worst, 0.0, tolerance=tol, equality_form=True,
         parameters={"s": s, "t": t},
     )
 
 
-def generator_check(engine, F, h, name="generator"):
+def generator_check(engine, F, h):
     """Compare (P_h F - F)/h with the birth-death form of L; deviation is O(h).
 
     rhs is the first-order error bound h * sup|L(LF)| over the interior,
     evaluated with the same birth-death form.
     """
-    engine._require_exact(name)
+    engine._require_exact("generator")
     if not h > 0:
         raise ValueError("h must be positive")
     table = engine.tabulate(F)
@@ -382,14 +381,12 @@ def generator_check(engine, F, h, name="generator"):
     scale = float(np.max(np.abs(engine.interior(llf))))
     rhs = h * scale
     tol = engine.tolerance(np.max(np.abs(table))) + 1e-12 * scale
-    return make_report(name, lhs, rhs, tolerance=tol, parameters={"h": h})
+    return make_report("generator", lhs, rhs, tolerance=tol, parameters={"h": h})
 
 
-def symmetry_check(engine, F, G, name="generator-symmetry"):
+def symmetry_check(engine, F, G):
     """E[F LG] = E[G LF] = -E[Gamma(F, G)], three-way within truncation slack."""
-    from .functionals import gamma_expectation
-
-    engine._require_exact(name)
+    engine._require_exact("generator-symmetry")
     tf = engine.tabulate(F)
     tg = engine.tabulate(G)
     lf = generator_table(engine, F)
@@ -403,14 +400,14 @@ def symmetry_check(engine, F, G, name="generator-symmetry"):
     scale = float(np.max(np.abs(tf)) * np.max(np.abs(tg)))
     tol = engine.tolerance(scale * (1.0 + engine.space.total_mass))
     return make_report(
-        name, worst, 0.0, tolerance=tol, equality_form=True,
+        "generator-symmetry", worst, 0.0, tolerance=tol, equality_form=True,
         parameters={"E[FLG]": e_flg, "E[GLF]": e_glf, "E[Gamma]": e_gamma},
     )
 
 
-def pointwise_gradient_check(engine, F, t, name="pointwise-gradient"):
+def pointwise_gradient_check(engine, F, t):
     """|D_i(P_t F)| <= 2 e^-t over interior states, for ||F||_inf <= 1."""
-    engine._require_exact(name)
+    engine._require_exact("pointwise-gradient")
     table = engine.tabulate(F)
     sup = float(np.max(np.abs(table)))
     if sup > 1.0 + 1e-12:
@@ -423,13 +420,14 @@ def pointwise_gradient_check(engine, F, t, name="pointwise-gradient"):
         )
     rhs = 2.0 * math.exp(-t)
     return make_report(
-        name, worst, rhs, tolerance=engine.tolerance(1.0), parameters={"t": t}
+        "pointwise-gradient", worst, rhs, tolerance=engine.tolerance(1.0),
+        parameters={"t": t},
     )
 
 
-def integrated_gradient_check(engine, F, t, p, name="integrated-gradient"):
+def integrated_gradient_check(engine, F, t, p):
     """|| |D P_t F|_{L2(lambda)} ||_p <= e^-t / sqrt(1 - e^-t) * ||F||_p, p >= 2."""
-    engine._require_exact(name)
+    engine._require_exact("integrated-gradient")
     p = float(p)
     if p < 2.0:
         raise ValueError("p must be in [2, inf]")
@@ -445,4 +443,5 @@ def integrated_gradient_check(engine, F, t, p, name="integrated-gradient"):
         rhs_norm = lp_norm(engine, F, p).value
     rhs = math.exp(-t) / math.sqrt(1.0 - math.exp(-t)) * rhs_norm
     tol = engine.tolerance(rhs_norm)
-    return make_report(name, lhs, rhs, tolerance=tol, parameters={"t": t, "p": p})
+    return make_report("integrated-gradient", lhs, rhs, tolerance=tol,
+                       parameters={"t": t, "p": p})

@@ -122,7 +122,7 @@ def test_criterion_4_talagrand_on_cumulative_family():
     for lam in range(1, 21):
         engine = engine_for(float(lam))
         for M in range(0, 11):
-            rep = check_talagrand(engine, indicator_family(M, float(lam)))
+            rep = check_talagrand(engine, indicator_family(M))
             if rep.verdict != "holds":
                 family_ok = False
     # atomwise bound-vs-Poincare comparison on gated corpus members; the
@@ -194,7 +194,7 @@ def test_criterion_6_maxima_example():
         closed_ok &= abs(forms["poincare_rhs"] - m * em) <= 1e-12
         closed_ok &= abs(forms["log_norm_ratio"] - m / 2.0) <= 1e-12
     tail = lambda r: min(1.0, math.exp(-r))
-    model = MaximaModel(m=1.0, mode="monte-carlo", radial_tail=tail)
+    model = MaximaModel(m=1.0, radial_tail=tail)
     out = maxima_monte_carlo(model, n_points_intensity=8.0, t=2.0,
                              replications=100_000, seed=1)
     mc_ok = True

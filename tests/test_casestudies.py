@@ -82,7 +82,7 @@ class TestMaxima:
 
     def test_monte_carlo_routes_agree(self):
         tail = lambda r: min(1.0, math.exp(-r))
-        model = MaximaModel(m=1.0, mode="monte-carlo", radial_tail=tail)
+        model = MaximaModel(m=1.0, radial_tail=tail)
         out = maxima_monte_carlo(model, n_points_intensity=10.0, t=2.3,
                                  replications=100_000, seed=0)
         closed = out["closed_forms"]
@@ -104,14 +104,14 @@ class TestMaxima:
 
 class TestOneDimFamily:
     def test_cumulative_values(self):
-        G = one_dim_cumulative(lambda j: 1.0 if j <= 1 else 0.0, 1.0)
+        G = one_dim_cumulative(lambda j: 1.0 if j <= 1 else 0.0)
         assert [G((n,)) for n in range(5)] == [0.0, 1.0, 2.0, 2.0, 2.0]
 
     def test_rejects_bad_g(self):
         with pytest.raises(PreconditionError):
-            one_dim_cumulative(lambda j: -1.0, 1.0)
+            one_dim_cumulative(lambda j: -1.0)
         with pytest.raises(PreconditionError):
-            one_dim_cumulative(lambda j: float(j), 1.0)
+            one_dim_cumulative(lambda j: float(j))
 
     def test_norms_closed_form_indicator(self):
         # ||g(X)||_1 = P(X <= M) = e^-lam (1 + lam) for M = 1
@@ -156,7 +156,7 @@ class TestOneDimFamily:
         assert out["talagrand_rhs_engine"] == pytest.approx(
             rec["talagrand_rhs"], rel=1e-10
         )
-        rep = check_talagrand(engine, indicator_family(M, lam))
+        rep = check_talagrand(engine, indicator_family(M))
         assert rep.verdict == "holds"
 
 

@@ -122,6 +122,33 @@ class TestDispatch:
         ]
 
 
+class TestBenchmarkNames:
+    def test_tracer_and_space_form_mecke(self, monkeypatch):
+        # bench/layers.py wraps library names in place (a missing one raises
+        # KeyError there) and bench/selftest.py calls the space form of
+        # check_mecke; the benchmark itself is not part of this suite
+        monkeypatch.syspath_prepend(str(ROOT / "bench"))
+        import checks
+        from layers import Tracer
+
+        from poisson_ou import dsl, ground
+
+        params = {"weights": [0.3, 0.7], "rates": [0.4, 1.1]}
+        space = GroundSpace(tuple(params["weights"]))
+        trunc = TruncatedStateSpace.from_tail_mass(space)
+        F = dsl.functional_from_text("exp_neg(0.4, 0) + exp_neg(1.1, 1)")
+        tracer = Tracer()
+        tracer.install()
+        try:
+            mecke = ground.check_mecke(space, lambda c, i: F(c), trunc=trunc)
+        finally:
+            tracer.uninstall()
+        assert cli.check_mecke is ground.check_mecke
+        moments = checks.functional_moments(params)["expsum"]
+        assert math.isclose(mecke.lhs, moments["mecke_lhs"], rel_tol=1e-9)
+        assert math.isclose(mecke.rhs, moments["mecke_rhs"], rel_tol=1e-9)
+
+
 class TestExitCodes:
     def test_empty_check_list(self, tmp_path):
         path = write_config(tmp_path, base_config(checks=[]))

@@ -153,8 +153,8 @@ class TestMecke:
     def test_mc_mode_agrees(self):
         space = GroundSpace((1.0, 0.5))
         report = check_mecke(
-            space, lambda c, i: math.exp(-0.2 * float(np.asarray(c)[i])),
-            mode="mc", replications=50_000, seed=7,
+            SemigroupEngine(space, mode="mc", replications=50_000, seed=7),
+            lambda c, i: math.exp(-0.2 * float(np.asarray(c)[i])),
         )
         assert report.verdict in ("holds", "holds-within-stat-error")
         assert report.stderr is not None and report.stderr > 0

@@ -16,7 +16,6 @@ from poisson_ou import (
     SemigroupEngine,
     TruncatedStateSpace,
     apply_semigroup,
-    check_mecke,
     commutation_check,
     expectation,
     from_rule,
@@ -244,8 +243,6 @@ class TestEngineModes:
         space = GroundSpace((1.0,))
         with pytest.raises(ValueError, match="at least 2 replications"):
             SemigroupEngine(space, mode="mc", replications=replications)
-        with pytest.raises(ValueError, match="at least 2 replications"):
-            check_mecke(space, lambda c, i: 1.0, mode="mc", replications=replications)
         # exact mode has no use for the field
         assert SemigroupEngine(space, replications=replications).mode == "exact"
 
