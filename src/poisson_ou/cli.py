@@ -152,10 +152,6 @@ def load_config(path: str) -> dict:
         return json.load(handle)
 
 
-def dump_config(config: dict) -> str:
-    return json.dumps(config, indent=2, sort_keys=True)
-
-
 def _param_grid(params: dict):
     """Cartesian product over any list-valued parameters, in sorted key order."""
     keys = sorted(params)

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 import re
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,12 +39,22 @@ class DslError(ValueError):
         self.column = column
 
 
+@dataclass(frozen=True)
+class Builtin:
+    arity: int
+    #: position of the atom index among the arguments
+    atom_arg: int
+    #: value(n, *rest): the value at count n of that atom, given the other
+    #: arguments in order
+    value: Callable[..., float]
+
+
 BUILTINS = {
-    "count": 1,
-    "indicator_le": 2,
-    "exp_neg": 2,
-    "cumsum_g": 2,
-    "max_radius_gt": 1,
+    "count": Builtin(1, 0, lambda n: float(n)),
+    "indicator_le": Builtin(2, 0, lambda n, k: 1.0 if n <= k else 0.0),
+    "exp_neg": Builtin(2, 1, lambda n, a: math.exp(-a * n)),
+    "cumsum_g": Builtin(2, 0, lambda n, m: float(min(int(n), int(m) + 1))),
+    "max_radius_gt": Builtin(1, 0, lambda n: 1.0 if n >= 1 else 0.0),
 }
 
 
@@ -178,8 +189,9 @@ class _Parser:
             else:
                 break
         self.take("punct", ")")
-        if len(args) != BUILTINS[name]:
-            self.error(f"{name} takes {BUILTINS[name]} argument(s), got {len(args)}")
+        arity = BUILTINS[name].arity
+        if len(args) != arity:
+            self.error(f"{name} takes {arity} argument(s), got {len(args)}")
         return Term(1.0, name, tuple(args))
 
 
@@ -212,29 +224,13 @@ def serialize(expr: Expr) -> str:
     return " ".join(pieces)
 
 
-def _term_value(term: Term, c) -> float:
-    if term.func == "count":
-        return float(c[int(term.args[0])])
-    if term.func == "indicator_le":
-        return 1.0 if c[int(term.args[0])] <= term.args[1] else 0.0
-    if term.func == "exp_neg":
-        return math.exp(-term.args[0] * c[int(term.args[1])])
-    if term.func == "cumsum_g":
-        n = int(c[int(term.args[0])])
-        return float(min(n, int(term.args[1]) + 1))
-    if term.func == "max_radius_gt":
-        return 1.0 if c[int(term.args[0])] >= 1 else 0.0
-    raise ValueError(f"unknown builtin {term.func!r}")
-
-
-#: position of the atom index among each builtin's arguments
-_AXIS_ARG = {
-    "count": 0,
-    "indicator_le": 0,
-    "exp_neg": 1,
-    "cumsum_g": 0,
-    "max_radius_gt": 0,
-}
+def _reader(term: Term):
+    """(atom, f): the atom the term reads and f(n), the term's value
+    (coefficient included) at count n of that atom."""
+    builtin = BUILTINS[term.func]
+    k = builtin.atom_arg
+    rest = term.args[:k] + term.args[k + 1:]
+    return int(term.args[k]), lambda n: term.coeff * builtin.value(n, *rest)
 
 
 class BatchRule:
@@ -244,30 +240,26 @@ class BatchRule:
 
     Every builtin reads one atom's count, so each term is a 1-D line of its
     values at counts 0..n (coefficient included), filled by the scalar
-    ``_term_value`` and extended on demand. Each term gathers its line at
-    ``counts[axis]`` alone, so on a sparse grid it reads one axis, and the
-    terms are added in term order, broadcast over all states, as the scalar
-    rule adds them: both give the same floats bit for bit. A negative count
-    that a term reads raises ValueError.
+    function that the rule calls (``_reader``) and extended on demand. Each
+    term gathers its line at ``counts[axis]`` alone, so on a sparse grid it
+    reads one axis, and the terms are added in term order, broadcast over
+    all states, as the scalar rule adds them: both give the same floats bit
+    for bit. A negative count that a term reads raises ValueError.
     """
 
     def __init__(self, expr: Expr):
         self.const = expr.const
-        self.terms = expr.terms
+        readers = [_reader(t) for t in expr.terms]
         #: atom index read by each term
-        self.axes = tuple(int(t.args[_AXIS_ARG[t.func]]) for t in expr.terms)
-        self._lines = [np.empty(0) for _ in expr.terms]
+        self.axes = tuple(axis for axis, _ in readers)
+        self._values = [value for _, value in readers]
+        self._lines = [np.empty(0) for _ in readers]
 
     def _line(self, k: int, top: int) -> np.ndarray:
         line = self._lines[k]
         if top >= line.size:
-            term, axis = self.terms[k], self.axes[k]
-            c = [0] * (axis + 1)
-            values = []
-            for n in range(line.size, max(top + 1, 2 * line.size)):
-                c[axis] = n
-                values.append(term.coeff * _term_value(term, c))
-            line = self._lines[k] = np.concatenate([line, values])
+            more = map(self._values[k], range(line.size, max(top + 1, 2 * line.size)))
+            line = self._lines[k] = np.concatenate([line, list(more)])
         return line
 
     def __call__(self, counts) -> np.ndarray:
@@ -288,15 +280,15 @@ class BatchRule:
 
 def to_functional(expr: Expr, name: str | None = None) -> Functional:
     """Compile an expression to a functional with a scalar rule and its array form."""
-    terms = expr.terms
+    readers = [_reader(t) for t in expr.terms]
     const = expr.const
 
     def rule(c):
         # an explicit loop, not sum(): from Python 3.12 sum() of floats is
         # compensated and would stop matching the array form's plain adds
         total = 0.0
-        for t in terms:
-            total += t.coeff * _term_value(t, c)
+        for axis, value in readers:
+            total += value(c[axis])
         return const + total
 
     return Functional(rule=rule, batch=BatchRule(expr), name=name or serialize(expr))

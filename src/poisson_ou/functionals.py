@@ -73,7 +73,7 @@ class Functional:
         bad = ~np.isfinite(out)
         if self.bounded_by is not None:
             bad |= np.abs(out) > self.bounded_by + 1e-12
-        if np.any(bad):
+        if bad.any():
             first = np.unravel_index(int(np.flatnonzero(bad)[0]), bad.shape)
             state = tuple(int(np.broadcast_to(x, bad.shape)[first]) for x in c)
             if not np.isfinite(out[first]):

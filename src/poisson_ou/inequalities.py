@@ -78,7 +78,6 @@ def check_poincare(engine, F):
 
 def check_modified_lsi(engine, F):
     """Ent(F) <= sum_i lam_i E[Phi(F(.+e_i)) - Phi(F) - (log F + 1) D_i F]."""
-    engine._require_exact("modified-lsi")
     table = engine.tabulate(F)
     if np.min(table) <= 0.0:
         raise PreconditionError("modified LSI needs F > 0 on the probed states")
@@ -99,7 +98,6 @@ def check_modified_lsi(engine, F):
 
 def check_min_form_lsi(engine, F):
     """Ent(F) <= sum_i lam_i E[min((D_i F)^2 / F, D_i F * D_i log F)]."""
-    engine._require_exact("min-form-lsi")
     table = engine.tabulate(F)
     if np.min(table) <= 0.0:
         raise PreconditionError("min-form LSI needs F > 0 on the probed states")
@@ -223,7 +221,6 @@ def pathwise_lemma_sweep(n, seed=0):
 
 def check_entropy_power(engine, G, q, bypass_hypotheses=False):
     """Ent(G^q) <= q^2/(q-1) * E[Gamma(G^{q-1}, G)] for G >= 0 non-increasing."""
-    engine._require_exact("entropy-power")
     if not q > 1:
         raise ValueError("q must exceed 1")
     table = engine.tabulate(G)
@@ -250,11 +247,8 @@ def check_entropy_power(engine, G, q, bypass_hypotheses=False):
 
 def check_restricted_hypercontractivity(engine, F, t, p, bypass_hypotheses=False):
     """||P_t F||_{1 + (p-1) e^t} <= ||F||_p for F >= 0 with DF <= 0."""
-    engine._require_exact("restricted-hypercontractivity")
     if not p > 1:
         raise ValueError("p must exceed 1")
-    if t < 0:
-        raise ValueError("negative time")
     table = engine.tabulate(F)
     nonneg = float(np.min(table)) >= 0.0
     certs = [certify_monotonicity(engine, F, PROP_DF_LE0)]
@@ -271,7 +265,6 @@ def check_restricted_hypercontractivity(engine, F, t, p, bypass_hypotheses=False
 
 def check_weak_hypercontractivity(engine, F, t):
     """||exp(P_t F)||_{e^t} <= ||exp(F)||_1 for bounded F of any sign; no gate."""
-    engine._require_exact("weak-hypercontractivity")
     table = engine.tabulate(F)
     # before the sides: where exp(max|F|) is beyond doubles, exp(F) overflows too
     tol = engine.tolerance(overflow_to_inf(lambda: math.exp(float(np.max(np.abs(table))))))
@@ -310,7 +303,6 @@ def talagrand_bound(engine, F) -> float:
     equals the Poincare right-hand side). Atoms with ||D_i F||_2 = 0
     contribute 0.
     """
-    engine._require_exact("the Talagrand bound")
     table = engine.tabulate(F)
     lam = engine.space.weight_array()
     total = 0.0
@@ -337,11 +329,10 @@ def _talagrand_certs(engine, F):
 
 def check_talagrand(engine, F, bypass_hypotheses=False):
     """Var(F) <= the L1-L2 bound, gated on (DF>=0, D2F<=0) or (DF<=0, D2F>=0)."""
-    engine._require_exact("talagrand")
+    sup = float(np.max(np.abs(engine.tabulate(F))))
     certs, met = _talagrand_certs(engine, F)
     lhs = variance(engine, F)
     rhs = talagrand_bound(engine, F)
-    sup = float(np.max(np.abs(engine.tabulate(F))))
     return make_report(
         "talagrand", lhs, rhs, tolerance=_variance_tolerance(engine, sup),
         certificates=certs, hypothesis_met=bypass_hypotheses or met,
@@ -351,7 +342,6 @@ def check_talagrand(engine, F, bypass_hypotheses=False):
 def l1_variance_bound(engine, F, bypass_hypotheses=False):
     """Var(F) <= 11 (2||F||_inf)^alpha * sum_i lam_i B(E|D_i F|), where B is
     2/(1 + log(1/x)) for x <= 1 and x for x >= 1 (min of both at x = 1)."""
-    engine._require_exact("l1-variance")
     table = engine.tabulate(F)
     sup = float(np.max(np.abs(engine.interior(table))))
     if not np.all(np.isfinite(table)):
@@ -383,9 +373,8 @@ def check_concentration(engine, F, thresholds, bypass_hypotheses=False):
     Gated on DF <= 0. The report's lhs/rhs are the worst (tail - bound) pair
     over the threshold grid; per-threshold values sit in the parameters.
     """
-    engine._require_exact("concentration")
-    certs = [certify_monotonicity(engine, F, PROP_DF_LE0)]
     table = engine.tabulate(F)
+    certs = [certify_monotonicity(engine, F, PROP_DF_LE0)]
     sq = grids.weighted_sq_diffs(table, engine.space.weights)
     alpha_sq = float(np.max(engine.interior(sq)))
     mean = engine.expect_table(table)

@@ -12,7 +12,6 @@ from poisson_ou.cli import (
     CHECK_CATALOG,
     DEMO_TAG,
     build_parser,
-    dump_config,
     format_report_line,
     list_checks,
     load_config,
@@ -527,11 +526,6 @@ class TestDeterminism:
         report = (tmp_path / "out" / "report.txt").read_text(encoding="utf-8")
         assert f"tag={DEMO_TAG}" in report
         assert "verdict=violated" in report
-
-    def test_config_round_trip(self):
-        config = load_config(str(REPO_CONFIG))
-        assert json.loads(dump_config(config)) == config
-        assert json.loads(dump_config(json.loads(dump_config(config)))) == config
 
 
 class TestReportFormat:

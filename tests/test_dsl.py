@@ -105,7 +105,7 @@ class TestRoundTrip:
         terms = []
         for coeff in coeffs:
             name = rng.choice(sorted(BUILTINS))
-            args = tuple(float(rng.randint(0, 5)) for _ in range(BUILTINS[name]))
+            args = tuple(float(rng.randint(0, 5)) for _ in range(BUILTINS[name].arity))
             terms.append(Term(coeff, name, args))
         e = Expr(const=const, terms=tuple(terms))
         assert parse(serialize(e)) == e

@@ -229,6 +229,68 @@ class TestEngineModes:
         with pytest.raises(PreconditionError):
             apply_semigroup(engine, from_rule(lambda c: 1.0), 0.5)
 
+    @pytest.mark.parametrize("call", [
+        lambda e, F: apply_semigroup(e, F, 0.5),
+        lambda e, F: generator_table(e, F),
+        lambda e, F: mean_preservation_check(e, F, 0.5),
+        lambda e, F: commutation_check(e, F, 0.5),
+        lambda e, F: semigroup_property_check(e, F, 0.3, 0.5),
+        lambda e, F: generator_check(e, F, 0.1),
+        lambda e, F: symmetry_check(e, F, F),
+        lambda e, F: pointwise_gradient_check(e, F, 0.5),
+        lambda e, F: integrated_gradient_check(e, F, 0.5, 2.0),
+        lambda e, F: inequalities.check_modified_lsi(e, F),
+        lambda e, F: inequalities.check_min_form_lsi(e, F),
+        lambda e, F: inequalities.check_entropy_power(e, F, 2.0),
+        lambda e, F: inequalities.check_restricted_hypercontractivity(e, F, 0.5, 2.0),
+        lambda e, F: inequalities.check_weak_hypercontractivity(e, F, 0.5),
+        lambda e, F: inequalities.talagrand_bound(e, F),
+        lambda e, F: inequalities.check_talagrand(e, F),
+        lambda e, F: inequalities.l1_variance_bound(e, F),
+        lambda e, F: inequalities.check_concentration(e, F, [0.5, 1.0]),
+    ], ids=[
+        "apply_semigroup", "generator_table", "mean_preservation_check",
+        "commutation_check", "semigroup_property_check", "generator_check",
+        "symmetry_check", "pointwise_gradient_check", "integrated_gradient_check",
+        "check_modified_lsi", "check_min_form_lsi", "check_entropy_power",
+        "check_restricted_hypercontractivity", "check_weak_hypercontractivity",
+        "talagrand_bound", "check_talagrand", "l1_variance_bound",
+        "check_concentration",
+    ])
+    def test_exact_only_checks_refused_in_mc_before_any_work(self, call):
+        # valid arguments otherwise: the refusal comes from the engine, before
+        # any table, certificate or variance is stored
+        engine = engine_for(1.0, mode="mc", replications=1_000)
+        F = from_rule(lambda c: math.exp(-0.5 * float(c[0])), bounded_by=1.0)
+        with pytest.raises(PreconditionError, match="requires an exact-mode engine"):
+            call(engine, F)
+        assert engine._results == {}
+
+    @pytest.mark.parametrize("call", [
+        lambda e, F: ou_kernel_1d(1.0, 10, -0.5),
+        lambda e, F: e.apply_table(e.tabulate(F), -0.5),
+        lambda e, F: apply_semigroup(e, F, -0.5),
+        lambda e, F: inequalities.check_restricted_hypercontractivity(e, F, -0.5, 2.0),
+        lambda e, F: inequalities.check_weak_hypercontractivity(e, F, -0.5),
+        lambda e, F: mean_preservation_check(e, F, -0.5),
+        lambda e, F: commutation_check(e, F, -0.5),
+        lambda e, F: semigroup_property_check(e, F, -0.3, 0.5),
+        lambda e, F: semigroup_property_check(e, F, 0.3, -0.5),
+        lambda e, F: pointwise_gradient_check(e, F, -0.5),
+    ], ids=[
+        "ou_kernel_1d", "apply_table", "apply_semigroup",
+        "check_restricted_hypercontractivity", "check_weak_hypercontractivity",
+        "mean_preservation_check", "commutation_check",
+        "semigroup_property_check-s", "semigroup_property_check-t",
+        "pointwise_gradient_check",
+    ])
+    def test_every_time_entry_rejects_negative_time(self, call):
+        engine = engine_for(1.0)
+        F = from_rule(lambda c: math.exp(-0.5 * float(c[0])), bounded_by=1.0)  # ||F||_inf <= 1
+        with pytest.raises(ValueError, match="negative time"):
+            call(engine, F)
+        assert all(t >= 0 for t in engine._kernels)  # no kernel stored for t < 0
+
     def test_sample_values_refused_in_exact(self):
         with pytest.raises(PreconditionError):
             engine_for(1.0).sample_values(from_rule(lambda c: 1.0))
