@@ -7,9 +7,12 @@ Usage:
     poisson-ou example <name> [--out DIR] [key=value ...]
 
 Every check is one ``CheckSpec`` in ``CHECK_CATALOG``: its parameters,
-hypotheses, summary, the engine modes it runs in and its run function. The
-catalog drives ``list-checks``, config validation, dispatch and the order of
-the report. A config is validated in full before any engine work starts.
+hypotheses, summary, the engine modes it runs in and its run function, which
+takes a config item's whole parameter grid and returns one report per point
+(``pathwise-lemma`` evaluates the grid in one masked pass; the other checks
+run point by point). The catalog drives ``list-checks``, config validation,
+dispatch and the order of the report. A config is validated in full before
+any engine work starts.
 
 Exit codes: 0 clean, 1 a check was violated (and nothing else), 2
 config/DSL error (a container or setting of the wrong JSON type, unknown
@@ -51,9 +54,11 @@ EXACT = ("exact",)
 
 @dataclass(frozen=True)
 class CheckSpec:
-    """One runnable check: ``run(engine, func, params, bypass)`` gives its report.
+    """One runnable check: ``run(engine, func, grid, bypass)`` gives its reports.
 
-    ``run`` looks the checker up on its module when called, so wrappers
+    ``grid`` is a config item's parameter grid, a list of dicts in
+    ``_param_grid`` order, and ``run`` returns one report per point, in that
+    order. It looks the checker up on its module when called, so wrappers
     installed on ``inequalities.check_*`` or ``cli.check_mecke`` see the call.
     ``needs_functional`` is False for the checks that run without one.
     """
@@ -67,53 +72,65 @@ class CheckSpec:
     needs_functional: bool = True
 
 
+def _each(check):
+    """A grid runner that calls ``check(engine, func, params, bypass)`` per point."""
+    return lambda e, f, grid, b: [check(e, f, p, b) for p in grid]
+
+
 def _mecke(engine, func, params, bypass):
     h = func if func is not None else dsl.to_functional(dsl.Expr(1.0, ()))
     return check_mecke(engine, h)
 
 
+def _pathwise(engine, func, grid, bypass):
+    a, b, q = ([p[key] for p in grid] for key in ("a", "b", "q"))
+    return inequalities.check_pathwise_lemma(a, b, q)
+
+
 #: stable catalog of checkers, in report order
 CHECK_CATALOG = {spec.name: spec for spec in (
     CheckSpec("mecke", (), "none",
-              "integration-by-parts identity for the point process", MODES, _mecke,
+              "integration-by-parts identity for the point process", MODES, _each(_mecke),
               needs_functional=False),
     CheckSpec("poincare", (), "none",
               "variance bounded by the expected squared differences", MODES,
-              lambda e, f, p, b: inequalities.check_poincare(e, f)),
+              _each(lambda e, f, p, b: inequalities.check_poincare(e, f))),
     CheckSpec("modified-lsi", (), "F > 0",
               "entropy bound with the difference chain-rule defect", EXACT,
-              lambda e, f, p, b: inequalities.check_modified_lsi(e, f)),
+              _each(lambda e, f, p, b: inequalities.check_modified_lsi(e, f))),
     CheckSpec("min-form-lsi", (), "F > 0",
               "entropy bound with the pointwise minimum integrand", EXACT,
-              lambda e, f, p, b: inequalities.check_min_form_lsi(e, f)),
+              _each(lambda e, f, p, b: inequalities.check_min_form_lsi(e, f))),
     CheckSpec("pathwise-lemma", ("a", "b", "q"), "none",
-              "pathwise power-difference inequality", MODES,
-              lambda e, f, p, b: inequalities.check_pathwise_lemma(p["a"], p["b"], p["q"]),
+              "pathwise power-difference inequality", MODES, _pathwise,
               needs_functional=False),
     CheckSpec("entropy-power", ("q",), "F >= 0, DF <= 0",
               "entropy of F^q against the bilinear form", EXACT,
-              lambda e, f, p, b: inequalities.check_entropy_power(
-                  e, f, p["q"], bypass_hypotheses=b)),
+              _each(lambda e, f, p, b: inequalities.check_entropy_power(
+                  e, f, p["q"], bypass_hypotheses=b))),
     CheckSpec("restricted-hypercontractivity", ("t", "p"), "F >= 0, DF <= 0",
               "norm contraction with growing exponent", EXACT,
-              lambda e, f, p, b: inequalities.check_restricted_hypercontractivity(
-                  e, f, p["t"], p["p"], bypass_hypotheses=b)),
+              _each(lambda e, f, p, b: inequalities.check_restricted_hypercontractivity(
+                  e, f, p["t"], p["p"], bypass_hypotheses=b))),
     CheckSpec("weak-hypercontractivity", ("t",), "none (bounded F)",
               "exponential-moment contraction", EXACT,
-              lambda e, f, p, b: inequalities.check_weak_hypercontractivity(e, f, p["t"])),
+              _each(lambda e, f, p, b: inequalities.check_weak_hypercontractivity(
+                  e, f, p["t"]))),
     CheckSpec("talagrand", (), "DF >= 0 & D2F <= 0, or both reversed",
               "L1-L2 variance bound", EXACT,
-              lambda e, f, p, b: inequalities.check_talagrand(e, f, bypass_hypotheses=b)),
+              _each(lambda e, f, p, b: inequalities.check_talagrand(
+                  e, f, bypass_hypotheses=b))),
     CheckSpec("l1-variance", (), "bounded F, same sign hypotheses",
               "L1-only variance bound", EXACT,
-              lambda e, f, p, b: inequalities.l1_variance_bound(e, f, bypass_hypotheses=b)),
+              _each(lambda e, f, p, b: inequalities.l1_variance_bound(
+                  e, f, bypass_hypotheses=b))),
     CheckSpec("concentration", ("thresholds",), "DF <= 0",
               "Gaussian upper tail for the centered functional", EXACT,
-              lambda e, f, p, b: inequalities.check_concentration(
-                  e, f, p["thresholds"], bypass_hypotheses=b)),
+              _each(lambda e, f, p, b: inequalities.check_concentration(
+                  e, f, p["thresholds"], bypass_hypotheses=b))),
     CheckSpec("lsi-failure", ("k_max",), "none",
               "divergence of the would-be log-Sobolev constant", MODES,
-              lambda e, f, p, b: inequalities.check_lsi_failure(int(p["k_max"])),
+              _each(lambda e, f, p, b: inequalities.check_lsi_failure(int(p["k_max"]))),
               needs_functional=False),
 )}
 
@@ -214,7 +231,8 @@ def _check_shapes(config):
 
 
 def _resolve(item: dict, functionals: dict, mode: str):
-    """(spec, functional or None) for one check item; DslOrConfigError if it cannot run."""
+    """(spec, functional or None, parameter grid) for one check item;
+    DslOrConfigError if it cannot run."""
     check = item["check"]
     if check not in CHECK_CATALOG:
         raise DslOrConfigError(f"unknown check {check!r}")
@@ -233,14 +251,15 @@ def _resolve(item: dict, functionals: dict, mode: str):
         raise DslOrConfigError(
             f"check {check!r} cannot run in mode {mode!r} (modes: {','.join(spec.modes)})"
         )
-    for params in _param_grid(item.get("params", {})):
+    grid = list(_param_grid(item.get("params", {})))
+    for params in grid:
         for key in spec.params:
             if key in _PARAM_RULES and not _PARAM_RULES[key][0](params[key]):
                 raise DslOrConfigError(
                     f"check {check!r}: {key} must be {_PARAM_RULES[key][1]}, "
                     f"got {params[key]!r}"
                 )
-    return spec, func
+    return spec, func, grid
 
 
 def _check_atoms(functionals: dict, atom_count: int):
@@ -292,9 +311,8 @@ def run_config(config: dict, out_dir: Path) -> int:
     engine = _build_engine(config, mode, functionals)
     catalog_order = list(CHECK_CATALOG)
     records = []
-    for item, (spec, func) in zip(items, resolved):
-        for params in _param_grid(item.get("params", {})):
-            report = spec.run(engine, func, params, item.get("bypass_hypotheses", False))
+    for item, (spec, func, grid) in zip(items, resolved):
+        for report in spec.run(engine, func, grid, item.get("bypass_hypotheses", False)):
             report.parameters.setdefault("functional", item.get("functional", "-"))
             report.tag = item.get("tag")
             line = format_report_line(report)

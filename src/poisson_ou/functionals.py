@@ -61,7 +61,10 @@ class Functional:
             if len(c) != self.table.ndim:
                 raise ValueError(f"{self.name} takes {self.table.ndim} counts per "
                                  f"state, got {len(c)}")
-            if any(np.any((x < 0) | (x >= s)) for x, s in zip(c, self.table.shape)):
+            # one reduction for both bounds: read as uint64, a negative int64
+            # is at least 2**63
+            if any((int(x.view(np.uint64).max()) if x.size else 0) >= s
+                   for x, s in zip(c, self.table.shape)):
                 raise CapOverflowError(
                     f"{self.name} is tabulated only up to {self.table.shape}"
                 )

@@ -191,23 +191,30 @@ def pathwise_lemma_sides(a, b, q):
 
 
 def check_pathwise_lemma(a, b, q):
-    """Single-point check of the pathwise power inequality.
+    """Check the pathwise power inequality at every point of a grid.
 
-    When the absolute sides overflow a double the report carries the
+    a, b and q are scalars or equal-length sequences. One masked pass of the
+    evaluator covers every point, and the result is a list with one report
+    per point, in order; each report's parameters hold the point's values as
+    given. When the absolute sides overflow a double the report carries the
     logarithms of both sides instead (flagged in the parameters).
     """
-    lhs, rhs, log_lhs, log_rhs, violated = _pathwise_eval(a, b, q)
-    lhs, rhs = float(lhs), float(rhs)
-    params = {"a": a, "b": b, "q": q}
-    if math.isinf(lhs):
-        lhs, rhs = float(log_lhs), float(log_rhs)
-        params["log_scale"] = True
-        tol = _REL_TOL
-    else:
-        tol = _REL_TOL * max(abs(lhs), abs(lhs) if math.isinf(rhs) else abs(rhs))
-    report = make_report("pathwise-lemma", lhs, rhs, tolerance=tol, parameters=params)
-    assert (report.verdict == VIOLATED) == bool(violated)
-    return report
+    points = np.broadcast(*(np.asarray(x, dtype=object) for x in (a, b, q)))
+    columns = (np.ravel(col) for col in _pathwise_eval(a, b, q))
+    reports = []
+    for (a_i, b_i, q_i), lhs, rhs, log_lhs, log_rhs, violated in zip(points, *columns):
+        lhs, rhs = float(lhs), float(rhs)
+        params = {"a": a_i, "b": b_i, "q": q_i}
+        if math.isinf(lhs):
+            lhs, rhs = float(log_lhs), float(log_rhs)
+            params["log_scale"] = True
+            tol = _REL_TOL
+        else:
+            tol = _REL_TOL * max(abs(lhs), abs(lhs) if math.isinf(rhs) else abs(rhs))
+        report = make_report("pathwise-lemma", lhs, rhs, tolerance=tol, parameters=params)
+        assert (report.verdict == VIOLATED) == bool(violated)
+        reports.append(report)
+    return reports
 
 
 def pathwise_lemma_sweep(n, seed=0):

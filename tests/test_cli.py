@@ -120,6 +120,25 @@ class TestDispatch:
             f"name={check}" for check in CHECK_CATALOG
         ]
 
+    def test_pathwise_grid_is_one_call(self, tmp_path, monkeypatch):
+        # ints, b = 0 and the log regime, so that each report's own params
+        # and sides show
+        params = {"a": [2, 1e300], "b": [0.0, 1.0], "q": [1.5, 3]}
+        points = list(cli._param_grid(params))
+        assert len(points) == 8
+        calls = spy_on(monkeypatch, [(inequalities, "check_pathwise_lemma")])
+        grid = write_config(tmp_path, base_config(checks=[
+            {"check": "pathwise-lemma", "params": params}]), name="grid.json")
+        assert main(["run", str(grid), "--out", str(tmp_path / "grid")]) == 0
+        assert calls == {"check_pathwise_lemma": 1}
+        single = write_config(tmp_path, base_config(checks=[
+            {"check": "pathwise-lemma", "params": p} for p in points]), name="single.json")
+        assert main(["run", str(single), "--out", str(tmp_path / "single")]) == 0
+        assert calls == {"check_pathwise_lemma": 9}
+        report = (tmp_path / "grid" / "report.txt").read_text(encoding="utf-8")
+        assert "log_scale=True" in report and "a=2," in report and "q=3 " in report
+        assert report == (tmp_path / "single" / "report.txt").read_text(encoding="utf-8")
+
 
 class TestBenchmarkNames:
     def test_tracer_and_space_form_mecke(self, monkeypatch):

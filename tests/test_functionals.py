@@ -51,12 +51,20 @@ class TestEvaluation:
     @pytest.mark.parametrize("evaluate", [
         lambda F: F.values(((0, 2, 0), (0, 1, 2))),
         lambda F: F.values(((0, -1), (0, 0))),
+        lambda F: F.values((-1, 0)),
+        lambda F: F.values((0, 2)),
         lambda F: F.tabulate((4, 2)),
-    ], ids=["values", "values-negative", "tabulate"])
+    ], ids=["values", "values-negative", "state-negative", "state-at-cap", "tabulate"])
     def test_table_has_no_values_beyond_it(self, evaluate):
         F = from_table(np.ones((3, 2)), name="T")
         with pytest.raises(CapOverflowError, match=r"T is tabulated only up to \(3, 2\)"):
             evaluate(F)
+
+    def test_table_reads_no_states_from_empty_counts(self):
+        F = from_table(np.ones((3, 2)), name="T")
+        empty = np.zeros(0, dtype=np.int64)
+        assert F.values((empty, empty)).shape == (0,)
+        assert F.values((empty, np.zeros((1, 0), dtype=np.int64))).shape == (1, 0)
 
     def test_nonfinite_rejected(self):
         F = from_rule(lambda c: float("nan"))

@@ -160,7 +160,7 @@ class TestPathwiseLemma:
     def test_near_diagonal_is_stable(self):
         # tight to second order at a = b: naive powers would lose the digits
         a = 1.0 + 1e-9
-        rep = check_pathwise_lemma(a, 1.0, 1.5)
+        (rep,) = check_pathwise_lemma(a, 1.0, 1.5)
         assert rep.verdict == "holds"
 
     def test_million_draw_sweep(self):
@@ -173,7 +173,7 @@ class TestPathwiseLemma:
     )
     @settings(max_examples=300, deadline=None)
     def test_property(self, a, b, q):
-        assert check_pathwise_lemma(a, b, q).verdict == "holds"
+        assert check_pathwise_lemma(a, b, q)[0].verdict == "holds"
 
     @given(
         log_a=st.floats(-300.0, 300.0),
@@ -185,14 +185,14 @@ class TestPathwiseLemma:
         a, b, q = 10.0**log_a, 10.0**log_b, 1.0 + 10.0**log_q
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            rep = check_pathwise_lemma(a, b, q)
+            (rep,) = check_pathwise_lemma(a, b, q)
         assert rep.verdict == "holds"
         assert not (math.isnan(rep.lhs) or math.isnan(rep.rhs))
 
     def test_nearly_equal_sides_beyond_the_double_range(self):
         # a and b one part in 1e14 apart with b^q far beyond a double: the
         # log sides share q log b ~ 3e4, whose rounding must not split them
-        rep = check_pathwise_lemma(6.541656404063829e284, 6.541656404063816e284, 50.0)
+        (rep,) = check_pathwise_lemma(6.541656404063829e284, 6.541656404063816e284, 50.0)
         assert rep.parameters["log_scale"] and rep.verdict == "holds"
         assert rep.lhs <= rep.rhs
 
@@ -215,6 +215,21 @@ class TestPathwiseGolden:
         assert got == [[row[3 + k] for row in rows] for k in range(4)]
         column = data["columns"].index(f"violated_rel_tol_{rel_tol:g}")
         assert violated.tolist() == [row[column] for row in rows]
+
+    def test_one_call_reports_as_one_point_calls(self):
+        rows = json.loads(GOLDEN.read_text())["rows"]
+        a, b, q = ([float.fromhex(row[k]) for row in rows] for k in range(3))
+
+        def fields(rep):
+            sides = (rep.lhs, rep.rhs, rep.slack)
+            return [float(x).hex() for x in sides], rep.verdict, rep.parameters
+
+        batch = check_pathwise_lemma(a, b, q)
+        assert len(batch) == len(rows)
+        assert any(rep.parameters.get("log_scale") for rep in batch)
+        for rep, point in zip(batch, zip(a, b, q)):
+            (single,) = check_pathwise_lemma(*point)
+            assert fields(rep) == fields(single)
 
     @pytest.mark.parametrize("rel_tol", [1e-12, 0.0])
     def test_sweep_set_digest(self, monkeypatch, rel_tol):

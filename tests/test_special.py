@@ -3,10 +3,12 @@
 ``scipy.stats`` wraps the same ufuncs; here it is the reference, and every
 value must match it bit for bit over the kernel sizes and intensities the
 benchmark workloads use (one atom at lambda 1 and 15-40, three atoms at
-0.02-0.25 and 0.5-2).
+0.02-0.25 and 0.5-2). The one-atom kernel is also held to an exact rational
+oracle within a derived roundoff bound, which does not depend on its bits.
 """
 
 import math
+from fractions import Fraction
 import subprocess
 import sys
 from pathlib import Path
@@ -88,6 +90,51 @@ class TestMatchesStats:
         for lam in INTENSITIES:
             for tail in tails:
                 assert _min_cap(lam, tail) == stats_min_cap(lam, tail), (lam, tail)
+
+
+def pascal_kernel(lam, size, t):
+    """The kernel of the float keep = e^-t and refresh pmf, in exact arithmetic.
+
+    Row n is Binomial(n, keep) convolved with the refresh pmf, built by the
+    Pascal recursion K[n] = (1 - keep) K[n-1] + keep shift(K[n-1]) from
+    K[0] = refresh; a column depends only on columns to its left, so the
+    truncation at ``size`` is exact.
+    """
+    keep = Fraction(math.exp(-t))
+    row = [Fraction(x) for x in grids.poisson_pmf_vector((1.0 - math.exp(-t)) * lam, size)]
+    rows = [row]
+    for _ in range(1, size):
+        row = [(1 - keep) * row[0]] + [(1 - keep) * row[k] + keep * row[k - 1]
+                                       for k in range(1, size)]
+        rows.append(row)
+    return rows
+
+
+@pytest.mark.parametrize("lam,size", [
+    (0.02, 10), (0.13, 12), (0.25, 14), (1.0, 1), (1.0, 2), (1.0, 32), (2.0, 32),
+])
+def test_kernel_within_roundoff_of_exact(lam, size):
+    """Every entry of ``ou_kernel_1d`` is within ``size * eps`` of ``pascal_kernel``.
+
+    The oracle starts from the same float keep and refresh pmf, so the gap is
+    the kernel's own rounding. Entry [n, k] = sum_j b(j) r(k - j) is a float
+    dot product of at most ``size`` nonnegative terms, which errs by at most
+    gamma_size = size u / (1 - size u), u = eps / 2, times the exact sum of
+    its terms; that sum is at most the row sum, <= 1, so this part is at most
+    size * eps / 2 (to first order). Each binomial pmf value b(j) enters with
+    its own absolute error; the terms weight those errors by r(k - j), whose
+    sum is <= 1, so they add at most the largest of them. scipy's binomial
+    pmf keeps that below 2.4 eps for n < 32 at these times (it is exact at
+    n = 0 and a single rounding of 1 - keep at n = 1), which is within the
+    other size * eps / 2 for every size here.
+    """
+    bound = size * np.finfo(float).eps
+    for t in TIMES:
+        kernel = ou_kernel_1d(lam, size, t)
+        exact = pascal_kernel(lam, size, t)
+        worst = max(abs(Fraction(float(kernel[n, k])) - exact[n][k])
+                    for n in range(size) for k in range(size))
+        assert worst <= bound, (t, float(worst) / bound)
 
 
 @pytest.mark.parametrize("lam", [0.5, 1.0, 2.5])
