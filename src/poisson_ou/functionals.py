@@ -145,8 +145,8 @@ def certify_monotonicity(engine, F: Functional, prop: str) -> MonotonicityCertif
     """Certify one of the four sign conditions on D or D^2 on the engine's states.
 
     An exact engine checks every state with c_i <= N_i of ``engine.trunc``
-    against every atom (pair of atoms for D^2), reading the table that
-    ``engine.tabulate`` already built; a Monte Carlo engine checks
+    against every atom (pair of atoms for D^2), reading the difference tables
+    that ``engine.difference`` holds; a Monte Carlo engine checks
     its own samples and labels the certificate as the weaker "sampled" kind.
     Both scan atom by atom (pairs i <= j for D^2), one array of differences
     at a time; a violation yields the first failing state of the first
@@ -159,21 +159,14 @@ def certify_monotonicity(engine, F: Functional, prop: str) -> MonotonicityCertif
 def _scan_signs(engine, F: Functional, prop: str) -> MonotonicityCertificate:
     order = 2 if prop in (PROP_D2F_LE0, PROP_D2F_GE0) else 1
     kind = "exact" if engine.mode == "exact" else "sampled"
-    if kind == "exact":
-        # the padding (>= 3) covers caps + 1 + order, and tables are elementwise,
-        # so the trimmed padded table equals a tabulation of the smaller grid
-        shape = tuple(n + 1 + order for n in engine.trunc.caps)
-        table = grids.trim_to(engine.tabulate(F), shape)
-    else:
-        operator = add_one_cost if order == 1 else second_difference
     checked = 0
     for atoms in itertools.combinations_with_replacement(range(engine.space.atom_count), order):
         if kind == "exact":
-            diff = table
-            for a in atoms:
-                diff = grids.diff_axis(diff, a)
-            diff = grids.trim_to(diff, engine.trunc.shape)
+            # the padding (>= 3) covers caps + 1 + order and differences are
+            # elementwise, so this equals the differences of the smaller grid
+            diff = grids.trim_to(engine.difference(F, *atoms), engine.trunc.shape)
         else:
+            operator = add_one_cost if order == 1 else second_difference
             diff = operator(F, tuple(engine.samples.T), *atoms)
         checked += diff.size
         ok = diff <= 0.0 if prop in (PROP_DF_LE0, PROP_D2F_LE0) else diff >= 0.0
@@ -196,15 +189,10 @@ def gamma_expectation(engine, F: Functional, G: Functional = None):
     if G is None:
         G = F
     if engine.mode == "exact":
-        tf = engine.tabulate(F)
-        tg = engine.tabulate(G)
-
-        def term(i):
-            df = grids.diff_axis(tf, i)
-            dg = df if G is F else grids.diff_axis(tg, i)
-            return engine.expect_table(df * dg)
-
-        return engine.atom_sum(term)
+        if G is F:
+            return engine.atom_sum(lambda i: engine.difference_moment(F, i, 2))
+        return engine.atom_sum(
+            lambda i: engine.expect_table(engine.difference(F, i) * engine.difference(G, i)))
     lam = engine.space.weight_array()
     f0 = engine.sample_values(F)
     g0 = f0 if G is F else engine.sample_values(G)

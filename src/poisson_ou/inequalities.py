@@ -87,7 +87,7 @@ def check_modified_lsi(engine, F):
 
     def term(i):
         d_phi = grids.diff_axis(phi_table, i)
-        df = grids.diff_axis(table, i)
+        df = engine.difference(F, i)
         return engine.expect_table(d_phi - grids.drop_top(phi_prime, i) * df)
 
     rhs = engine.atom_sum(term)
@@ -105,7 +105,7 @@ def check_min_form_lsi(engine, F):
     log_table = np.log(table)
 
     def term(i):
-        df = grids.diff_axis(table, i)
+        df = engine.difference(F, i)
         d_log = grids.diff_axis(log_table, i)
         quad = df**2 / grids.drop_top(table, i)
         return engine.expect_table(np.minimum(quad, df * d_log))
@@ -237,7 +237,7 @@ def check_entropy_power(engine, G, q, bypass_hypotheses=False):
 
     def term(i):
         d_qm1 = grids.diff_axis(table ** (q - 1.0), i)
-        return engine.expect_table(d_qm1 * grids.diff_axis(table, i))
+        return engine.expect_table(d_qm1 * engine.difference(G, i))
 
     # an overflow is inf or nan, which _finite_sides and tolerance reject
     with np.errstate(over="ignore", invalid="ignore"):
@@ -294,13 +294,6 @@ def _finite_sides(name, lhs, rhs):
     return lhs, rhs
 
 
-def _derivative_norms(engine, table, i):
-    df = grids.diff_axis(table, i)
-    l1 = engine.expect_table(np.abs(df))
-    l2 = math.sqrt(engine.expect_table(df**2))
-    return l1, l2
-
-
 def talagrand_bound(engine, F) -> float:
     """2 sum_i lam_i ||D_i F||_2^2 / (1 + log(||D_i F||_2 / ||D_i F||_1)).
 
@@ -310,13 +303,13 @@ def talagrand_bound(engine, F) -> float:
     equals the Poincare right-hand side). Atoms with ||D_i F||_2 = 0
     contribute 0.
     """
-    table = engine.tabulate(F)
     lam = engine.space.weight_array()
     total = 0.0
     # not engine.atom_sum: lam * (a / b) there would round differently from
     # (lam * a) / b here and move the last digit of rhs for non-unit weights
     for i in range(engine.space.atom_count):
-        l1, l2 = _derivative_norms(engine, table, i)
+        l1 = engine.difference_moment(F, i, 1)
+        l2 = math.sqrt(engine.difference_moment(F, i, 2))
         if l2 == 0.0:
             continue
         total += lam[i] * l2**2 / (1.0 + math.log(l2 / l1))
@@ -357,7 +350,7 @@ def l1_variance_bound(engine, F, bypass_hypotheses=False):
     alpha = 1.0 if 2.0 * sup > 1.0 else 2.0 / (math.e + 1.0)
 
     def term(i):
-        mean_abs = engine.expect_table(np.abs(grids.diff_axis(table, i)))
+        mean_abs = engine.difference_moment(F, i, 1)
         if mean_abs == 0.0:
             return 0.0
         if mean_abs < 1.0:
@@ -365,8 +358,11 @@ def l1_variance_bound(engine, F, bypass_hypotheses=False):
         # x >= 1; at x = 1 both branches are valid bounds and x is the smaller
         return mean_abs
 
-    rhs = 11.0 * (2.0 * sup) ** alpha * engine.atom_sum(term)
     lhs = variance(engine, F)
+    # an overflow is inf or nan, which _finite_sides rejects
+    with np.errstate(over="ignore", invalid="ignore"):
+        rhs = 11.0 * (2.0 * sup) ** alpha * engine.atom_sum(term)
+    lhs, rhs = _finite_sides("l1-variance", lhs, rhs)
     return make_report(
         "l1-variance", lhs, rhs, tolerance=_variance_tolerance(engine, sup),
         certificates=certs, parameters={"alpha": alpha},
@@ -382,13 +378,19 @@ def check_concentration(engine, F, thresholds, bypass_hypotheses=False):
     """
     table = engine.tabulate(F)
     certs = [certify_monotonicity(engine, F, PROP_DF_LE0)]
-    sq = grids.weighted_sq_diffs(table, engine.space.weights)
+    with np.errstate(over="ignore"):  # an overflow is inf, rejected below
+        sq = grids.weighted_sq_diffs(table, engine.space.weights)
     alpha_sq = float(np.max(engine.interior(sq)))
+    if not math.isfinite(alpha_sq):
+        raise NonFiniteValueError("alpha^2 of the concentration bound is not a finite double")
     mean = engine.expect_table(table)
+    # F - E F beyond the double range is +-inf, which compares with t alike
+    with np.errstate(over="ignore"):
+        centered = table - mean
     pairs = {}
     worst_lhs, worst_rhs = 0.0, math.inf
     for t in thresholds:
-        tail = engine.expect_table((table - mean > t).astype(float))
+        tail = engine.expect_table((centered > t).astype(float))
         bound = math.exp(-t * t / (2.0 * alpha_sq)) if alpha_sq > 0 else 0.0
         if alpha_sq == 0.0:
             bound = 1.0 if t <= 0 else 0.0

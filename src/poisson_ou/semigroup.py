@@ -15,6 +15,7 @@ over the interior c_i <= N_i.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -56,6 +57,18 @@ def ou_kernel_1d(lam: float, size: int, t: float) -> np.ndarray:
     return kernel
 
 
+@functools.lru_cache(maxsize=1)
+def _kernel_table(weights: tuple, shape: tuple) -> dict[float, list[np.ndarray]]:
+    """t -> [one-atom kernel per atom] for exact engines on one padded grid.
+
+    Kernels depend only on (lam_i, padded size, t), so consecutive engines
+    with equal weights and padded shape share one table (read-only kernels).
+    Only the latest grid's table is kept: at most one engine's kernels outlive
+    that engine, and that engine has already shown they fit in memory.
+    """
+    return {}
+
+
 class SemigroupEngine:
     """Exact truncated tensor-product kernel for P_t, or seeded MC samples for
     expectations (P_t itself is exact-only)."""
@@ -77,7 +90,6 @@ class SemigroupEngine:
         if trunc is None:
             trunc = TruncatedStateSpace.from_tail_mass(space)
         self.trunc = trunc
-        self._kernels: dict[float, list[np.ndarray]] = {}
         #: (id(F), what) -> (F, result); see ``_memo``
         self._results: dict[tuple[int, object], tuple[Functional, object]] = {}
         if mode == "exact":
@@ -95,6 +107,7 @@ class SemigroupEngine:
                     f"({trunc.state_count()} interior), over budget {trunc.budget}"
                 )
             self.law = grids.product_pmf(space.weights, self.shape)
+            self._kernels = _kernel_table(tuple(space.weights), self.shape)
             self.samples = None
         else:
             if self.replications < 2:  # a standard error needs two samples
@@ -115,7 +128,9 @@ class SemigroupEngine:
 
         ``what`` names the result: None for F's table or samples, an atom
         for F on the samples shifted there, a property for F's sign
-        certificate, "variance" for Var(F). Arrays come back read-only.
+        certificate, "variance" for Var(F), ("D", *atoms) for a difference
+        table and ("E|D|^", i, power) for its moment. Arrays come back
+        read-only.
         The memo holds F beside its result, so F's id cannot be reused while
         the engine lives. A table-backed F is not held: its values come from
         F's own table, and holding it would only keep transient tables (such
@@ -138,6 +153,28 @@ class SemigroupEngine:
         self._require_exact("tabulation")
         return self._memo(F, None, lambda: F.tabulate(self.shape))
 
+    def difference(self, F: Functional, *atoms: int) -> np.ndarray:
+        """D_i F for one atom i, or D_j D_i F for a pair i <= j, on the padded
+        grid (one smaller along each differenced axis); built once per
+        (F, atoms) and read-only, like ``tabulate``."""
+        def build():
+            *inner, last = atoms
+            base = self.difference(F, *inner) if inner else self.tabulate(F)
+            # an overflow is inf; where it happens |F| is near the double
+            # range, and the checks reject F's variance or norms as non-finite
+            with np.errstate(over="ignore"):
+                return grids.diff_axis(base, last)
+
+        return self._memo(F, ("D",) + atoms, build)
+
+    def difference_moment(self, F: Functional, i: int, power: int) -> float:
+        """E|D_i F| (power 1) or E[(D_i F)^2] (power 2), once per (F, i, power)."""
+        def build():
+            d = self.difference(F, i)
+            return self.expect_table(np.abs(d) if power == 1 else d * d)
+
+        return self._memo(F, ("E|D|^", i, power), build)
+
     def expect_table(self, table: np.ndarray) -> float:
         """E[table(eta)] under the truncated law; accepts reduced shapes."""
         self._require_exact("exact expectation")
@@ -152,13 +189,18 @@ class SemigroupEngine:
         return grids.trim_to(table, shape)
 
     def kernels(self, t: float) -> list[np.ndarray]:
+        """The one-atom kernels at time t, built once per grid (see
+        ``_kernel_table``) and read-only."""
         self._require_exact("the exact kernel")
         t = float(t)
         if t not in self._kernels:
-            self._kernels[t] = [
+            mats = [
                 ou_kernel_1d(lam, size, t)
                 for lam, size in zip(self.space.weights, self.shape)
             ]
+            for mat in mats:
+                mat.setflags(write=False)
+            self._kernels[t] = mats
         return self._kernels[t]
 
     def apply_table(self, table: np.ndarray, t: float) -> np.ndarray:

@@ -461,6 +461,22 @@ OVERFLOW_RUNS = {
     "mecke-mc-stderr": (base_config(
         engine={"mode": "mc"}, functionals={"f": "1e300 * indicator_le(0, 50)"},
         checks=[{"check": "mecke", "functional": "f"}]), 4),
+    # D F squared in alpha^2 overflows; the bound exp(-t^2 / 2 alpha^2) read 1
+    "concentration-alpha": (base_config(
+        space={"weights": [1.3138]}, functionals={"f": "-1.349e+217 * count(0)"},
+        checks=[{"check": "concentration", "functional": "f",
+                 "params": {"thresholds": [[0.5]]}}]), 4),
+    # F - E F leaves the double range beyond the caps (F is 1e308 up to
+    # c = 20 and -1e308 above); it still compares with each threshold
+    "concentration-centered": (base_config(
+        functionals={"f": "1e308 * indicator_le(0, 20) - 1e308 * indicator_le(0, 1000000) "
+                          "+ 1e308 * indicator_le(0, 20)"},
+        checks=[{"check": "concentration", "functional": "f",
+                 "params": {"thresholds": [[0.5]]}}]), 0),
+    # 11 (2 sup|F|)^alpha times the atom sum overflows, and so does Var(F)
+    "l1-variance-rhs": (base_config(
+        space={"weights": [6.5321]}, functionals={"f": "6.267e+214 * exp_neg(0.334, 0)"},
+        checks=[{"check": "l1-variance", "functional": "f"}]), 4),
 }
 
 
@@ -504,6 +520,8 @@ class TestOverflow:
         ("restricted-hypercontractivity-moment",
          "E|P_0.5[f]|^2.64872 is not a finite double"),
         ("entropy-power-scale", "a side of entropy-power is not a finite double"),
+        ("concentration-alpha", "alpha^2 of the concentration bound is not a finite double"),
+        ("l1-variance-rhs", "the variance of f is not a finite double"),
     ])
     def test_no_finite_error_model_exits_4(self, tmp_path, capsys, name, message):
         assert run_quietly(tmp_path, OVERFLOW_RUNS[name][0]) == 4

@@ -30,7 +30,7 @@ from poisson_ou import (
     symmetry_check,
     variance,
 )
-from poisson_ou import cli, functionals, ground, inequalities, semigroup
+from poisson_ou import cli, functionals, grids, ground, inequalities, semigroup
 from poisson_ou.errors import NonFiniteValueError, PreconditionError
 from poisson_ou.functionals import (
     PROP_D2F_GE0,
@@ -43,6 +43,8 @@ from poisson_ou.functionals import (
 )
 
 from conftest import engine_for, random_bounded_functional
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def pgf_semigroup_value(n, s, lam, t):
@@ -289,7 +291,9 @@ class TestEngineModes:
         F = from_rule(lambda c: math.exp(-0.5 * float(c[0])), bounded_by=1.0)  # ||F||_inf <= 1
         with pytest.raises(ValueError, match="negative time"):
             call(engine, F)
-        assert all(t >= 0 for t in engine._kernels)  # no kernel stored for t < 0
+        # nothing stored for t < 0 in the table the engine shares
+        assert engine._kernels is semigroup._kernel_table((1.0,), engine.shape)
+        assert all(t >= 0 for t in engine._kernels)
 
     def test_sample_values_refused_in_exact(self):
         with pytest.raises(PreconditionError):
@@ -450,6 +454,46 @@ class TestSampleMemo:
         assert calls == {"values": len(weights) + 1, "sample_configurations": 1}
 
 
+class TestSharedKernels:
+    def test_an_equal_grid_serves_the_same_read_only_kernels(self, monkeypatch):
+        first = SemigroupEngine(GroundSpace((1.0, 0.5))).kernels(0.3)
+        built = counting(monkeypatch, semigroup, "ou_kernel_1d")
+        second = SemigroupEngine(GroundSpace((1.0, 0.5))).kernels(0.3)
+        assert built == []
+        assert len(second) == 2 and all(a is b for a, b in zip(first, second))
+        for mat in second:
+            with pytest.raises(ValueError, match="read-only"):
+                mat[0, 0] = 1.0
+
+    def test_another_weight_or_tail_builds_afresh(self, monkeypatch):
+        space = GroundSpace((1.0,))
+        engine = SemigroupEngine(space)
+        kernel = engine.kernels(0.3)[0]
+        built = counting(monkeypatch, semigroup, "ou_kernel_1d")
+        other_weight = SemigroupEngine(GroundSpace((1.05,)))
+        assert other_weight.shape == engine.shape
+        other_tail = SemigroupEngine(space, TruncatedStateSpace.from_tail_mass(space, 1e-6))
+        assert other_tail.shape != engine.shape
+        for other in (other_weight, other_tail):
+            assert other.kernels(0.3)[0] is not kernel
+            assert semigroup._kernel_table.cache_info().currsize == 1
+        assert built == [(1.05, engine.shape[0], 0.3), (1.0, other_tail.shape[0], 0.3)]
+        # an engine keeps its own table after a later grid evicts it
+        assert engine.kernels(0.3)[0] is kernel
+
+    def test_shipped_suite_twice_builds_kernels_once(self, tmp_path, monkeypatch):
+        semigroup._kernel_table.cache_clear()
+        built = counting(monkeypatch, semigroup, "ou_kernel_1d")
+        reference = (ROOT / "bench" / "reference" / "onedim_suite.report.txt").read_bytes()
+        for run in ("first", "second"):
+            config = cli.load_config(str(ROOT / "configs" / "onedim_suite.json"))
+            assert cli.run_config(config, tmp_path / run) == 0
+            assert (tmp_path / run / "report.txt").read_bytes() == reference
+            if run == "first":
+                first_builds = len(built)
+        assert first_builds > 0 and len(built) == first_builds
+
+
 def counting(monkeypatch, module, name):
     """Replace ``module.name`` by a spy; returns the list of its call args."""
     calls = []
@@ -479,6 +523,19 @@ GRID_3ATOM_CHECKS = [
     {"check": "concentration", "functional": "expsum",
      "params": {"thresholds": [[0.05, 0.2]]}},
 ]
+
+
+#: the config the grid-3atom benchmark workload draws at seed 1, pass 0
+GRID_3ATOM_SEED_1 = {
+    "space": {"weights": [0.035355, 0.126532, 0.155858]},
+    "truncation": {"tail_mass": 1e-06, "budget": 1000000},
+    "functionals": {
+        "expsum": "exp_neg(0.95892, 0) + exp_neg(0.449465, 1) + exp_neg(0.538661, 2)",
+        "cumsum": "cumsum_g(0, 0) + cumsum_g(1, 2) + cumsum_g(2, 0)",
+    },
+    "checks": [dict(item, params={**item["params"], "t": 0.914472})
+               if "t" in item.get("params", {}) else item for item in GRID_3ATOM_CHECKS],
+}
 
 
 class TestResultMemo:
@@ -516,6 +573,39 @@ class TestResultMemo:
             alone += (tmp_path / str(k) / "report.txt").read_text().splitlines()
         together = (tmp_path / "all" / "report.txt").read_text().splitlines()
         assert sorted(together) == sorted(alone)
+
+    def test_differences_and_their_moments_once_per_functional(self, monkeypatch):
+        engine = SemigroupEngine(GroundSpace((1.0, 0.5)))
+        F = from_rule(lambda c: math.exp(-0.3 * c[0]) * (1.0 + c[1]), name="F")
+        table = engine.tabulate(F)
+        diffs = counting(monkeypatch, grids, "diff_axis")
+        for atoms in ((0,), (1,), (0, 0), (0, 1), (1, 1)):
+            d = engine.difference(F, *atoms)
+            assert engine.difference(F, *atoms) is d
+            assert not d.flags.writeable
+            expected = table
+            for a in atoms:
+                expected = np.diff(expected, axis=a)
+            assert np.array_equal(d, expected)
+        assert len(diffs) == 5  # each pair reads its memoized D_i F
+        d0 = engine.difference(F, 0)
+        law = grids.trim_to(engine.law, d0.shape)
+        moments = {1: float(np.sum(law * np.abs(d0))), 2: float(np.sum(law * d0**2))}
+        for power, expected in moments.items():
+            assert engine.difference_moment(F, 0, power) == expected
+        expects = counting(monkeypatch, SemigroupEngine, "expect_table")
+        for power, expected in moments.items():
+            assert engine.difference_moment(F, 0, power) == expected
+        assert expects == []
+
+    def test_grid_3atom_pass_takes_each_difference_once(self, tmp_path, monkeypatch):
+        expects = counting(monkeypatch, SemigroupEngine, "expect_table")
+        diffs = counting(monkeypatch, grids, "diff_axis")
+        assert cli.run_config(GRID_3ATOM_SEED_1, tmp_path) == 0
+        # 42 and 55 before the difference memo; E[D(F^{q-1}) D F] of
+        # entropy-power equals the energy only at q = 2, so it is no hit
+        assert len(expects) <= 33
+        assert len(diffs) <= 26
 
     @pytest.mark.parametrize("mode", ["exact", "mc"])
     def test_throwaway_functionals_never_share_a_certificate(self, mode):
