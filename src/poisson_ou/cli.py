@@ -17,8 +17,9 @@ any engine work starts.
 Exit codes: 0 clean, 1 a check was violated (and nothing else), 2
 config/DSL error (a container or setting of the wrong JSON type, unknown
 check or functional, missing params, a check that cannot run in the engine
-mode, bad weights or truncation, fewer than 2 Monte Carlo replications), 3
-state budget exceeded (interior or padded grid), 4 any other library error
+mode, bad weights or truncation, fewer than 2 Monte Carlo replications, a
+bad example parameter), 3 state budget exceeded (interior or padded grid,
+or a k_max), 4 any other library error
 (a checker precondition that fails, a non-finite value).
 
 Report files are UTF-8, one record per line, fields in fixed order
@@ -199,6 +200,23 @@ _PARAM_RULES = {
 }
 
 
+def _grid_rule(test, what):
+    """A rule for a non-empty list of numbers that each pass ``test``."""
+    return (lambda v: isinstance(v, list) and len(v) > 0
+            and all(_is_number(x) and test(x) for x in v), f"a non-empty list of numbers {what}")
+
+
+def _positive(x) -> bool:
+    return 0 < x < math.inf
+
+
+def _within_budget(what: str, k_max, budget: int):
+    """Refuse a k_max beyond the state budget: it counts the Poisson(1)
+    states the check or example evaluates."""
+    if k_max > budget:
+        raise BudgetExceededError(f"{what}: k_max = {k_max!r} states, over budget {budget}")
+
+
 def _check_shapes(config):
     """Reject containers and settings of the wrong JSON type before any work."""
     def need(ok, what):
@@ -230,9 +248,10 @@ def _check_shapes(config):
     need(_is_integer(config.get("seed", 0)), "seed must be an integer")
 
 
-def _resolve(item: dict, functionals: dict, mode: str):
+def _resolve(item: dict, functionals: dict, mode: str, budget: int):
     """(spec, functional or None, parameter grid) for one check item;
-    DslOrConfigError if it cannot run."""
+    DslOrConfigError if it cannot run, BudgetExceededError if it is over
+    the state budget."""
     check = item["check"]
     if check not in CHECK_CATALOG:
         raise DslOrConfigError(f"unknown check {check!r}")
@@ -259,6 +278,8 @@ def _resolve(item: dict, functionals: dict, mode: str):
                     f"check {check!r}: {key} must be {_PARAM_RULES[key][1]}, "
                     f"got {params[key]!r}"
                 )
+            if key == "k_max":
+                _within_budget(f"check {check!r}", params[key], budget)
     return spec, func, grid
 
 
@@ -307,7 +328,8 @@ def run_config(config: dict, out_dir: Path) -> int:
         for name, text in config.get("functionals", {}).items()
     }
     items = config.get("checks", [])
-    resolved = [_resolve(item, functionals, mode) for item in items]
+    budget = config.get("truncation", {}).get("budget", DEFAULT_BUDGET)
+    resolved = [_resolve(item, functionals, mode, budget) for item in items]
     engine = _build_engine(config, mode, functionals)
     catalog_order = list(CHECK_CATALOG)
     records = []
@@ -387,24 +409,38 @@ def _near_optimality_rows(params):
             yield [a, q, float(scan["ratios"][ia, iq])]
 
 
-#: example name -> (CSV file, header, rows(params)); cells are formatted by _fmt
+#: example name -> (CSV file, header, rows(params), parameter rules); cells
+#: are formatted by _fmt, and each rule is (test of a value, what it must be)
 EXAMPLES = {
     "maxima": ("maxima.csv", ("m", "variance", "poincare_rhs", "talagrand_rhs",
-                              "log_norm_ratio"), _maxima_rows),
+                              "log_norm_ratio"), _maxima_rows,
+               {"m_grid": _grid_rule(_positive, "> 0")}),
     "onedim": ("onedim.csv", ("lambda", "variance", "poincare_rhs", "talagrand_rhs",
-                              "g_norm_l1", "log_norm_ratio"), _onedim_rows),
+                              "g_norm_l1", "log_norm_ratio"), _onedim_rows,
+               {"M": (lambda v: _is_number(v) and math.isfinite(v), "a finite number"),
+                "lambda_grid": _grid_rule(_positive, "> 0")}),
     "counterexample_fk": ("counterexample_fk.csv", ("k", "variance", "e_dF_sq", "denom",
                                                     "talagrand_rhs", "lhs_over_rhs"),
-                          _counterexample_rows),
+                          _counterexample_rows, {"k_max": _PARAM_RULES["k_max"]}),
     "near_optimality": ("near_optimality.csv", ("a", "q", "rhs_over_lhs"),
-                        _near_optimality_rows),
+                        _near_optimality_rows,
+                        {"a_grid": _grid_rule(_positive, "> 0"),
+                         "q_grid": _grid_rule(lambda x: 1 < x < math.inf, "> 1"),
+                         "gamma": (lambda v: _is_number(v) and _positive(v), "a number > 0")}),
 }
 
 
 def run_example(name: str, params: dict, out_dir: Path) -> int:
+    """Validate the example's parameters, then write its CSV; returns the exit code."""
     if name not in EXAMPLES:
         raise DslOrConfigError(f"unknown example {name!r}; choose from {tuple(EXAMPLES)}")
-    csv_name, header, make_rows = EXAMPLES[name]
+    csv_name, header, make_rows, rules = EXAMPLES[name]
+    for key, (test, what) in rules.items():
+        if key in params and not test(params[key]):
+            raise DslOrConfigError(f"example {name!r}: {key} must be {what}, "
+                                   f"got {params[key]!r}")
+    if "k_max" in rules and "k_max" in params:
+        _within_budget(f"example {name!r}", params["k_max"], DEFAULT_BUDGET)
     rows = [[_fmt(x) for x in row] for row in make_rows(params)]
     _write_csv(out_dir / csv_name, header, rows)
     return 0

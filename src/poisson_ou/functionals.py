@@ -145,13 +145,13 @@ def certify_monotonicity(engine, F: Functional, prop: str) -> MonotonicityCertif
     """Certify one of the four sign conditions on D or D^2 on the engine's states.
 
     An exact engine checks every state with c_i <= N_i of ``engine.trunc``
-    against every atom (pair of atoms for D^2), reading the difference tables
-    that ``engine.difference`` holds; a Monte Carlo engine checks
+    against every atom (pair of atoms for D^2); a Monte Carlo engine checks
     its own samples and labels the certificate as the weaker "sampled" kind.
-    Both scan atom by atom (pairs i <= j for D^2), one array of differences
-    at a time; a violation yields the first failing state of the first
-    failing atom as a witness, not an error. Each (F, prop) is scanned once
-    per engine (see ``SemigroupEngine._memo``).
+    Both scan atom by atom (pairs i <= j for D^2), one array of the
+    differences that ``engine.difference`` holds at a time; a violation
+    yields the first failing state of the first failing atom as a witness,
+    not an error. Each (F, prop) is scanned once per engine (see
+    ``SemigroupEngine._memo``).
     """
     return engine._memo(F, prop, lambda: _scan_signs(engine, F, prop))
 
@@ -161,13 +161,11 @@ def _scan_signs(engine, F: Functional, prop: str) -> MonotonicityCertificate:
     kind = "exact" if engine.mode == "exact" else "sampled"
     checked = 0
     for atoms in itertools.combinations_with_replacement(range(engine.space.atom_count), order):
+        diff = engine.difference(F, *atoms)
         if kind == "exact":
             # the padding (>= 3) covers caps + 1 + order and differences are
             # elementwise, so this equals the differences of the smaller grid
-            diff = grids.trim_to(engine.difference(F, *atoms), engine.trunc.shape)
-        else:
-            operator = add_one_cost if order == 1 else second_difference
-            diff = operator(F, tuple(engine.samples.T), *atoms)
+            diff = grids.trim_to(diff, engine.trunc.shape)
         checked += diff.size
         ok = diff <= 0.0 if prop in (PROP_DF_LE0, PROP_D2F_LE0) else diff >= 0.0
         if not np.all(ok):
@@ -194,11 +192,9 @@ def gamma_expectation(engine, F: Functional, G: Functional = None):
         return engine.atom_sum(
             lambda i: engine.expect_table(engine.difference(F, i) * engine.difference(G, i)))
     lam = engine.space.weight_array()
-    f0 = engine.sample_values(F)
-    g0 = f0 if G is F else engine.sample_values(G)
-    vals = np.zeros(len(f0))
+    vals = np.zeros(engine.replications)
     for i in range(engine.space.atom_count):
-        df = engine.sample_values(F, i) - f0
-        dg = df if G is F else engine.sample_values(G, i) - g0
+        df = engine.difference(F, i)
+        dg = df if G is F else engine.difference(G, i)
         vals += lam[i] * df * dg
     return float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(len(vals)))

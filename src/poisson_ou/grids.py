@@ -78,15 +78,6 @@ def diff_axis(table: np.ndarray, axis: int) -> np.ndarray:
     return np.diff(table, axis=axis)
 
 
-def weighted_sq_diffs(table: np.ndarray, weights) -> np.ndarray:
-    """sum_i lam_i (D_i table)^2 on the grid one smaller along every axis."""
-    reduced = tuple(s - 1 for s in table.shape)
-    out = np.zeros(reduced)
-    for i, lam in enumerate(weights):
-        out += lam * trim_to(diff_axis(table, i), reduced) ** 2
-    return out
-
-
 def index_form(counts) -> tuple:
     """Counts in numpy's advanced-index form, the one count format: a tuple of
     m int64 arrays that broadcast together, one per atom. A grid is

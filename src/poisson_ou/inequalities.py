@@ -378,9 +378,8 @@ def check_concentration(engine, F, thresholds, bypass_hypotheses=False):
     """
     table = engine.tabulate(F)
     certs = [certify_monotonicity(engine, F, PROP_DF_LE0)]
-    with np.errstate(over="ignore"):  # an overflow is inf, rejected below
-        sq = grids.weighted_sq_diffs(table, engine.space.weights)
-    alpha_sq = float(np.max(engine.interior(sq)))
+    # an overflow is inf, rejected below
+    alpha_sq = float(np.max(engine.interior(engine.energy_density(F))))
     if not math.isfinite(alpha_sq):
         raise NonFiniteValueError("alpha^2 of the concentration bound is not a finite double")
     mean = engine.expect_table(table)
@@ -391,10 +390,9 @@ def check_concentration(engine, F, thresholds, bypass_hypotheses=False):
     worst_lhs, worst_rhs = 0.0, math.inf
     for t in thresholds:
         tail = engine.expect_table((centered > t).astype(float))
-        bound = math.exp(-t * t / (2.0 * alpha_sq)) if alpha_sq > 0 else 0.0
-        if alpha_sq == 0.0:
-            bound = 1.0 if t <= 0 else 0.0
-        pairs[f"t={t:g}"] = (tail, bound)
+        bound = math.exp(-t * t / (2.0 * alpha_sq)) if alpha_sq > 0 else float(t <= 0)
+        # t:g unless two thresholds would share a label; repr round-trips
+        pairs[f"t={t:g}" if float(f"{t:g}") == t else f"t={t!r}"] = (tail, bound)
         if tail - bound > worst_lhs - worst_rhs:
             worst_lhs, worst_rhs = tail, bound
     params = {"alpha^2": alpha_sq}

@@ -126,8 +126,8 @@ class SemigroupEngine:
     def _memo(self, F: Functional, what, build):
         """``build()`` once per (F, what) for the engine's lifetime.
 
-        ``what`` names the result: None for F's table or samples, an atom
-        for F on the samples shifted there, a property for F's sign
+        ``what`` names the result: None for F's table, a tuple of atoms for
+        F on the samples shifted at each of them, a property for F's sign
         certificate, "variance" for Var(F), ("D", *atoms) for a difference
         table and ("E|D|^", i, power) for its moment. Arrays come back
         read-only.
@@ -155,9 +155,13 @@ class SemigroupEngine:
 
     def difference(self, F: Functional, *atoms: int) -> np.ndarray:
         """D_i F for one atom i, or D_j D_i F for a pair i <= j, on the padded
-        grid (one smaller along each differenced axis); built once per
-        (F, atoms) and read-only, like ``tabulate``."""
+        grid (one smaller along each differenced axis) or on the samples;
+        built once per (F, atoms) and read-only, like ``tabulate``."""
         def build():
+            if self.mode == "mc":  # second_difference's order of terms
+                s = functools.partial(self.sample_values, F)
+                return s(*atoms) - s() if len(atoms) == 1 else (
+                    s(*atoms) - s(atoms[0]) - s(atoms[1]) + s())
             *inner, last = atoms
             base = self.difference(F, *inner) if inner else self.tabulate(F)
             # an overflow is inf; where it happens |F| is near the double
@@ -169,11 +173,19 @@ class SemigroupEngine:
 
     def difference_moment(self, F: Functional, i: int, power: int) -> float:
         """E|D_i F| (power 1) or E[(D_i F)^2] (power 2), once per (F, i, power)."""
+        self._require_exact("a difference moment")
         def build():
             d = self.difference(F, i)
             return self.expect_table(np.abs(d) if power == 1 else d * d)
 
         return self._memo(F, ("E|D|^", i, power), build)
+
+    def energy_density(self, F: Functional) -> np.ndarray:
+        """sum_i lam_i (D_i F)^2 on the padded grid one smaller along every axis."""
+        reduced = tuple(s - 1 for s in self.shape)
+        with np.errstate(over="ignore"):  # an overflow is inf, as in ``difference``
+            return sum((lam * grids.trim_to(self.difference(F, i), reduced) ** 2
+                        for i, lam in enumerate(self.space.weights)), np.zeros(reduced))
 
     def expect_table(self, table: np.ndarray) -> float:
         """E[table(eta)] under the truncated law; accepts reduced shapes."""
@@ -215,16 +227,18 @@ class SemigroupEngine:
 
     # ------------------------------------------------------------------ mc
 
-    def sample_values(self, F: Functional, atom: int | None = None) -> np.ndarray:
-        """F on the engine's samples, or on each sample plus one point at
-        ``atom``; evaluated once per (F, atom) and read-only, like ``tabulate``."""
+    def sample_values(self, F: Functional, *atoms: int) -> np.ndarray:
+        """F on the engine's samples, each shifted by one point at every atom
+        listed; evaluated once per (F, atoms) and read-only, like ``tabulate``."""
         if self.mode != "mc":
             raise PreconditionError("sample evaluation requires a Monte Carlo engine")
         def build():
             counts = tuple(self.samples.T)
-            return F.values(counts if atom is None else grids.add_unit(counts, atom))
+            for atom in atoms:
+                counts = grids.add_unit(counts, atom)
+            return F.values(counts)
 
-        return self._memo(F, atom, build)
+        return self._memo(F, atoms, build)
 
     def expect_mc(self, F: Functional) -> tuple[float, float]:
         """Sample mean and stderr of F over the engine's samples."""
@@ -370,11 +384,11 @@ def mean_preservation_check(engine, F, t):
 def commutation_check(engine, F, t):
     """max over interior states and atoms of |D_i(P_t F) - e^-t P_t(D_i F)|."""
     table = engine.tabulate(F)
-    pt = engine.apply_table(table, t)
+    pt = apply_semigroup(engine, F, t)
     worst = 0.0
     for i in range(engine.space.atom_count):
-        left = grids.diff_axis(pt, i)
-        right = math.exp(-t) * engine.apply_table(grids.diff_axis(table, i), t)
+        left = engine.difference(pt, i)
+        right = math.exp(-t) * engine.apply_table(engine.difference(F, i), t)
         resid = np.abs(engine.interior(left - right))
         worst = max(worst, float(np.max(resid)))
     tol = engine.tolerance(np.max(np.abs(table)))
@@ -443,11 +457,11 @@ def pointwise_gradient_check(engine, F, t):
     sup = float(np.max(np.abs(table)))
     if sup > 1.0 + 1e-12:
         raise PreconditionError(f"||F||_inf = {sup} > 1")
-    pt = engine.apply_table(table, t)
+    pt = apply_semigroup(engine, F, t)
     worst = 0.0
     for i in range(engine.space.atom_count):
         worst = max(
-            worst, float(np.max(np.abs(engine.interior(grids.diff_axis(pt, i)))))
+            worst, float(np.max(np.abs(engine.interior(engine.difference(pt, i)))))
         )
     rhs = 2.0 * math.exp(-t)
     return make_report(
@@ -464,7 +478,7 @@ def integrated_gradient_check(engine, F, t, p):
     if not t > 0:
         raise ValueError("t must be positive")
     table = engine.tabulate(F)
-    sq = grids.weighted_sq_diffs(engine.apply_table(table, t), engine.space.weights)
+    sq = engine.energy_density(apply_semigroup(engine, F, t))
     if math.isinf(p):
         lhs = float(np.sqrt(np.max(engine.interior(sq))))
         rhs_norm = float(np.max(np.abs(engine.interior(table))))

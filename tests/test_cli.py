@@ -321,6 +321,31 @@ class TestExitCodes:
         path = write_config(tmp_path, config)
         assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 3
 
+    @pytest.mark.parametrize("budget,k_max", [(1_000_000, 1e300), (200, 201)])
+    def test_lsi_failure_k_max_over_budget_exits_3_before_engine(
+        self, tmp_path, monkeypatch, capsys, budget, k_max
+    ):
+        # k_max is the number of Poisson(1) states lsi_failure_ratios allocates
+        built = []
+        monkeypatch.setattr(cli, "SemigroupEngine", lambda *a, **k: built.append(a))
+        calls = spy_on(monkeypatch, DISPATCHED)
+        config = base_config(truncation={"tail_mass": 1e-12, "budget": budget},
+                             checks=[{"check": "lsi-failure", "params": {"k_max": k_max}}])
+        out = tmp_path / "out"
+        assert main(["run", str(write_config(tmp_path, config)), "--out", str(out)]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("budget exceeded: check 'lsi-failure': k_max = ")
+        assert not built and not any(calls.values())
+        assert not (out / "report.txt").exists()
+
+    def test_lsi_failure_k_max_at_budget_runs(self, tmp_path):
+        config = base_config(truncation={"tail_mass": 1e-12, "budget": 200},
+                             checks=[{"check": "lsi-failure", "params": {"k_max": 200}}])
+        out = tmp_path / "out"
+        assert main(["run", str(write_config(tmp_path, config)), "--out", str(out)]) == 0
+        assert "k_max=200," in (out / "report.txt").read_text()
+
     def test_padded_grid_over_budget_exits_3(self, tmp_path, monkeypatch, capsys):
         weights = [1.0, 1.0, 1.0]
         space = GroundSpace(tuple(weights))
@@ -610,6 +635,12 @@ class TestFlags:
             build_parser().parse_args(["run", "x.json", "--mode", "magic"])
 
 
+#: example -> the casestudies function that computes its rows
+EXAMPLE_COMPUTE = {"maxima": "maxima_closed_forms", "onedim": "one_dim_bound_comparison",
+                   "counterexample_fk": "counterexample_fk",
+                   "near_optimality": "near_optimality_scan"}
+
+
 class TestExamples:
     @pytest.mark.parametrize("name,csv", [
         ("maxima", "maxima.csv"),
@@ -633,3 +664,39 @@ class TestExamples:
 
     def test_unknown_example_exits_2(self, tmp_path, capsys):
         assert main(["example", "nope", "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("name,param", [
+        ("counterexample_fk", "k_max=abc"),
+        ("counterexample_fk", "k_max=2.5"),
+        ("onedim", "lambda_grid=5"),
+        ("onedim", "lambda_grid=[1.0,-2.0]"),
+        ("onedim", "M=Infinity"),
+        ("maxima", "m_grid=[0]"),
+        ("near_optimality", "q_grid=[1.0]"),
+        ("near_optimality", "a_grid=[]"),
+        ("near_optimality", "gamma=0"),
+    ])
+    def test_bad_example_param_exits_2_before_compute(
+        self, tmp_path, monkeypatch, capsys, name, param
+    ):
+        computed = []
+        monkeypatch.setattr(cli.casestudies, EXAMPLE_COMPUTE[name],
+                            lambda *args: computed.append(args))
+        assert main(["example", name, param, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        key = param.split("=")[0]
+        assert len(err) == 1 and err[0].startswith(f"config error: example {name!r}: {key} ")
+        assert not computed
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("k_max", ["1e300", str(cli.DEFAULT_BUDGET + 1)])
+    def test_example_k_max_over_budget_exits_3(self, tmp_path, monkeypatch, capsys, k_max):
+        computed = []
+        monkeypatch.setattr(cli.casestudies, "counterexample_fk", computed.append)
+        # no row is computed, so the bound shows without a long loop
+        assert main(["example", "counterexample_fk", f"k_max={k_max}",
+                     "--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("budget exceeded: example 'counterexample_fk': k_max = ")
+        assert not computed

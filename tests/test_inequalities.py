@@ -404,6 +404,14 @@ class TestConcentration:
         rep = check_concentration(engine, F, [1.0])
         assert rep.verdict == "hypothesis-not-met"
 
+    def test_thresholds_with_one_short_label_keep_their_own_pairs(self):
+        # both round to t=0.123457 under :g; a label that does not round-trip
+        # is the threshold's repr instead
+        engine = engine_for(1.0)
+        rep = check_concentration(engine, exp_functional(0.5), [0.1234567, 0.1234568, 0.3])
+        labels = [key for key in rep.parameters if key.startswith("t=")]
+        assert labels == ["t=0.1234567", "t=0.1234568", "t=0.3"]
+
     def test_bypass_exposes_gaussian_failure_at_large_t(self):
         # Poisson upper tails decay like e^{-t log t}, slower than e^{-t^2/2}:
         # the bound genuinely fails for the increasing functional F = c

@@ -406,15 +406,20 @@ class TestSampleMemo:
         engine = SemigroupEngine(GroundSpace((1.0, 0.5)), mode="mc",
                                  replications=300, seed=2)
         F = from_rule(lambda c: float(c[0] - 2 * c[1]), name="F")
-        for atom in (None, 0, 1):
-            vals = engine.sample_values(F, atom)
-            assert engine.sample_values(F, atom) is vals
+        for atoms in ((), (0,), (1,), (0, 1), (1, 1)):
+            vals = engine.sample_values(F, *atoms)
+            assert engine.sample_values(F, *atoms) is vals
             with pytest.raises(ValueError, match="read-only"):
                 vals[0] = 1.0
         samples = tuple(engine.samples.T)
         assert np.array_equal(engine.sample_values(F), F.values(samples))
         assert np.array_equal(engine.sample_values(F, 1),
                               F.values((samples[0], samples[1] + 1)))
+        # one point at each listed atom, two where an atom repeats
+        assert np.array_equal(engine.sample_values(F, 0, 1),
+                              F.values((samples[0] + 1, samples[1] + 1)))
+        assert np.array_equal(engine.sample_values(F, 1, 1),
+                              F.values((samples[0], samples[1] + 2)))
 
     def test_throwaway_functionals_never_share_values(self):
         engine = SemigroupEngine(GroundSpace((1.0, 0.5)), mode="mc",
@@ -607,6 +612,12 @@ class TestResultMemo:
         assert len(expects) <= 33
         assert len(diffs) <= 26
 
+    def test_shipped_suite_takes_differences_through_the_engine(self, tmp_path, monkeypatch):
+        diffs = counting(monkeypatch, grids, "diff_axis")
+        config = cli.load_config(str(ROOT / "configs" / "onedim_suite.json"))
+        assert cli.run_config(config, tmp_path) == 0
+        assert len(diffs) == 11
+
     @pytest.mark.parametrize("mode", ["exact", "mc"])
     def test_throwaway_functionals_never_share_a_certificate(self, mode):
         # increasing and decreasing functionals alternate, rule-backed and
@@ -636,3 +647,55 @@ class TestResultMemo:
             with pytest.raises(NonFiniteValueError, match="variance of huge"):
                 variance(engine, F)
         assert (id(F), "variance") not in engine._results
+
+
+def weighted_sq_diffs(table, weights):
+    """sum_i lam_i (D_i table)^2, the expression the energy density keeps."""
+    reduced = tuple(s - 1 for s in table.shape)
+    out = np.zeros(reduced)
+    for i, lam in enumerate(weights):
+        out += lam * grids.trim_to(np.diff(table, axis=i), reduced) ** 2
+    return out
+
+
+class TestOneDifferencePath:
+    def test_energy_density_equals_the_weighted_square_sum(self):
+        rng = np.random.default_rng(17)
+        for m in (1, 2, 3):
+            engine = SemigroupEngine(GroundSpace(tuple(rng.uniform(0.05, 1.0, m))))
+            for scale in (1.0, 1e160):  # 1e160: some squares overflow to inf
+                table = scale * rng.normal(size=engine.shape)
+                got = engine.energy_density(from_table(table))  # no RuntimeWarning
+                with np.errstate(over="ignore"):
+                    expected = weighted_sq_diffs(table, engine.space.weights)
+                assert got.shape == tuple(s - 1 for s in engine.shape)
+                assert got.tobytes() == expected.tobytes()
+            assert np.isinf(got).any()
+
+    def test_sampled_certificates_evaluate_each_shift_once(self, monkeypatch):
+        weights = (1.0, 0.5, 2.0)
+        m = len(weights)
+        engine = SemigroupEngine(GroundSpace(weights), mode="mc", replications=500, seed=4)
+        operators = [counting(monkeypatch, functionals, name)
+                     for name in ("add_one_cost", "second_difference")]
+        evaluations = counting(monkeypatch, Functional, "values")
+        # increasing and linear: DF >= 0, D2F <= 0 and D2F >= 0 scan every
+        # atom and pair
+        F = from_rule(lambda c: float(c[0] + 2 * c[1] + 3 * c[2]), name="F")
+        certs = {prop: certify_monotonicity(engine, F, prop)
+                 for prop in (PROP_DF_LE0, PROP_DF_GE0, PROP_D2F_LE0, PROP_D2F_GE0)}
+        assert [c.valid for c in certs.values()] == [False, True, True, True]
+        assert operators == [[], []]
+        assert len(evaluations) == 1 + m + m * (m + 1) // 2
+
+    def test_sampled_differences_equal_the_one_state_calculus(self):
+        engine = SemigroupEngine(GroundSpace((1.0, 0.5, 2.0)), mode="mc",
+                                 replications=500, seed=6)
+        F = from_rule(lambda c: math.exp(-0.3 * c[0]) * (1.0 + c[1]) - math.sqrt(c[2]))
+        samples = tuple(engine.samples.T)
+        for i in range(3):
+            want = functionals.add_one_cost(F, samples, i)
+            assert engine.difference(F, i).tobytes() == want.tobytes()
+            for j in range(i, 3):
+                want = functionals.second_difference(F, samples, i, j)
+                assert engine.difference(F, i, j).tobytes() == want.tobytes()
