@@ -22,7 +22,7 @@ from .functionals import Functional
 from .ground import GroundSpace
 from .inequalities import entropy, talagrand_bound
 from .semigroup import SemigroupEngine, variance
-from .errors import PreconditionError
+from .errors import NonFiniteValueError, PreconditionError
 
 
 # ------------------------------------------------------------- maxima example
@@ -284,6 +284,9 @@ def near_optimality_scan(a_grid, q_grid, gamma: float = 1.0) -> dict:
     for ia, a in enumerate(a_grid):
         for iq, q in enumerate(q_grid):
             lhs, rhs = near_optimality_sides(a, q)
+            if lhs == 0:  # lhs ~ (aq)^2 / 2 rounds to 0 for a tiny a * q
+                raise NonFiniteValueError(
+                    f"near-optimality ratio at a={a!r}, q={q!r}: lhs is 0 in double precision")
             ratios[ia, iq] = rhs / lhs
     a0, q0 = a_grid[len(a_grid) // 2], q_grid[len(q_grid) // 2]
     engine = SemigroupEngine(GroundSpace((gamma,)))

@@ -18,20 +18,22 @@ Exit codes: 0 clean, 1 a check was violated (and nothing else), 2
 config/DSL error (a container or setting of the wrong JSON type, unknown
 check or functional, missing params, a check that cannot run in the engine
 mode, bad weights or truncation, fewer than 2 Monte Carlo replications, a
-bad example parameter), 3 state budget exceeded (interior or padded grid,
-or a k_max), 4 any other library error
-(a checker precondition that fails, a non-finite value).
+bad or unknown example parameter, a config file that cannot be read or is
+not UTF-8 or nests too deeply), 3 state budget exceeded (interior or padded grid, or a k_max),
+4 any other library error (a checker precondition that fails, a non-finite
+value, an output directory or file that cannot be created or written).
 
 Report files are UTF-8, one record per line, fields in fixed order
 (name, params sorted by key, lhs, rhs, slack, stderr, verdict, certs, tag),
 floats with 17 significant digits, so identical configs and seeds produce
-byte-identical reports.
+byte-identical reports. Every output file is created anew (``_write_new``).
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import io
 import itertools
 import json
 import math
@@ -166,8 +168,38 @@ def format_report_line(report: InequalityReport) -> str:
 
 
 def load_config(path: str) -> dict:
-    with open(path, encoding="utf-8") as handle:
-        return json.load(handle)
+    """The JSON config at ``path``; DslOrConfigError if it cannot be read."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return json.load(handle)
+    except OSError as err:
+        raise DslOrConfigError(f"cannot read {path}: {err.strerror or err}") from err
+    except UnicodeDecodeError as err:
+        raise DslOrConfigError(f"{path} is not UTF-8: {err.reason} at byte {err.start}") from err
+    except RecursionError as err:
+        raise DslOrConfigError(f"{path} nests too deeply to parse") from err
+
+
+class OutputError(PoissonOUError):
+    """An output directory or file could not be created or written."""
+
+
+def _write_new(path: Path, text: str):
+    """Write ``text`` to ``path`` as a new file, creating its directory.
+
+    Any file already at ``path`` is deleted first, not truncated: on ext4
+    (``auto_da_alloc``) closing a file that was truncated, or renamed over
+    an old one, starts writeback of its blocks, which costs several times
+    the write itself. A symlink at ``path`` is replaced, not followed. A
+    crash in between leaves a missing or partial file.
+    """
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.unlink(missing_ok=True)
+        with open(path, "w", encoding="utf-8", newline="") as handle:
+            handle.write(text)
+    except OSError as err:
+        raise OutputError(f"cannot write {path}: {err}") from err
 
 
 def _param_grid(params: dict):
@@ -340,11 +372,7 @@ def run_config(config: dict, out_dir: Path) -> int:
             line = format_report_line(report)
             records.append((catalog_order.index(spec.name), line, report))
     records.sort(key=lambda record: record[:2])
-    out_dir.mkdir(parents=True, exist_ok=True)
-    report_path = out_dir / "report.txt"
-    with open(report_path, "w", encoding="utf-8", newline="\n") as handle:
-        for _, line, _ in records:
-            handle.write(line + "\n")
+    _write_new(out_dir / "report.txt", "".join(line + "\n" for _, line, _ in records))
     genuine_violation = any(
         r.verdict == VIOLATED and r.tag != DEMO_TAG for _, _, r in records
     )
@@ -367,11 +395,11 @@ def list_checks() -> str:
 
 
 def _write_csv(path: Path, header, rows):
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    _write_new(path, text.getvalue())
 
 
 def _maxima_rows(params):
@@ -431,10 +459,15 @@ EXAMPLES = {
 
 
 def run_example(name: str, params: dict, out_dir: Path) -> int:
-    """Validate the example's parameters, then write its CSV; returns the exit code."""
+    """Validate the example's parameters (only the keys of its rule table),
+    then write its CSV; returns the exit code."""
     if name not in EXAMPLES:
         raise DslOrConfigError(f"unknown example {name!r}; choose from {tuple(EXAMPLES)}")
     csv_name, header, make_rows, rules = EXAMPLES[name]
+    unknown = [key for key in params if key not in rules]
+    if unknown:
+        raise DslOrConfigError(f"example {name!r}: unknown parameter {unknown[0]!r}; "
+                               f"known: {', '.join(rules)}")
     for key, (test, what) in rules.items():
         if key in params and not test(params[key]):
             raise DslOrConfigError(f"example {name!r}: {key} must be {what}, "

@@ -129,8 +129,8 @@ class SemigroupEngine:
         ``what`` names the result: None for F's table, a tuple of atoms for
         F on the samples shifted at each of them, a property for F's sign
         certificate, "variance" for Var(F), ("D", *atoms) for a difference
-        table and ("E|D|^", i, power) for its moment. Arrays come back
-        read-only.
+        table (exact mode) and ("E|D|^", i, power) for its moment. Arrays
+        come back read-only.
         The memo holds F beside its result, so F's id cannot be reused while
         the engine lives. A table-backed F is not held: its values come from
         F's own table, and holding it would only keep transient tables (such
@@ -154,14 +154,21 @@ class SemigroupEngine:
         return self._memo(F, None, lambda: F.tabulate(self.shape))
 
     def difference(self, F: Functional, *atoms: int) -> np.ndarray:
-        """D_i F for one atom i, or D_j D_i F for a pair i <= j, on the padded
-        grid (one smaller along each differenced axis) or on the samples;
-        built once per (F, atoms) and read-only, like ``tabulate``."""
+        """D_i F for one atom i, or D_j D_i F for a pair i <= j, read-only.
+
+        On the padded grid (one smaller along each differenced axis) it is
+        built once per (F, atoms), like ``tabulate``. On the samples it is
+        built on each call from the memoized shifted values and not stored,
+        which takes one subtraction per term and keeps one array per shift.
+        """
+        if self.mode == "mc":  # second_difference's order of terms
+            s = functools.partial(self.sample_values, F)
+            d = s(*atoms) - s() if len(atoms) == 1 else (
+                s(*atoms) - s(atoms[0]) - s(atoms[1]) + s())
+            d.setflags(write=False)
+            return d
+
         def build():
-            if self.mode == "mc":  # second_difference's order of terms
-                s = functools.partial(self.sample_values, F)
-                return s(*atoms) - s() if len(atoms) == 1 else (
-                    s(*atoms) - s(atoms[0]) - s(atoms[1]) + s())
             *inner, last = atoms
             base = self.difference(F, *inner) if inner else self.tabulate(F)
             # an overflow is inf; where it happens |F| is near the double

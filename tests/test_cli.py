@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import warnings
 from pathlib import Path
 
@@ -590,6 +591,77 @@ class TestDeterminism:
         assert "verdict=violated" in report
 
 
+#: a command line without --out, and the file it writes
+OUTPUTS = [(["run", str(REPO_CONFIG)], "report.txt"), (["example", "maxima"], "maxima.csv")]
+
+
+class TestOutputFiles:
+    """Every output file is created anew: an old one is deleted, not truncated."""
+
+    @pytest.mark.parametrize("argv,name", OUTPUTS, ids=["report", "csv"])
+    def test_an_old_longer_file_is_replaced_whole(self, tmp_path, argv, name):
+        assert main([*argv, "--out", str(tmp_path / "fresh")]) == 0
+        fresh = (tmp_path / "fresh" / name).read_bytes()
+        out = tmp_path / "out"
+        out.mkdir()
+        old = "x" * (len(fresh) + 1000) + "\n"
+        (out / name).write_text(old)
+        # holding the old file open keeps its inode number from being reused
+        with open(out / name, encoding="utf-8") as held:
+            assert main([*argv, "--out", str(out)]) == 0
+            assert (out / name).read_bytes() == fresh
+            assert (out / name).stat().st_ino != os.fstat(held.fileno()).st_ino
+            assert held.read() == old
+
+    def test_a_symlink_is_replaced_not_followed(self, tmp_path):
+        target = tmp_path / "target.txt"
+        target.write_text("keep\n")
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "report.txt").symlink_to(target)
+        assert main(["run", str(REPO_CONFIG), "--out", str(out)]) == 0
+        assert not (out / "report.txt").is_symlink()
+        assert (out / "report.txt").read_bytes() == REFERENCE_REPORT.read_bytes()
+        assert target.read_text() == "keep\n"
+
+
+class TestInputOutputErrors:
+    @pytest.mark.parametrize("case,message", [
+        ("missing", "No such file or directory"),
+        ("directory", "Is a directory"),
+        ("not-utf8", "is not UTF-8: invalid continuation byte at byte 24"),
+        ("too-deep", "nests too deeply to parse"),
+    ])
+    def test_unreadable_config_exits_2(self, tmp_path, capsys, case, message):
+        path = {"missing": tmp_path / "nope.json", "directory": tmp_path,
+                "not-utf8": tmp_path / "latin1.json", "too-deep": tmp_path / "deep.json"}[case]
+        if case == "not-utf8":
+            path.write_bytes('{"checks": [], "seed": "\xe9"}'.encode("latin-1"))
+        if case == "too-deep":
+            path.write_text("[" * 100_000 + "]" * 100_000)
+        out = tmp_path / "out"
+        assert main(["run", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: ") and message in err[0]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv,name", OUTPUTS, ids=["report", "csv"])
+    def test_out_is_a_file_exits_4(self, tmp_path, capsys, argv, name):
+        blocker = tmp_path / "file"
+        blocker.write_text("not a directory\n")
+        assert main([*argv, "--out", str(blocker)]) == 4
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: cannot write {blocker / name}: ")
+        assert blocker.read_text() == "not a directory\n"
+
+    def test_report_path_is_a_directory_exits_4(self, tmp_path, capsys):
+        (tmp_path / "report.txt").mkdir()
+        assert main(["run", str(REPO_CONFIG), "--out", str(tmp_path)]) == 4
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: cannot write ")
+        assert (tmp_path / "report.txt").is_dir()
+
+
 class TestReportFormat:
     def test_field_order_and_float_precision(self):
         report = make_report("demo", 1.0 / 3.0, 2.0, tolerance=0.0,
@@ -687,6 +759,24 @@ class TestExamples:
         key = param.split("=")[0]
         assert len(err) == 1 and err[0].startswith(f"config error: example {name!r}: {key} ")
         assert not computed
+        assert not list(tmp_path.iterdir())
+
+    def test_unknown_example_key_exits_2_before_compute(self, tmp_path, monkeypatch, capsys):
+        computed = []
+        monkeypatch.setattr(cli.casestudies, "counterexample_fk", computed.append)
+        assert main(["example", "counterexample_fk", "kmax=5", "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["config error: example 'counterexample_fk': unknown parameter "
+                       "'kmax'; known: k_max"]
+        assert not computed
+        assert not list(tmp_path.iterdir())
+
+    def test_near_optimality_ratio_with_a_zero_lhs_exits_4(self, tmp_path, capsys):
+        assert main(["example", "near_optimality", "a_grid=[1e-200]",
+                     "--out", str(tmp_path)]) == 4
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: near-optimality ratio at a=1e-200, q=1.05: "
+                       "lhs is 0 in double precision"]
         assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("k_max", ["1e300", str(cli.DEFAULT_BUDGET + 1)])

@@ -699,3 +699,17 @@ class TestOneDifferencePath:
             for j in range(i, 3):
                 want = functionals.second_difference(F, samples, i, j)
                 assert engine.difference(F, i, j).tobytes() == want.tobytes()
+
+    def test_sampled_differences_are_not_stored(self):
+        engine = SemigroupEngine(GroundSpace((1.0, 0.5, 2.0)), mode="mc",
+                                 replications=500, seed=4)
+        F = from_rule(lambda c: float(c[0] + 2 * c[1] + 3 * c[2]), name="F")
+        for prop in (PROP_DF_LE0, PROP_DF_GE0, PROP_D2F_LE0, PROP_D2F_GE0):
+            certify_monotonicity(engine, F, prop)
+        whats = [what for _, what in engine._results]
+        assert () in whats and (0, 2) in whats  # the shifted values stay
+        assert not [w for w in whats if isinstance(w, tuple) and w[:1] == ("D",)]
+        d = engine.difference(F, 0, 1)
+        assert d is not engine.difference(F, 0, 1)
+        with pytest.raises(ValueError, match="read-only"):
+            d[0] = 1.0
