@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import pdtr, pdtrc
+from scipy.special import gammainc, pdtr, pdtrc
 
 from . import grids
 from .functionals import Functional
@@ -260,13 +260,14 @@ def indicator_family(M: int):
 def near_optimality_sides(a: float, q: float) -> tuple[float, float]:
     """Reduced two sides of the entropy-power bound at G = exp(-a * count).
 
-    lhs = 1 - a q e^{-a q} - e^{-a q},
+    lhs = 1 - a q e^{-a q} - e^{-a q}, the regularized incomplete gamma
+    P(2, a q), which keeps its relative precision where a q is small and the
+    difference cancels,
     rhs = q^2/(q-1) (1 - e^{-a})(1 - e^{-(q-1) a}).
     """
     if not (a > 0 and q > 1):
         raise ValueError("need a > 0 and q > 1")
-    aq = a * q
-    lhs = -math.expm1(-aq) - aq * math.exp(-aq)
+    lhs = float(gammainc(2.0, a * q))
     rhs = q**2 / (q - 1.0) * (-math.expm1(-a)) * (-math.expm1(-(q - 1.0) * a))
     return lhs, rhs
 
@@ -291,7 +292,7 @@ def near_optimality_scan(a_grid, q_grid, gamma: float = 1.0) -> dict:
     a0, q0 = a_grid[len(a_grid) // 2], q_grid[len(q_grid) // 2]
     engine = SemigroupEngine(GroundSpace((gamma,)))
     Gq = Functional(rule=lambda c: math.exp(-a0 * q0 * c[0]), name="exp-neg^q")
-    engine_entropy = entropy(engine, Gq).value
+    engine_entropy = entropy(engine, Gq)
     lhs0, _ = near_optimality_sides(a0, q0)
     closed_entropy = gamma * math.exp(gamma * math.expm1(-q0 * a0)) * lhs0
     return {

@@ -17,11 +17,13 @@ any engine work starts.
 Exit codes: 0 clean, 1 a check was violated (and nothing else), 2
 config/DSL error (a container or setting of the wrong JSON type, unknown
 check or functional, missing params, a check that cannot run in the engine
-mode, bad weights or truncation, fewer than 2 Monte Carlo replications, a
-bad or unknown example parameter, a config file that cannot be read or is
-not UTF-8 or nests too deeply), 3 state budget exceeded (interior or padded grid, or a k_max),
-4 any other library error (a checker precondition that fails, a non-finite
-value, an output directory or file that cannot be created or written).
+mode, a parameter that is NaN or infinite, bad weights or truncation, fewer
+than 2 Monte Carlo replications, a bad or unknown example parameter, a config
+file that cannot be read or is not UTF-8 or nests too deeply), 3 state budget
+exceeded (interior or padded grid, a k_max, or more Monte Carlo replications
+than the budget), 4 any other library error (a checker precondition that
+fails, a non-finite value, a norm or exponential moment that overflows or
+underflows, an output directory or file that cannot be created or written).
 
 Report files are UTF-8, one record per line, fields in fixed order
 (name, params sorted by key, lhs, rhs, slack, stderr, verdict, certs, tag),
@@ -211,7 +213,14 @@ def _param_grid(params: dict):
 
 
 def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """A JSON number that is a finite double: Python's json also reads NaN,
+    Infinity and integers beyond the double range, which are refused."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int too large for a double
+        return False
 
 
 def _is_integer(value) -> bool:
@@ -220,26 +229,27 @@ def _is_integer(value) -> bool:
 
 #: parameter -> (test of one value, what the checkers require of it)
 _PARAM_RULES = {
-    "t": (lambda v: _is_number(v) and v >= 0, "a number >= 0"),
-    "p": (lambda v: _is_number(v) and v > 1, "a number > 1"),
-    "q": (lambda v: _is_number(v) and v > 1, "a number > 1"),
-    "a": (lambda v: _is_number(v) and v >= 0, "a number >= 0"),
-    "b": (lambda v: _is_number(v) and v >= 0, "a number >= 0"),
+    "t": (lambda v: _is_number(v) and v >= 0, "a finite number >= 0"),
+    "p": (lambda v: _is_number(v) and v > 1, "a finite number > 1"),
+    "q": (lambda v: _is_number(v) and v > 1, "a finite number > 1"),
+    "a": (lambda v: _is_number(v) and v >= 0, "a finite number >= 0"),
+    "b": (lambda v: _is_number(v) and v >= 0, "a finite number >= 0"),
     "k_max": (lambda v: _is_number(v) and v >= 1 and float(v).is_integer(),
               "a positive integer"),
     "thresholds": (lambda v: isinstance(v, list) and len(v) > 0
-                   and all(_is_number(x) for x in v), "a non-empty list of numbers"),
+                   and all(_is_number(x) for x in v), "a non-empty list of finite numbers"),
 }
 
 
 def _grid_rule(test, what):
     """A rule for a non-empty list of numbers that each pass ``test``."""
     return (lambda v: isinstance(v, list) and len(v) > 0
-            and all(_is_number(x) and test(x) for x in v), f"a non-empty list of numbers {what}")
+            and all(_is_number(x) and test(x) for x in v),
+            f"a non-empty list of finite numbers {what}")
 
 
 def _positive(x) -> bool:
-    return 0 < x < math.inf
+    return x > 0
 
 
 def _within_budget(what: str, k_max, budget: int):
@@ -258,8 +268,9 @@ def _check_shapes(config):
     need(isinstance(config, dict), "the config must be an object")
     for key in ("space", "truncation", "engine", "functionals"):
         need(isinstance(config.get(key, {}), dict), f"{key} must be an object")
-    need(isinstance(config.get("space", {}).get("weights", []), list),
-         "space.weights must be a list")
+    weights = config.get("space", {}).get("weights", [])
+    need(isinstance(weights, list) and all(_is_number(w) for w in weights),
+         "space.weights must be a list of finite numbers")
     need(all(isinstance(text, str) for text in config.get("functionals", {}).values()),
          "each functional must be a DSL string")
     checks = config.get("checks", [])
@@ -445,7 +456,7 @@ EXAMPLES = {
                {"m_grid": _grid_rule(_positive, "> 0")}),
     "onedim": ("onedim.csv", ("lambda", "variance", "poincare_rhs", "talagrand_rhs",
                               "g_norm_l1", "log_norm_ratio"), _onedim_rows,
-               {"M": (lambda v: _is_number(v) and math.isfinite(v), "a finite number"),
+               {"M": (_is_number, "a finite number"),
                 "lambda_grid": _grid_rule(_positive, "> 0")}),
     "counterexample_fk": ("counterexample_fk.csv", ("k", "variance", "e_dF_sq", "denom",
                                                     "talagrand_rhs", "lhs_over_rhs"),
@@ -453,8 +464,8 @@ EXAMPLES = {
     "near_optimality": ("near_optimality.csv", ("a", "q", "rhs_over_lhs"),
                         _near_optimality_rows,
                         {"a_grid": _grid_rule(_positive, "> 0"),
-                         "q_grid": _grid_rule(lambda x: 1 < x < math.inf, "> 1"),
-                         "gamma": (lambda v: _is_number(v) and _positive(v), "a number > 0")}),
+                         "q_grid": _grid_rule(lambda x: x > 1, "> 1"),
+                         "gamma": (lambda v: _is_number(v) and _positive(v), "a finite number > 0")}),
 }
 
 

@@ -30,9 +30,8 @@ class Functional:
     beyond it (the engines size tables so this never happens in normal use).
     ``batch``, when present, is the rule's array form: counts in index form
     (``grids.index_form``) -> values of their broadcast shape, equal to the
-    rule bit for bit. ``values`` is the one evaluator: calls, grid tables, the
-    difference operators and sampled certificates all go through it and its
-    checks.
+    rule bit for bit. ``values`` is the one evaluator: calls, grid tables,
+    samples and the difference operators all go through it and its checks.
     """
 
     rule: object | None = None
@@ -142,40 +141,33 @@ def second_difference(F: Functional, c, i: int, j: int):
 
 
 def certify_monotonicity(engine, F: Functional, prop: str) -> MonotonicityCertificate:
-    """Certify one of the four sign conditions on D or D^2 on the engine's states.
+    """Certify one of the four sign conditions on D or D^2 on an exact engine.
 
-    An exact engine checks every state with c_i <= N_i of ``engine.trunc``
-    against every atom (pair of atoms for D^2); a Monte Carlo engine checks
-    its own samples and labels the certificate as the weaker "sampled" kind.
-    Both scan atom by atom (pairs i <= j for D^2), one array of the
-    differences that ``engine.difference`` holds at a time; a violation
-    yields the first failing state of the first failing atom as a witness,
-    not an error. Each (F, prop) is scanned once per engine (see
-    ``SemigroupEngine._memo``).
+    Every state with c_i <= N_i of ``engine.trunc`` is checked against every
+    atom (pair of atoms i <= j for D^2), one array of the differences that
+    ``engine.difference`` holds at a time; a violation yields the first
+    failing state of the first failing atom as a witness, not an error. Each
+    (F, prop) is scanned once per engine (see ``SemigroupEngine._memo``). A
+    Monte Carlo engine is refused before any work.
     """
+    engine._require_exact("a sign certificate")
     return engine._memo(F, prop, lambda: _scan_signs(engine, F, prop))
 
 
 def _scan_signs(engine, F: Functional, prop: str) -> MonotonicityCertificate:
     order = 2 if prop in (PROP_D2F_LE0, PROP_D2F_GE0) else 1
-    kind = "exact" if engine.mode == "exact" else "sampled"
     checked = 0
     for atoms in itertools.combinations_with_replacement(range(engine.space.atom_count), order):
-        diff = engine.difference(F, *atoms)
-        if kind == "exact":
-            # the padding (>= 3) covers caps + 1 + order and differences are
-            # elementwise, so this equals the differences of the smaller grid
-            diff = grids.trim_to(diff, engine.trunc.shape)
+        # the padding (>= 3) covers caps + 1 + order and differences are
+        # elementwise, so this equals the differences of the smaller grid
+        diff = grids.trim_to(engine.difference(F, *atoms), engine.trunc.shape)
         checked += diff.size
         ok = diff <= 0.0 if prop in (PROP_DF_LE0, PROP_D2F_LE0) else diff >= 0.0
         if not np.all(ok):
             idx = tuple(int(x) for x in np.argwhere(~ok)[0])
-            state = idx if kind == "exact" else tuple(engine.samples[idx[0]].tolist())
             where = atoms[0] if order == 1 else atoms
-            return MonotonicityCertificate(
-                kind, prop, checked, witness=(state, where, float(diff[idx]))
-            )
-    return MonotonicityCertificate(kind, prop, checked)
+            return MonotonicityCertificate(prop, checked, witness=(idx, where, float(diff[idx])))
+    return MonotonicityCertificate(prop, checked)
 
 
 def gamma_expectation(engine, F: Functional, G: Functional = None):

@@ -27,35 +27,27 @@ from .functionals import (
     from_table,
     gamma_expectation,
 )
-from .reports import VIOLATED, EntropyValue, make_report
+from .reports import VIOLATED, make_report
 from .semigroup import SemigroupEngine, apply_semigroup, lp_norm, overflow_to_inf, variance
 
 
-def _phi(values: np.ndarray) -> tuple[np.ndarray, int]:
-    """u log u with 0 log 0 = 0; returns the table and the convention-hit count."""
+def _phi(values: np.ndarray) -> np.ndarray:
+    """u log u with 0 log 0 = 0."""
     if np.any(values < 0):
         raise NegativeValueError("u log u needs non-negative values")
-    zero = values == 0.0
     out = np.zeros_like(values)
-    nz = ~zero
+    nz = values != 0.0
     out[nz] = values[nz] * np.log(values[nz])
-    return out, int(np.count_nonzero(zero))
+    return out
 
 
-def entropy(engine: SemigroupEngine, F: Functional) -> EntropyValue:
-    """Ent(F) = E[F log F] - E[F] log E[F] for F >= 0."""
-    if engine.mode == "exact":
-        table = engine.tabulate(F)
-        phi_table, hits = _phi(table)
-        mean = engine.expect_table(table)
-        mean_phi = engine.expect_table(phi_table)
-    else:
-        vals = engine.sample_values(F)
-        phi_vals, hits = _phi(vals)
-        mean = float(vals.mean())
-        mean_phi = float(phi_vals.mean())
+def entropy(engine: SemigroupEngine, F: Functional) -> float:
+    """Ent(F) = E[F log F] - E[F] log E[F] for F >= 0 (exact mode only)."""
+    table = engine.tabulate(F)
+    phi_table = _phi(table)
+    mean = engine.expect_table(table)
     base = 0.0 if mean == 0.0 else mean * math.log(mean)
-    return EntropyValue(value=mean_phi - base, convention_hits=hits)
+    return engine.expect_table(phi_table) - base
 
 
 def _variance_tolerance(engine, sup: float) -> float:
@@ -81,8 +73,8 @@ def check_modified_lsi(engine, F):
     table = engine.tabulate(F)
     if np.min(table) <= 0.0:
         raise PreconditionError("modified LSI needs F > 0 on the probed states")
-    lhs = entropy(engine, F).value
-    phi_table, _ = _phi(table)
+    lhs = entropy(engine, F)
+    phi_table = _phi(table)
     phi_prime = np.log(table) + 1.0
 
     def term(i):
@@ -101,7 +93,7 @@ def check_min_form_lsi(engine, F):
     table = engine.tabulate(F)
     if np.min(table) <= 0.0:
         raise PreconditionError("min-form LSI needs F > 0 on the probed states")
-    lhs = entropy(engine, F).value
+    lhs = entropy(engine, F)
     log_table = np.log(table)
 
     def term(i):
@@ -241,9 +233,10 @@ def check_entropy_power(engine, G, q, bypass_hypotheses=False):
 
     # an overflow is inf or nan, which _finite_sides and tolerance reject
     with np.errstate(over="ignore", invalid="ignore"):
-        lhs = entropy(engine, from_table(table**q, name=f"{G.name}^{q:g}")).value
-        rhs = engine.atom_sum(term) * (q**2 / (q - 1.0))
-        scale = float(np.max(table) ** q) * (1 + engine.space.total_mass) * q**2 / (q - 1)
+        lhs = entropy(engine, from_table(table**q, name=f"{G.name}^{q:g}"))
+        rhs = engine.atom_sum(term) * overflow_to_inf(lambda: q**2 / (q - 1.0))
+        scale = overflow_to_inf(
+            lambda: float(np.max(table) ** q) * (1 + engine.space.total_mass) * q**2 / (q - 1))
     lhs, rhs = _finite_sides("entropy-power", lhs, rhs)
     return make_report(
         "entropy-power", lhs, rhs, tolerance=engine.tolerance(scale),
@@ -259,7 +252,8 @@ def check_restricted_hypercontractivity(engine, F, t, p, bypass_hypotheses=False
     table = engine.tabulate(F)
     nonneg = float(np.min(table)) >= 0.0
     certs = [certify_monotonicity(engine, F, PROP_DF_LE0)]
-    q_t = 1.0 + (p - 1.0) * math.exp(t)
+    # beyond the double range q(t) is inf, its L^inf limit
+    q_t = overflow_to_inf(lambda: 1.0 + (p - 1.0) * math.exp(t))
     lhs = lp_norm(engine, apply_semigroup(engine, F, t), q_t).value
     rhs = lp_norm(engine, F, p).value
     scale = max(1.0, float(np.max(np.abs(table))))
@@ -276,12 +270,17 @@ def check_weak_hypercontractivity(engine, F, t):
     # before the sides: where exp(max|F|) is beyond doubles, exp(F) overflows too
     tol = engine.tolerance(overflow_to_inf(lambda: math.exp(float(np.max(np.abs(table))))))
     pt = engine.apply_table(table, t)
-    q_t = math.exp(t)
+    q_t = overflow_to_inf(lambda: math.exp(t))
     # e^t P_t F may pass the log of the largest double where F does not
     with np.errstate(over="ignore", invalid="ignore"):
-        lhs = engine.expect_table(np.exp(q_t * pt)) ** (1.0 / q_t)
+        moment = engine.expect_table(np.exp(q_t * pt))
         rhs = engine.expect_table(np.exp(table))
-    lhs, rhs = _finite_sides("weak-hypercontractivity", lhs, rhs)
+    # exp is positive, so a moment of 0 has underflowed; and at q_t = inf,
+    # moment ** (1 / q_t) reads 1 whatever the moment
+    if moment == 0.0 or q_t == math.inf:
+        raise NonFiniteValueError(
+            "e^t or E[exp(e^t P_t F)] of weak-hypercontractivity is not a positive finite double")
+    lhs, rhs = _finite_sides("weak-hypercontractivity", moment ** (1.0 / q_t), rhs)
     return make_report("weak-hypercontractivity", lhs, rhs, tolerance=tol,
                        parameters={"t": t})
 

@@ -1,4 +1,4 @@
-"""Structured result records: certificates, norms, entropy values, reports."""
+"""Structured result records: certificates, norms, reports."""
 
 from __future__ import annotations
 
@@ -21,7 +21,7 @@ Z_STAT = 4.0
 
 @dataclass(frozen=True)
 class MonotonicityCertificate:
-    """Outcome of a sign check for D or D^2 over a corpus of states.
+    """Outcome of an exact sign check for D or D^2 over a truncated grid.
 
     ``witness`` is None when the property held everywhere that was probed;
     otherwise it is a tuple ``(counts, atoms, value)`` with ``counts`` the
@@ -29,7 +29,6 @@ class MonotonicityCertificate:
     indices for D^2), and ``value`` the offending difference.
     """
 
-    kind: str  # "exact" | "sampled"
     property: str  # "DF<=0" | "DF>=0" | "D2F<=0" | "D2F>=0"
     states_checked: int
     witness: tuple | None = None
@@ -40,32 +39,14 @@ class MonotonicityCertificate:
 
     def brief(self) -> str:
         status = "ok" if self.valid else "witness"
-        return f"{self.property}:{self.kind}:{status}"
+        return f"{self.property}:exact:{status}"
 
 
 @dataclass(frozen=True)
 class LpNorm:
-    """An L^p norm value; ``stderr`` is set in Monte Carlo mode.
-
-    For p = inf in Monte Carlo mode the value is a lower bound (max over
-    samples), flagged by ``lower_bound``.
-    """
-
-    p: float
-    value: float
-    stderr: float | None = None
-    lower_bound: bool = False
-
-
-@dataclass(frozen=True)
-class EntropyValue:
-    """Ent(F) = E[F log F] - E[F] log E[F], with the 0*log(0) = 0 convention.
-
-    ``convention_hits`` counts how many probed states evaluated 0*log(0).
-    """
+    """An exact L^p norm value."""
 
     value: float
-    convention_hits: int = 0
 
 
 @dataclass
@@ -82,8 +63,6 @@ class InequalityReport:
     slack: float
     verdict: str
     stderr: float | None = None
-    tolerance: float | None = None
-    equality_form: bool = False
     hypothesis_certificates: list[MonotonicityCertificate] = field(default_factory=list)
     parameters: dict = field(default_factory=dict)
     tag: str | None = None
@@ -143,8 +122,6 @@ def make_report(
         slack=float(slack),
         verdict=verdict,
         stderr=None if stderr is None else float(stderr),
-        tolerance=None if tolerance is None else float(tolerance),
-        equality_form=equality_form,
         hypothesis_certificates=certificates,
         parameters=parameters,
     )

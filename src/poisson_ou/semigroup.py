@@ -34,6 +34,13 @@ from .ground import (
 from .reports import LpNorm, make_report
 
 
+#: a smaller e^-t is taken as 0, so thinning keeps no point: scipy's binomial
+#: pmf raises OverflowError for e^-t from about 5.6e-309 up to 1.5e-307 at
+#: n = 12 and 2e-305 at n = 2000 (t from about 706.5 and 701.6), and the mass
+#: moved off row n is below n * _KEEP_FLOOR
+_KEEP_FLOOR = 1e-300
+
+
 def ou_kernel_1d(lam: float, size: int, t: float) -> np.ndarray:
     """One-atom kernel K[n, k] = P[Binomial(n, e^-t) + Poisson((1-e^-t) lam) = k].
 
@@ -42,6 +49,8 @@ def ou_kernel_1d(lam: float, size: int, t: float) -> np.ndarray:
     if t < 0:
         raise ValueError("negative time")
     keep = math.exp(-t)
+    if keep < _KEEP_FLOOR:
+        keep = 0.0  # Binomial(n, keep) is then delta_0
     refresh = grids.poisson_pmf_vector((1.0 - keep) * lam, size)
     binom_pmf = getattr(_ufuncs, "_binom_pmf", None)
     if binom_pmf is None:  # a scipy without the private ufunc: its public wrapper
@@ -113,6 +122,9 @@ class SemigroupEngine:
             if self.replications < 2:  # a standard error needs two samples
                 raise ValueError("Monte Carlo needs at least 2 replications, "
                                  f"got {self.replications}")
+            if self.replications > trunc.budget:
+                raise BudgetExceededError(
+                    f"{self.replications} replications, over budget {trunc.budget}")
             self.shape = None
             self.law = None
             self.samples = sample_configurations(space, self.replications, seed)
@@ -126,11 +138,11 @@ class SemigroupEngine:
     def _memo(self, F: Functional, what, build):
         """``build()`` once per (F, what) for the engine's lifetime.
 
-        ``what`` names the result: None for F's table, a tuple of atoms for
-        F on the samples shifted at each of them, a property for F's sign
-        certificate, "variance" for Var(F), ("D", *atoms) for a difference
-        table (exact mode) and ("E|D|^", i, power) for its moment. Arrays
-        come back read-only.
+        ``what`` names the result: None for F's table, () for F on the
+        samples and (i,) for F on the samples shifted at atom i, a property
+        for F's sign certificate, "variance" for Var(F), ("D", *atoms) for a
+        difference table (exact mode) and ("E|D|^", i, power) for its
+        moment. Arrays come back read-only.
         The memo holds F beside its result, so F's id cannot be reused while
         the engine lives. A table-backed F is not held: its values come from
         F's own table, and holding it would only keep transient tables (such
@@ -157,14 +169,15 @@ class SemigroupEngine:
         """D_i F for one atom i, or D_j D_i F for a pair i <= j, read-only.
 
         On the padded grid (one smaller along each differenced axis) it is
-        built once per (F, atoms), like ``tabulate``. On the samples it is
-        built on each call from the memoized shifted values and not stored,
-        which takes one subtraction per term and keeps one array per shift.
+        built once per (F, atoms), like ``tabulate``. On the samples only
+        D_i F exists: it is built on each call from the memoized values, as
+        ``add_one_cost`` does, and not stored, which takes one subtraction and
+        keeps one array per shift.
         """
-        if self.mode == "mc":  # second_difference's order of terms
-            s = functools.partial(self.sample_values, F)
-            d = s(*atoms) - s() if len(atoms) == 1 else (
-                s(*atoms) - s(atoms[0]) - s(atoms[1]) + s())
+        if self.mode == "mc":
+            if len(atoms) != 1:
+                raise PreconditionError("a second difference requires an exact-mode engine")
+            d = self.sample_values(F, atoms[0]) - self.sample_values(F)
             d.setflags(write=False)
             return d
 
@@ -234,18 +247,16 @@ class SemigroupEngine:
 
     # ------------------------------------------------------------------ mc
 
-    def sample_values(self, F: Functional, *atoms: int) -> np.ndarray:
-        """F on the engine's samples, each shifted by one point at every atom
-        listed; evaluated once per (F, atoms) and read-only, like ``tabulate``."""
+    def sample_values(self, F: Functional, atom: int | None = None) -> np.ndarray:
+        """F on the engine's samples, or on each sample plus one point at
+        ``atom``; evaluated once per (F, atom) and read-only, like ``tabulate``."""
         if self.mode != "mc":
             raise PreconditionError("sample evaluation requires a Monte Carlo engine")
         def build():
             counts = tuple(self.samples.T)
-            for atom in atoms:
-                counts = grids.add_unit(counts, atom)
-            return F.values(counts)
+            return F.values(counts if atom is None else grids.add_unit(counts, atom))
 
-        return self._memo(F, atoms, build)
+        return self._memo(F, () if atom is None else (atom,), build)
 
     def expect_mc(self, F: Functional) -> tuple[float, float]:
         """Sample mean and stderr of F over the engine's samples."""
@@ -279,9 +290,8 @@ class SemigroupEngine:
 
 
 def overflow_to_inf(form) -> float:
-    """``form()``, a tolerance scale in Python floats, or inf where that
-    arithmetic overflows (and raises), for ``SemigroupEngine.tolerance`` to
-    reject."""
+    """``form()``, an expression in Python floats such as a tolerance scale
+    or an exponent, or inf where that arithmetic overflows (and raises)."""
     try:
         return form()
     except OverflowError:
@@ -329,28 +339,22 @@ def _variance(engine: SemigroupEngine, F: Functional):
 def lp_norm(engine: SemigroupEngine, F: Functional, p) -> LpNorm:
     """||F||_p = E[|F|^p]^(1/p); p = inf is the max over truncated states.
 
-    MC mode uses the delta method for the stderr; its p = inf value is a
-    lower bound (max over samples).
+    Exact mode only. Raises NonFiniteValueError when E|F|^p overflows, or
+    underflows to 0 while F is not 0: no norm can be stated from it.
     """
     p = float(p)
     if not (p >= 1.0):
         raise ValueError("p must be in [1, inf]")
-    exact = engine.mode == "exact"
-    vals = np.abs(engine.tabulate(F) if exact else engine.sample_values(F))
+    vals = np.abs(engine.tabulate(F))
     if math.isinf(p):
-        top = np.max(engine.interior(vals) if exact else vals)
-        return LpNorm(p=p, value=float(top), lower_bound=not exact)
+        return LpNorm(value=float(np.max(engine.interior(vals))))
     with np.errstate(over="ignore", invalid="ignore"):  # rejected below
-        powers = vals**p
-        moment = engine.expect_table(powers) if exact else float(powers.mean())
+        moment = engine.expect_table(vals**p)
     if not math.isfinite(moment):
         raise NonFiniteValueError(f"E|{F.name}|^{p:g} is not a finite double")
-    if exact:
-        return LpNorm(p=p, value=float(moment ** (1.0 / p)))
-    se_moment = float(powers.std(ddof=1) / np.sqrt(len(vals)))
-    value = moment ** (1.0 / p)
-    stderr = se_moment * value / (p * moment) if moment > 0 else se_moment
-    return LpNorm(p=p, value=value, stderr=stderr)
+    if moment == 0.0 and np.max(vals) > 0.0:
+        raise NonFiniteValueError(f"E|{F.name}|^{p:g} underflows to 0")
+    return LpNorm(value=float(moment ** (1.0 / p)))
 
 
 def generator_table(engine: SemigroupEngine, F: Functional) -> np.ndarray:

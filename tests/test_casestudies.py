@@ -1,6 +1,7 @@
 """Worked examples: maxima indicator, cumulative family, counterexamples."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -235,6 +236,26 @@ class TestNearOptimality:
         scan = near_optimality_scan([0.05, 0.1, 0.5, 1.0, 2.0], [1.05, 1.5, 2.0, 3.0])
         assert scan["min_ratio"] >= 1.0
 
+    def test_lhs_keeps_its_relative_precision_for_small_a(self):
+        # 1 - (1 + x) e^-x = sum_{k >= 2} (-1)^k (k - 1) x^k / k!, summed in
+        # exact rationals at the double x = a q; the difference form was off
+        # by 1.5e-4 at a = 1e-12 and read 0 below a = 1e-16
+        def series(x):
+            x, total, term, k = Fraction(x), Fraction(0), Fraction(x), 1
+            while True:
+                k += 1
+                term = term * x / k
+                total += (-1) ** k * (k - 1) * term
+                if term < total * Fraction(1, 10**40):
+                    return total
+
+        q = 2.0
+        for e in range(-170, 1):  # a from 1e-17 to 1, ten per decade
+            a = 10.0 ** (e / 10)
+            want = series(a * q)
+            lhs, _ = near_optimality_sides(a, q)
+            assert abs(Fraction(lhs) - want) <= want * Fraction(2, 10**14), a
+
     def test_small_corner_ratio_near_two(self):
         # Taylor expansion at a, q -> their lower limits: lhs -> (aq)^2/2 and
         # rhs -> (qa)^2, so the ratio approaches 2 from above, never 1
@@ -254,6 +275,6 @@ class TestNearOptimality:
         engine = SemigroupEngine(GroundSpace((1.0,)))
         for prop in (PROP_DF_LE0, PROP_D2F_GE0):
             cert = certify_monotonicity(engine, F, prop)
-            assert cert.valid and cert.kind == "exact"
+            assert cert.valid and cert.brief() == f"{prop}:exact:ok"
         assert F.bounded_by == 1.0
         assert F((0,)) == 1.0

@@ -8,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from poisson_ou import GroundSpace, SemigroupEngine, TruncatedStateSpace, cli, inequalities
+from poisson_ou import (GroundSpace, SemigroupEngine, TruncatedStateSpace, cli, inequalities,
+                        semigroup)
 from poisson_ou.cli import (
     CHECK_CATALOG,
     DEMO_TAG,
@@ -290,7 +291,16 @@ class TestExitCodes:
         {"check": "lsi-failure", "params": {"k_max": 0}},
         {"check": "lsi-failure", "params": {"k_max": 2.5}},
         {"check": "lsi-failure", "params": {"k_max": True}},
-    ], ids=lambda item: f"{item['check']}-{item['params']}")
+        # Python's json reads NaN, Infinity and integers beyond a double
+        {"check": "pathwise-lemma", "params": {"a": math.inf, "b": 1.0, "q": 2.0}},
+        {"check": "pathwise-lemma", "params": {"a": 2.0, "b": 1.0, "q": math.inf}},
+        {"check": "concentration", "functional": "f", "params": {"thresholds": [[math.nan]]}},
+        {"check": "weak-hypercontractivity", "functional": "f", "params": {"t": math.inf}},
+        {"check": "restricted-hypercontractivity", "functional": "f",
+         "params": {"t": math.nan, "p": 2.0}},
+        {"check": "entropy-power", "functional": "f", "params": {"q": -math.inf}},
+        {"check": "lsi-failure", "params": {"k_max": 10**400}},
+    ], ids=lambda item: f"{item['check']}-{item['params']}"[:80])
     def test_bad_checker_argument_exits_2_before_compute(
         self, tmp_path, monkeypatch, capsys, item
     ):
@@ -376,6 +386,26 @@ class TestExitCodes:
         assert not any(calls.values())
         assert not (out / "report.txt").exists()
 
+    @pytest.mark.parametrize("replications,budget,code", [
+        (10**12, 1_000_000, 3), (1001, 1000, 3), (1000, 1000, 0)])
+    def test_mc_replications_over_budget_exit_3_before_sampling(
+        self, tmp_path, monkeypatch, capsys, replications, budget, code
+    ):
+        drawn = []
+        draw = semigroup.sample_configurations
+        monkeypatch.setattr(semigroup, "sample_configurations",
+                            lambda *args: drawn.append(args) or draw(*args))
+        config = base_config(engine={"mode": "mc", "replications": replications},
+                             truncation={"tail_mass": 1e-12, "budget": budget})
+        out = tmp_path / "out"
+        assert main(["run", str(write_config(tmp_path, config)), "--out", str(out)]) == code
+        err = capsys.readouterr().err.splitlines()
+        if code == 3:
+            assert err == [f"budget exceeded: {replications} replications, over budget {budget}"]
+            assert not drawn and not (out / "report.txt").exists()
+        else:
+            assert err == [] and len(drawn) == 1
+
     @pytest.mark.parametrize("overrides", [
         {"checks": [{"check": "concentration", "functional": "f",
                      "params": {"thresholds": [["a"]]}}]},
@@ -390,11 +420,13 @@ class TestExitCodes:
         {"truncation": {"tail_mass": None}},
         {"truncation": {"tail_mass": True}},
         {"truncation": {"tail_mass": "abc"}},
+        {"truncation": {"tail_mass": 10**400}},
         {"functionals": {"f": 5}},
         {"checks": [{"check": "poincare", "functional": "f", "params": [1.0]}]},
         {"checks": {"check": "poincare", "functional": "f"}},
         {"checks": ["poincare"]},
         {"space": {"weights": 1.0}},
+        {"space": {"weights": [10**400]}},
         {"engine": "mc"},
         {"checks": [{"check": ["poincare"], "functional": "f"}]},
         {"checks": [{"check": "talagrand", "functional": "f", "bypass_hypotheses": "no"}]},
@@ -499,6 +531,30 @@ OVERFLOW_RUNS = {
                           "+ 1e308 * indicator_le(0, 20)"},
         checks=[{"check": "concentration", "functional": "f",
                  "params": {"thresholds": [[0.5]]}}]), 0),
+    # E|P_t F|^q(t) underflows to 0 for q(t) = 1 + e^8; lhs read 0
+    "restricted-hypercontractivity-underflow": (base_config(
+        checks=[{"check": "restricted-hypercontractivity", "functional": "f",
+                 "params": {"t": 8, "p": 2}}]), 4),
+    # e^-708 is a double where scipy's binomial pmf overflowed (a traceback)
+    "restricted-hypercontractivity-kernel": (base_config(
+        checks=[{"check": "restricted-hypercontractivity", "functional": "f",
+                 "params": {"t": 708, "p": 2}}]), 4),
+    # e^800 raised OverflowError; q(t) = inf is the L^inf limit
+    "restricted-hypercontractivity-sup": (base_config(
+        checks=[{"check": "restricted-hypercontractivity", "functional": "f",
+                 "params": {"t": 800, "p": 2}}]), 0),
+    # E[exp(e^t P_t F)] underflows to 0 for a negative F; lhs read 0
+    "weak-hypercontractivity-underflow": (base_config(
+        functionals={"f": "-1 * indicator_le(0, 1)"},
+        checks=[{"check": "weak-hypercontractivity", "functional": "f",
+                 "params": {"t": 7}}]), 4),
+    # e^t raised OverflowError past t = 709.78
+    "weak-hypercontractivity-e^t": (base_config(
+        checks=[{"check": "weak-hypercontractivity", "functional": "f",
+                 "params": {"t": 710}}]), 4),
+    # q**2 raised OverflowError
+    "entropy-power-q": (base_config(
+        checks=[{"check": "entropy-power", "functional": "f", "params": {"q": 1e308}}]), 4),
     # 11 (2 sup|F|)^alpha times the atom sum overflows, and so does Var(F)
     "l1-variance-rhs": (base_config(
         space={"weights": [6.5321]}, functionals={"f": "6.267e+214 * exp_neg(0.334, 0)"},
@@ -514,6 +570,10 @@ def run_quietly(tmp_path, config, name="config.json"):
         return main(["run", str(path), "--out", str(tmp_path / f"{name}.out")])
 
 
+WEAK_MOMENT = ("e^t or E[exp(e^t P_t F)] of weak-hypercontractivity "
+               "is not a positive finite double")
+
+
 class TestOverflow:
     @pytest.mark.parametrize("name", ["lemma-b^q", "lemma-a=b", "lemma-finite-lhs"])
     def test_pathwise_lemma_beyond_the_double_range(self, tmp_path, capsys, name):
@@ -527,6 +587,12 @@ class TestOverflow:
             assert fields["lhs"] == fields["rhs"] == "0"
         if name == "lemma-finite-lhs":
             assert float(fields["lhs"]) == pytest.approx(4e300, rel=1e-5)
+
+    def test_restricted_at_a_huge_time_takes_the_sup_norm(self, tmp_path, capsys):
+        assert run_quietly(tmp_path, OVERFLOW_RUNS["restricted-hypercontractivity-sup"][0]) == 0
+        assert capsys.readouterr().err == ""
+        line = (tmp_path / "config.json.out" / "report.txt").read_text()
+        assert "q(t)=inf," in line and "verdict=holds" in line
 
     def test_exact_poincare_variance_overflow_exits_4(self, tmp_path, capsys):
         assert run_quietly(tmp_path, OVERFLOW_RUNS["poincare-exact"][0]) == 4
@@ -548,6 +614,11 @@ class TestOverflow:
         ("entropy-power-scale", "a side of entropy-power is not a finite double"),
         ("concentration-alpha", "alpha^2 of the concentration bound is not a finite double"),
         ("l1-variance-rhs", "the variance of f is not a finite double"),
+        ("restricted-hypercontractivity-underflow", "E|P_8[f]|^2981.96 underflows to 0"),
+        ("restricted-hypercontractivity-kernel", "E|P_708[f]|^3.02338e+307 underflows to 0"),
+        ("weak-hypercontractivity-underflow", WEAK_MOMENT),
+        ("weak-hypercontractivity-e^t", WEAK_MOMENT),
+        ("entropy-power-q", "a side of entropy-power is not a finite double"),
     ])
     def test_no_finite_error_model_exits_4(self, tmp_path, capsys, name, message):
         assert run_quietly(tmp_path, OVERFLOW_RUNS[name][0]) == 4

@@ -32,7 +32,7 @@ from poisson_ou import (
     talagrand_bound,
 )
 from poisson_ou import inequalities
-from poisson_ou.errors import PreconditionError
+from poisson_ou.errors import NonFiniteValueError, PreconditionError
 
 from conftest import engine_for, random_bounded_functional, random_decreasing_functional
 
@@ -56,19 +56,20 @@ class TestEntropy:
         expected = lam * exp_moment(lam, a, q) * (
             1.0 - a * q * math.exp(-a * q) - math.exp(-a * q)
         )
-        assert entropy(engine, Fq).value == pytest.approx(expected, abs=1e-12)
+        assert entropy(engine, Fq) == pytest.approx(expected, abs=1e-12)
 
     def test_constant_has_zero_entropy(self):
         engine = engine_for(1.0)
         F = from_rule(lambda c: 2.0)
-        assert entropy(engine, F).value == pytest.approx(0.0, abs=1e-12)
+        assert entropy(engine, F) == pytest.approx(0.0, abs=1e-12)
 
     def test_zero_values_use_convention(self):
+        # F = 1{c >= 1}: F log F = 0 everywhere under 0 log 0 = 0, so
+        # Ent(F) = -m log m with m = P[c >= 1] = 1 - e^-1
         engine = engine_for(1.0)
         F = from_rule(lambda c: 0.0 if c[0] == 0 else 1.0)
-        val = entropy(engine, F)
-        assert math.isfinite(val.value)
-        assert val.convention_hits > 0
+        mean = -math.expm1(-1.0)
+        assert entropy(engine, F) == pytest.approx(-mean * math.log(mean), abs=1e-12)
 
     def test_negative_rejected(self):
         engine = engine_for(1.0)
@@ -262,6 +263,11 @@ class TestEntropyPower:
         with pytest.raises(ValueError):
             check_entropy_power(engine_for(1.0), exp_functional(0.5), 1.0)
 
+    def test_q_squared_beyond_the_double_range_is_no_verdict(self):
+        # q**2 raised OverflowError; as inf it makes rhs non-finite
+        with pytest.raises(NonFiniteValueError, match="a side of entropy-power"):
+            check_entropy_power(engine_for(1.0), exp_functional(0.5), 1e308)
+
 
 class TestRestrictedHypercontractivity:
     def test_exponent_growth(self):
@@ -289,6 +295,21 @@ class TestRestrictedHypercontractivity:
         rep = check_restricted_hypercontractivity(engine, G, 0.5, 2.0)
         assert rep.verdict == "hypothesis-not-met"
 
+    @pytest.mark.parametrize("t", [8.0, 10.0, 50.0, 700.0, 708.0])
+    def test_an_underflowed_moment_is_no_verdict(self, t):
+        # |P_t F| < 1 everywhere, so E|P_t F|^q(t) underflows to 0 for a
+        # large q(t) = 1 + e^t; lhs read 0 and the verdict holds
+        with pytest.raises(NonFiniteValueError, match=r"\^\S+ underflows to 0"):
+            check_restricted_hypercontractivity(engine_for(1.0), exp_functional(0.5), t, 2.0)
+
+    @pytest.mark.parametrize("t", [720.0, 800.0])
+    def test_q_beyond_the_double_range_is_the_sup_norm(self, t):
+        # e^t raised OverflowError; q(t) = inf takes ||P_t F||_inf, and P_t F
+        # is the constant E[F] = exp(lam (e^-a - 1)) there
+        rep = check_restricted_hypercontractivity(engine_for(1.0), exp_functional(0.5), t, 2.0)
+        assert rep.parameters["q(t)"] == math.inf and rep.verdict == "holds"
+        assert rep.lhs == pytest.approx(exp_moment(1.0, 0.5), abs=1e-10)
+
     @given(seed=st.integers(0, 10_000), t=st.floats(0.0, 3.0), p=st.floats(1.01, 3.0))
     @settings(max_examples=40, deadline=None)
     def test_random_decreasing(self, seed, t, p):
@@ -306,6 +327,15 @@ class TestWeakHypercontractivity:
         F = random_bounded_functional(np.random.default_rng(seed))
         rep = check_weak_hypercontractivity(engine, F, t)
         assert rep.verdict == "holds"
+
+    @pytest.mark.parametrize("t", [7.0, 710.0, math.inf])
+    def test_a_vanished_moment_or_infinite_exponent_is_no_verdict(self, t):
+        # F = -1{c <= 1}: E[exp(e^t P_t F)] underflows to 0 from t = 7, e^t
+        # raised OverflowError past t = 709.78, and at t = inf lhs read
+        # 0 ** (1 / inf) = 1 against rhs 0.535, a false violation
+        F = from_rule(lambda c: -1.0 if c[0] <= 1 else 0.0)
+        with pytest.raises(NonFiniteValueError, match="not a positive finite double"):
+            check_weak_hypercontractivity(engine_for(1.0), F, t)
 
     def test_constant_saturates(self):
         engine = engine_for(1.0)
