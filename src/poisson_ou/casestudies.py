@@ -114,15 +114,13 @@ def maxima_monte_carlo(
     # The inverse transform r(u) = inf{r : tail(r) <= u} is non-increasing
     # (tested against _invert_tail), so the radius of a sampled point
     # exceeds t exactly when its uniform draw is below tail(t), so only the
-    # smallest uniform per replication decides the indicator.
+    # smallest uniform per replication decides the indicator. One draw for all
+    # replications is the same stream as one draw per replication.
     kappa = rng.poisson(n, size=replications)
+    u = rng.random(kappa.sum())
+    hit = kappa > 0
     f2 = np.zeros(replications)
-    u_t = tail(t)
-    for s in range(replications):
-        if kappa[s] == 0:
-            continue
-        u_min = rng.random(kappa[s]).min()
-        f2[s] = 1.0 if u_min < u_t else 0.0
+    f2[hit] = np.minimum.reduceat(u, (np.cumsum(kappa) - kappa)[hit]) < tail(t)
 
     def _stats(f):
         p = float(f.mean())
@@ -264,10 +262,16 @@ def near_optimality_sides(a: float, q: float) -> tuple[float, float]:
     P(2, a q), which keeps its relative precision where a q is small and the
     difference cancels,
     rhs = q^2/(q-1) (1 - e^{-a})(1 - e^{-(q-1) a}).
+    Below x = a q = 1e-4, where ``gammainc`` is off by up to 100 ulp, lhs is
+    the series x^2/2 - x^3/3 + x^4/8 - x^5/30, within an ulp there.
     """
     if not (a > 0 and q > 1):
         raise ValueError("need a > 0 and q > 1")
-    lhs = float(gammainc(2.0, a * q))
+    x = a * q
+    if x < 1e-4:
+        lhs = x * x * (0.5 - x * (1.0 / 3.0 - x * (0.125 - x / 30.0)))
+    else:
+        lhs = float(gammainc(2.0, x))
     rhs = q**2 / (q - 1.0) * (-math.expm1(-a)) * (-math.expm1(-(q - 1.0) * a))
     return lhs, rhs
 

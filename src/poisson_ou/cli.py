@@ -6,24 +6,26 @@ Usage:
     poisson-ou list-checks
     poisson-ou example <name> [--out DIR] [key=value ...]
 
-Every check is one ``CheckSpec`` in ``CHECK_CATALOG``: its parameters,
-hypotheses, summary, the engine modes it runs in and its run function, which
-takes a config item's whole parameter grid and returns one report per point
-(``pathwise-lemma`` evaluates the grid in one masked pass; the other checks
-run point by point). The catalog drives ``list-checks``, config validation,
+Every check is one ``CheckSpec`` in ``CHECK_CATALOG``: its parameters with
+their rules, hypotheses, summary, the engine modes it runs in and its run
+function, which takes a config item's whole parameter grid and returns one
+report per point (``pathwise-lemma`` evaluates the grid in one masked pass;
+the other checks run point by point). The catalog drives ``list-checks``,
+config validation (``_check_params``, which also checks example params),
 dispatch and the order of the report. A config is validated in full before
 any engine work starts.
 
 Exit codes: 0 clean, 1 a check was violated (and nothing else), 2
 config/DSL error (a container or setting of the wrong JSON type, unknown
-check or functional, missing params, a check that cannot run in the engine
-mode, a parameter that is NaN or infinite, bad weights or truncation, fewer
-than 2 Monte Carlo replications, a bad or unknown example parameter, a config
-file that cannot be read or is not UTF-8 or nests too deeply), 3 state budget
-exceeded (interior or padded grid, a k_max, or more Monte Carlo replications
-than the budget), 4 any other library error (a checker precondition that
-fails, a non-finite value, a norm or exponential moment that overflows or
-underflows, an output directory or file that cannot be created or written).
+check, example or functional, missing params, a check that cannot run in the
+engine mode, a parameter that the check or example does not take, that is an
+empty list, NaN or infinite or that fails its rule, bad weights or
+truncation, fewer than 2 Monte Carlo replications, a config file that cannot
+be read or is not UTF-8 or nests too deeply), 3 state budget exceeded
+(interior or padded grid, a k_max, or more Monte Carlo replications than the
+budget), 4 any other library error (a checker precondition that fails, a
+non-finite value, a norm or exponential moment that overflows or underflows,
+an output directory or file that cannot be created or written).
 
 Report files are UTF-8, one record per line, fields in fixed order
 (name, params sorted by key, lhs, rhs, slack, stderr, verdict, certs, tag),
@@ -57,6 +59,38 @@ MODES = ("exact", "mc")
 EXACT = ("exact",)
 
 
+def _is_number(value) -> bool:
+    """A JSON number that is a finite double: Python's json also reads NaN,
+    Infinity and integers beyond the double range, which are refused."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int too large for a double
+        return False
+
+
+def _is_integer(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _number_rule(test, what):
+    """The rule (test of one value, what it must be) for a number passing ``test``."""
+    return lambda v: _is_number(v) and test(v), f"a finite number {what}"
+
+
+def _list_rule(test, what=""):
+    """A rule for a non-empty list of numbers that each pass ``test``."""
+    return (lambda v: isinstance(v, list) and len(v) > 0
+            and all(_is_number(x) and test(x) for x in v),
+            f"a non-empty list of finite numbers {what}".rstrip())
+
+
+_AT_LEAST_0 = _number_rule(lambda v: v >= 0, ">= 0")
+_ABOVE_1 = _number_rule(lambda v: v > 1, "> 1")
+_K_MAX = (lambda v: _is_number(v) and v >= 1 and float(v).is_integer(), "a positive integer")
+
+
 @dataclass(frozen=True)
 class CheckSpec:
     """One runnable check: ``run(engine, func, grid, bypass)`` gives its reports.
@@ -65,11 +99,13 @@ class CheckSpec:
     ``_param_grid`` order, and ``run`` returns one report per point, in that
     order. It looks the checker up on its module when called, so wrappers
     installed on ``inequalities.check_*`` or ``cli.check_mecke`` see the call.
-    ``needs_functional`` is False for the checks that run without one.
+    ``rules`` maps each parameter, in ``list-checks`` order, to (test of one
+    value, what it must be). ``needs_functional`` is False for the checks
+    that run without one.
     """
 
     name: str
-    params: tuple[str, ...]
+    rules: dict[str, tuple[Callable, str]]
     hypotheses: str
     summary: str
     modes: tuple[str, ...]
@@ -94,46 +130,47 @@ def _pathwise(engine, func, grid, bypass):
 
 #: stable catalog of checkers, in report order
 CHECK_CATALOG = {spec.name: spec for spec in (
-    CheckSpec("mecke", (), "none",
+    CheckSpec("mecke", {}, "none",
               "integration-by-parts identity for the point process", MODES, _each(_mecke),
               needs_functional=False),
-    CheckSpec("poincare", (), "none",
+    CheckSpec("poincare", {}, "none",
               "variance bounded by the expected squared differences", MODES,
               _each(lambda e, f, p, b: inequalities.check_poincare(e, f))),
-    CheckSpec("modified-lsi", (), "F > 0",
+    CheckSpec("modified-lsi", {}, "F > 0",
               "entropy bound with the difference chain-rule defect", EXACT,
               _each(lambda e, f, p, b: inequalities.check_modified_lsi(e, f))),
-    CheckSpec("min-form-lsi", (), "F > 0",
+    CheckSpec("min-form-lsi", {}, "F > 0",
               "entropy bound with the pointwise minimum integrand", EXACT,
               _each(lambda e, f, p, b: inequalities.check_min_form_lsi(e, f))),
-    CheckSpec("pathwise-lemma", ("a", "b", "q"), "none",
+    CheckSpec("pathwise-lemma", {"a": _AT_LEAST_0, "b": _AT_LEAST_0, "q": _ABOVE_1}, "none",
               "pathwise power-difference inequality", MODES, _pathwise,
               needs_functional=False),
-    CheckSpec("entropy-power", ("q",), "F >= 0, DF <= 0",
+    CheckSpec("entropy-power", {"q": _ABOVE_1}, "F >= 0, DF <= 0",
               "entropy of F^q against the bilinear form", EXACT,
               _each(lambda e, f, p, b: inequalities.check_entropy_power(
                   e, f, p["q"], bypass_hypotheses=b))),
-    CheckSpec("restricted-hypercontractivity", ("t", "p"), "F >= 0, DF <= 0",
+    CheckSpec("restricted-hypercontractivity", {"t": _AT_LEAST_0, "p": _ABOVE_1},
+              "F >= 0, DF <= 0",
               "norm contraction with growing exponent", EXACT,
               _each(lambda e, f, p, b: inequalities.check_restricted_hypercontractivity(
                   e, f, p["t"], p["p"], bypass_hypotheses=b))),
-    CheckSpec("weak-hypercontractivity", ("t",), "none (bounded F)",
+    CheckSpec("weak-hypercontractivity", {"t": _AT_LEAST_0}, "none (bounded F)",
               "exponential-moment contraction", EXACT,
               _each(lambda e, f, p, b: inequalities.check_weak_hypercontractivity(
                   e, f, p["t"]))),
-    CheckSpec("talagrand", (), "DF >= 0 & D2F <= 0, or both reversed",
+    CheckSpec("talagrand", {}, "DF >= 0 & D2F <= 0, or both reversed",
               "L1-L2 variance bound", EXACT,
               _each(lambda e, f, p, b: inequalities.check_talagrand(
                   e, f, bypass_hypotheses=b))),
-    CheckSpec("l1-variance", (), "bounded F, same sign hypotheses",
+    CheckSpec("l1-variance", {}, "bounded F, same sign hypotheses",
               "L1-only variance bound", EXACT,
               _each(lambda e, f, p, b: inequalities.l1_variance_bound(
                   e, f, bypass_hypotheses=b))),
-    CheckSpec("concentration", ("thresholds",), "DF <= 0",
+    CheckSpec("concentration", {"thresholds": _list_rule(lambda x: True)}, "DF <= 0",
               "Gaussian upper tail for the centered functional", EXACT,
               _each(lambda e, f, p, b: inequalities.check_concentration(
                   e, f, p["thresholds"], bypass_hypotheses=b))),
-    CheckSpec("lsi-failure", ("k_max",), "none",
+    CheckSpec("lsi-failure", {"k_max": _K_MAX}, "none",
               "divergence of the would-be log-Sobolev constant", MODES,
               _each(lambda e, f, p, b: inequalities.check_lsi_failure(int(p["k_max"]))),
               needs_functional=False),
@@ -212,51 +249,25 @@ def _param_grid(params: dict):
         yield dict(zip(keys, combo))
 
 
-def _is_number(value) -> bool:
-    """A JSON number that is a finite double: Python's json also reads NaN,
-    Infinity and integers beyond the double range, which are refused."""
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        return False
-    try:
-        return math.isfinite(value)
-    except OverflowError:  # an int too large for a double
-        return False
-
-
-def _is_integer(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-#: parameter -> (test of one value, what the checkers require of it)
-_PARAM_RULES = {
-    "t": (lambda v: _is_number(v) and v >= 0, "a finite number >= 0"),
-    "p": (lambda v: _is_number(v) and v > 1, "a finite number > 1"),
-    "q": (lambda v: _is_number(v) and v > 1, "a finite number > 1"),
-    "a": (lambda v: _is_number(v) and v >= 0, "a finite number >= 0"),
-    "b": (lambda v: _is_number(v) and v >= 0, "a finite number >= 0"),
-    "k_max": (lambda v: _is_number(v) and v >= 1 and float(v).is_integer(),
-              "a positive integer"),
-    "thresholds": (lambda v: isinstance(v, list) and len(v) > 0
-                   and all(_is_number(x) for x in v), "a non-empty list of finite numbers"),
-}
-
-
-def _grid_rule(test, what):
-    """A rule for a non-empty list of numbers that each pass ``test``."""
-    return (lambda v: isinstance(v, list) and len(v) > 0
-            and all(_is_number(x) and test(x) for x in v),
-            f"a non-empty list of finite numbers {what}")
-
-
-def _positive(x) -> bool:
-    return x > 0
-
-
-def _within_budget(what: str, k_max, budget: int):
-    """Refuse a k_max beyond the state budget: it counts the Poisson(1)
-    states the check or example evaluates."""
-    if k_max > budget:
-        raise BudgetExceededError(f"{what}: k_max = {k_max!r} states, over budget {budget}")
+def _check_params(what: str, rules: dict, params: dict, points: list, budget: int):
+    """Refuse, for ``what``, a key of ``params`` not in ``rules``, a value at
+    one of ``points`` failing its rule, or an empty list (no points); a k_max,
+    the Poisson(1) states evaluated, over ``budget`` is BudgetExceededError."""
+    unknown = [key for key in params if key not in rules]
+    if unknown:
+        raise DslOrConfigError(f"{what}: unknown parameter {unknown[0]!r}; "
+                               f"known: {', '.join(rules) or '-'}")
+    for point in points:
+        for key, value in point.items():
+            test, must = rules[key]
+            if not test(value):
+                raise DslOrConfigError(f"{what}: {key} must be {must}, got {value!r}")
+            if key == "k_max" and value > budget:
+                raise BudgetExceededError(
+                    f"{what}: k_max = {value!r} states, over budget {budget}")
+    if not points:
+        empty = next(key for key, value in params.items() if value == [])
+        raise DslOrConfigError(f"{what}: {empty} must not be an empty list")
 
 
 def _check_shapes(config):
@@ -306,23 +317,16 @@ def _resolve(item: dict, functionals: dict, mode: str, budget: int):
         func = functionals[item["functional"]]
     elif spec.needs_functional:
         raise DslOrConfigError(f"check {check!r} needs a functional")
-    missing = [p for p in spec.params if p not in item.get("params", {})]
+    params = item.get("params", {})
+    missing = [p for p in spec.rules if p not in params]
     if missing:
         raise DslOrConfigError(f"check {check!r} is missing params {missing}")
     if mode not in spec.modes:
         raise DslOrConfigError(
             f"check {check!r} cannot run in mode {mode!r} (modes: {','.join(spec.modes)})"
         )
-    grid = list(_param_grid(item.get("params", {})))
-    for params in grid:
-        for key in spec.params:
-            if key in _PARAM_RULES and not _PARAM_RULES[key][0](params[key]):
-                raise DslOrConfigError(
-                    f"check {check!r}: {key} must be {_PARAM_RULES[key][1]}, "
-                    f"got {params[key]!r}"
-                )
-            if key == "k_max":
-                _within_budget(f"check {check!r}", params[key], budget)
+    grid = list(_param_grid(params))
+    _check_params(f"check {check!r}", spec.rules, params, grid, budget)
     return spec, func, grid
 
 
@@ -396,7 +400,7 @@ class DslOrConfigError(ValueError):
 
 def list_checks() -> str:
     return "\n".join(
-        f"{spec.name} params={','.join(spec.params) or '-'} "
+        f"{spec.name} params={','.join(spec.rules) or '-'} "
         f"modes={','.join(spec.modes)} hypotheses={spec.hypotheses} :: {spec.summary}"
         for spec in CHECK_CATALOG.values()
     )
@@ -453,38 +457,28 @@ def _near_optimality_rows(params):
 EXAMPLES = {
     "maxima": ("maxima.csv", ("m", "variance", "poincare_rhs", "talagrand_rhs",
                               "log_norm_ratio"), _maxima_rows,
-               {"m_grid": _grid_rule(_positive, "> 0")}),
+               {"m_grid": _list_rule(lambda x: x > 0, "> 0")}),
     "onedim": ("onedim.csv", ("lambda", "variance", "poincare_rhs", "talagrand_rhs",
                               "g_norm_l1", "log_norm_ratio"), _onedim_rows,
                {"M": (_is_number, "a finite number"),
-                "lambda_grid": _grid_rule(_positive, "> 0")}),
+                "lambda_grid": _list_rule(lambda x: x > 0, "> 0")}),
     "counterexample_fk": ("counterexample_fk.csv", ("k", "variance", "e_dF_sq", "denom",
                                                     "talagrand_rhs", "lhs_over_rhs"),
-                          _counterexample_rows, {"k_max": _PARAM_RULES["k_max"]}),
+                          _counterexample_rows, {"k_max": _K_MAX}),
     "near_optimality": ("near_optimality.csv", ("a", "q", "rhs_over_lhs"),
                         _near_optimality_rows,
-                        {"a_grid": _grid_rule(_positive, "> 0"),
-                         "q_grid": _grid_rule(lambda x: x > 1, "> 1"),
-                         "gamma": (lambda v: _is_number(v) and _positive(v), "a finite number > 0")}),
+                        {"a_grid": _list_rule(lambda x: x > 0, "> 0"),
+                         "q_grid": _list_rule(lambda x: x > 1, "> 1"),
+                         "gamma": _number_rule(lambda v: v > 0, "> 0")}),
 }
 
 
 def run_example(name: str, params: dict, out_dir: Path) -> int:
-    """Validate the example's parameters (only the keys of its rule table),
-    then write its CSV; returns the exit code."""
+    """Validate the example's parameters, then write its CSV; returns the exit code."""
     if name not in EXAMPLES:
         raise DslOrConfigError(f"unknown example {name!r}; choose from {tuple(EXAMPLES)}")
     csv_name, header, make_rows, rules = EXAMPLES[name]
-    unknown = [key for key in params if key not in rules]
-    if unknown:
-        raise DslOrConfigError(f"example {name!r}: unknown parameter {unknown[0]!r}; "
-                               f"known: {', '.join(rules)}")
-    for key, (test, what) in rules.items():
-        if key in params and not test(params[key]):
-            raise DslOrConfigError(f"example {name!r}: {key} must be {what}, "
-                                   f"got {params[key]!r}")
-    if "k_max" in rules and "k_max" in params:
-        _within_budget(f"example {name!r}", params["k_max"], DEFAULT_BUDGET)
+    _check_params(f"example {name!r}", rules, params, [params], DEFAULT_BUDGET)
     rows = [[_fmt(x) for x in row] for row in make_rows(params)]
     _write_csv(out_dir / csv_name, header, rows)
     return 0
@@ -541,6 +535,7 @@ def main(argv=None) -> int:
             print(f"config parse error: line {err.lineno}, column {err.colno}: "
                   f"{err.msg}", file=sys.stderr)
             return 2
+        _check_shapes(config)  # before the overrides write into it
         if args.seed is not None:
             config["seed"] = args.seed
         if args.tail_mass is not None:

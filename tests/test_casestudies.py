@@ -98,6 +98,17 @@ class TestMaxima:
         comb = math.hypot(a["variance_stderr"], b["variance_stderr"])
         assert abs(a["variance"] - b["variance"]) <= 4 * comb
 
+    def test_full_sampling_draws_are_pinned(self):
+        # written by the earlier form that drew each replication's radii in a
+        # Python loop; one draw of all of them is the same stream
+        tail = lambda r: min(1.0, math.exp(-r))
+        out = maxima_monte_carlo(MaximaModel(m=1.0, radial_tail=tail), n_points_intensity=10.0,
+                                 t=2.3, replications=2000, seed=7)
+        assert out["full_sampling"] == {
+            "mean": 0.6165, "variance": 0.23654602301150576,
+            "variance_stderr": 0.0025339541277686582, "poincare_rhs": 0.38449266567695245,
+            "poincare_rhs_stderr": 0.01090348973805628}
+
     def test_monte_carlo_needs_tail(self):
         with pytest.raises(PreconditionError):
             maxima_monte_carlo(MaximaModel(m=1.0), 10.0, 1.0, 100, 0)
@@ -249,12 +260,15 @@ class TestNearOptimality:
                 if term < total * Fraction(1, 10**40):
                     return total
 
-        q = 2.0
-        for e in range(-170, 1):  # a from 1e-17 to 1, ten per decade
-            a = 10.0 ** (e / 10)
-            want = series(a * q)
-            lhs, _ = near_optimality_sides(a, q)
-            assert abs(Fraction(lhs) - want) <= want * Fraction(2, 10**14), a
+        for q in (1.05, 2.0, 3.0):
+            for e in range(-170, 1):  # a from 1e-17 to 1, ten per decade
+                a = 10.0 ** (e / 10)
+                want = series(a * q)
+                lhs, _ = near_optimality_sides(a, q)
+                error = abs(Fraction(lhs) - want)
+                assert error <= want * Fraction(2, 10**14), (a, q)
+                if a * q < 1e-4:  # the series, not scipy's gammainc
+                    assert error <= 2 * Fraction(math.ulp(float(want))), (a, q)
 
     def test_small_corner_ratio_near_two(self):
         # Taylor expansion at a, q -> their lower limits: lhs -> (aq)^2/2 and

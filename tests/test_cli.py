@@ -3,6 +3,8 @@
 import json
 import math
 import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -19,7 +21,7 @@ from poisson_ou.cli import (
     load_config,
     main,
 )
-from poisson_ou.reports import make_report
+from poisson_ou.reports import HOLDS, HOLDS_STAT, VIOLATED, make_report
 
 ROOT = Path(__file__).resolve().parents[1]
 REPO_CONFIG = ROOT / "configs" / "onedim_suite.json"
@@ -168,6 +170,14 @@ class TestBenchmarkNames:
         assert math.isclose(mecke.lhs, moments["mecke_lhs"], rel_tol=1e-9)
         assert math.isclose(mecke.rhs, moments["mecke_rhs"], rel_tol=1e-9)
 
+    def test_bench_selftest_passes(self):
+        # the benchmark's own self-test pins more runner names (check_mecke,
+        # format_report_line, make_report, the call-time checker lookup)
+        done = subprocess.run([sys.executable, "bench/selftest.py"], cwd=ROOT,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stdout + done.stderr
+        assert done.stdout == "selftest passed\n"
+
 
 class TestExitCodes:
     def test_empty_check_list(self, tmp_path):
@@ -300,6 +310,13 @@ class TestExitCodes:
          "params": {"t": math.nan, "p": 2.0}},
         {"check": "entropy-power", "functional": "f", "params": {"q": -math.inf}},
         {"check": "lsi-failure", "params": {"k_max": 10**400}},
+        # a key the check does not take, and an empty list, which leaves no point
+        {"check": "poincare", "functional": "f", "params": {"x": [1, 2, 3]}},
+        {"check": "pathwise-lemma", "params": {"a": 1, "b": 2, "q": 2, "c": 1}},
+        {"check": "weak-hypercontractivity", "functional": "f", "params": {"t": []}},
+        {"check": "restricted-hypercontractivity", "functional": "f",
+         "params": {"t": 0.5, "p": []}},
+        {"check": "concentration", "functional": "f", "params": {"thresholds": []}},
     ], ids=lambda item: f"{item['check']}-{item['params']}"[:80])
     def test_bad_checker_argument_exits_2_before_compute(
         self, tmp_path, monkeypatch, capsys, item
@@ -309,7 +326,9 @@ class TestExitCodes:
         path = write_config(tmp_path, base_config(checks=checks))
         out = tmp_path / "out"
         assert main(["run", str(path), "--out", str(out)]) == 2
-        assert f"check {item['check']!r}: " in capsys.readouterr().err
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"config error: check {item['check']!r}: ")
+        assert any(f": {key} " in err[0] or f"{key!r}" in err[0] for key in item["params"])
         assert not any(calls.values())
         assert not (out / "report.txt").exists()
 
@@ -430,6 +449,7 @@ class TestExitCodes:
         {"engine": "mc"},
         {"checks": [{"check": ["poincare"], "functional": "f"}]},
         {"checks": [{"check": "talagrand", "functional": "f", "bypass_hypotheses": "no"}]},
+        {"checks": [{"check": "nope", "functional": "f"}]},
     ], ids=lambda overrides: json.dumps(overrides))
     def test_bad_config_shape_exits_2(self, tmp_path, capsys, overrides):
         out = tmp_path / "out"
@@ -439,6 +459,22 @@ class TestExitCodes:
         assert err.count("config error:") == 1 and len(err.splitlines()) == 1
         assert "Traceback" not in err
         assert not (out / "report.txt").exists()
+
+    @pytest.mark.parametrize("config,flag", [
+        ([], ["--seed", "1"]),
+        ({"truncation": 5}, ["--tail-mass", "1e-9"]),
+        ({"truncation": "x"}, ["--budget", "10"]),
+        ({"engine": []}, ["--mode", "mc"]),
+    ], ids=lambda value: json.dumps(value))
+    def test_override_on_a_bad_config_shape_exits_2(self, tmp_path, capsys, config, flag):
+        # the flags write into the config, so its shape is checked first
+        out = tmp_path / "out"
+        path = write_config(tmp_path, config)
+        assert main(["run", str(path), *flag, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("config error:") == 1 and len(err.splitlines()) == 1
+        assert "Traceback" not in err
+        assert not out.exists()
 
     def test_huge_concentration_threshold(self, tmp_path, capsys):
         # t * t overflows to inf, so the Gaussian bound is 0; t**2 raised
@@ -745,6 +781,11 @@ class TestReportFormat:
         # params sorted by key
         assert line.index("a=1") < line.index("t=0.5")
 
+    @pytest.mark.parametrize("lhs,verdict", [(0.9, HOLDS), (1.3, HOLDS_STAT), (1.5, VIOLATED)])
+    def test_monte_carlo_verdict_against_four_stderr(self, lhs, verdict):
+        report = make_report("demo", lhs, 1.0, stderr=0.1)
+        assert report.verdict == verdict
+
     def test_one_record_per_line(self, tmp_path):
         config = base_config(checks=[
             {"check": "pathwise-lemma", "params": {"a": [1.0, 2.0], "b": 1.0, "q": 2.0}},
@@ -772,6 +813,14 @@ class TestFlags:
         out = tmp_path / "out"
         assert main(["run", str(path), "--mode", "mc", "--out", str(out)]) == 0
         assert "stderr=-" not in (out / "report.txt").read_text()
+
+    def test_budget_override_exits_3(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["run", str(REPO_CONFIG), "--budget", "10", "--out", str(out)]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("budget exceeded: ")
+        assert err[0].endswith("over budget 10")
+        assert not out.exists()
 
     def test_parser_rejects_unknown_mode(self):
         with pytest.raises(SystemExit):
@@ -832,13 +881,17 @@ class TestExamples:
         assert not computed
         assert not list(tmp_path.iterdir())
 
-    def test_unknown_example_key_exits_2_before_compute(self, tmp_path, monkeypatch, capsys):
+    @pytest.mark.parametrize("param,message", [
+        ("kmax=5", "example 'counterexample_fk': unknown parameter 'kmax'; known: k_max"),
+        ("k_max", "expected key=value, got 'k_max'"),
+    ])
+    def test_unknown_example_key_exits_2_before_compute(
+        self, tmp_path, monkeypatch, capsys, param, message
+    ):
         computed = []
         monkeypatch.setattr(cli.casestudies, "counterexample_fk", computed.append)
-        assert main(["example", "counterexample_fk", "kmax=5", "--out", str(tmp_path)]) == 2
-        err = capsys.readouterr().err.splitlines()
-        assert err == ["config error: example 'counterexample_fk': unknown parameter "
-                       "'kmax'; known: k_max"]
+        assert main(["example", "counterexample_fk", param, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"config error: {message}"]
         assert not computed
         assert not list(tmp_path.iterdir())
 

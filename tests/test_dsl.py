@@ -63,6 +63,19 @@ class TestDiagnostics:
         with pytest.raises(DslError):
             parse("count(0) +")
 
+    @pytest.mark.parametrize("text,column,message", [
+        ("count(0", 8, "unexpected end of input"),
+        ("count(x)", 7, "expected number, found 'x'"),
+        ("count(0 1)", 9, "expected punct, found '1'"),
+        ("count(0 * 1)", 9, "expected ')', found '*'"),
+        ("count(0) + -count(1)", 12, "expected a number or a call, found '-'"),
+    ])
+    def test_parser_diagnostics(self, text, column, message):
+        with pytest.raises(DslError) as info:
+            parse(text)
+        assert (info.value.line, info.value.column) == (1, column)
+        assert str(info.value) == f"line 1, column {column}: {message}"
+
     def test_error_carries_line_and_column(self):
         try:
             parse("count(0) $ 1")

@@ -11,6 +11,7 @@ from scipy import stats
 from poisson_ou import (
     BudgetExceededError,
     GroundSpace,
+    NonFiniteValueError,
     SemigroupEngine,
     TruncatedStateSpace,
     check_mecke,
@@ -165,3 +166,9 @@ class TestMecke:
             space, lambda c, i: (i + 1.0) * math.exp(-0.1 * float(np.asarray(c)[i]))
         )
         assert report.ok
+
+    def test_non_finite_callable_h_names_the_atom(self):
+        space = GroundSpace((1.0, 2.0))
+        h = lambda c, i: math.nan if i == 1 and np.asarray(c)[1] == 2 else 1.0
+        with pytest.raises(NonFiniteValueError, match="non-finite value at atom 1"):
+            check_mecke(space, h)
