@@ -12,6 +12,7 @@ Three families:
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -289,9 +290,11 @@ def near_optimality_scan(a_grid, q_grid, gamma: float = 1.0) -> dict:
     for ia, a in enumerate(a_grid):
         for iq, q in enumerate(q_grid):
             lhs, rhs = near_optimality_sides(a, q)
-            if lhs == 0:  # lhs ~ (aq)^2 / 2 rounds to 0 for a tiny a * q
+            # lhs ~ (aq)^2 / 2 is subnormal, or 0, for a * q below about 2e-154
+            if lhs < sys.float_info.min:
                 raise NonFiniteValueError(
-                    f"near-optimality ratio at a={a!r}, q={q!r}: lhs is 0 in double precision")
+                    f"near-optimality ratio at a={a!r}, q={q!r}: lhs is "
+                    f"{'0' if lhs == 0 else 'subnormal'} in double precision")
             ratios[ia, iq] = rhs / lhs
     a0, q0 = a_grid[len(a_grid) // 2], q_grid[len(q_grid) // 2]
     engine = SemigroupEngine(GroundSpace((gamma,)))

@@ -118,14 +118,15 @@ class _Parser:
     def peek(self):
         return self.tokens[self.index] if self.index < len(self.tokens) else None
 
-    def take(self, kind=None, value=None):
+    def take(self, kind=None, value=None, want=None):
+        """The next token, of ``kind`` and equal to ``value`` where given;
+        else an error naming ``want``, what the user must write there (by
+        default ``value``, quoted, or ``kind``)."""
         tok = self.peek()
         if tok is None:
             self.error("unexpected end of input")
-        if kind and tok[0] != kind:
-            self.error(f"expected {kind}, found {tok[1]!r}")
-        if value and tok[1] != value:
-            self.error(f"expected {value!r}, found {tok[1]!r}")
+        if (kind and tok[0] != kind) or (value and tok[1] != value):
+            self.error(f"expected {want or (repr(value) if value else kind)}, found {tok[1]!r}")
         self.index += 1
         return tok
 
@@ -180,15 +181,15 @@ class _Parser:
             self.error(f"unknown builtin {name!r}")
         self.take("name")
         self.take("punct", "(")
-        args = [float(self.take("number")[1])]
+        args = [float(self.take("number", want="a number")[1])]
         while True:
             tok = self.peek()
             if tok and tok[0] == "punct" and tok[1] == ",":
                 self.take()
-                args.append(float(self.take("number")[1]))
+                args.append(float(self.take("number", want="a number")[1]))
             else:
                 break
-        self.take("punct", ")")
+        self.take("punct", ")", want="',' or ')'")
         arity = BUILTINS[name].arity
         if len(args) != arity:
             self.error(f"{name} takes {arity} argument(s), got {len(args)}")

@@ -163,7 +163,7 @@ def _scan_signs(engine, F: Functional, prop: str) -> MonotonicityCertificate:
         diff = grids.trim_to(engine.difference(F, *atoms), engine.trunc.shape)
         checked += diff.size
         ok = diff <= 0.0 if prop in (PROP_DF_LE0, PROP_D2F_LE0) else diff >= 0.0
-        if not np.all(ok):
+        if not ok.all():
             idx = tuple(int(x) for x in np.argwhere(~ok)[0])
             where = atoms[0] if order == 1 else atoms
             return MonotonicityCertificate(prop, checked, witness=(idx, where, float(diff[idx])))

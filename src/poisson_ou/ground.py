@@ -34,7 +34,7 @@ class GroundSpace:
         w = np.asarray(self.weights, dtype=float)
         if w.ndim != 1 or w.size == 0:
             raise ValueError("weights must be a non-empty 1-d sequence")
-        if not np.all(np.isfinite(w)) or not np.all(w > 0):
+        if not np.isfinite(w).all() or not (w > 0).all():
             raise ValueError("all weights must be strictly positive and finite")
         object.__setattr__(self, "weights", tuple(float(x) for x in w))
 
@@ -159,13 +159,11 @@ def check_mecke(engine, h, trunc: TruncatedStateSpace | None = None):
         rhs = 0.0
         sup_h = 1.0
         for i, table in enumerate(tables):
-            if not np.all(np.isfinite(table)):
+            if not np.isfinite(table).all():
                 raise NonFiniteValueError(f"h produced a non-finite value at atom {i}")
-            lhs += float(np.sum(law * states[i] * table))
-            rhs += lam[i] * float(
-                np.sum(grids.drop_top(law, i) * grids.shift_up(table, i))
-            )
-            sup_h = max(sup_h, float(np.max(np.abs(table))))
+            lhs += float((law * states[i] * table).sum())
+            rhs += lam[i] * float((grids.drop_top(law, i) * grids.shift_up(table, i)).sum())
+            sup_h = max(sup_h, float(np.abs(table).max()))
         tol = engine.tolerance(sup_h * (1.0 + space.total_mass))
         return make_report(
             "mecke", lhs, rhs, tolerance=tol, equality_form=True,
@@ -198,7 +196,7 @@ def check_mecke(engine, h, trunc: TruncatedStateSpace | None = None):
             right += lam[i] * shifted_values(i)
         diffs = left - right
         stderr = float(diffs.std(ddof=1) / np.sqrt(replications))
-    if not np.all(np.isfinite(diffs)):
+    if not np.isfinite(diffs).all():
         raise NonFiniteValueError("h produced a non-finite value")
     mean = float(diffs.mean())
     return make_report(

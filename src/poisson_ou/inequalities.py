@@ -33,7 +33,7 @@ from .semigroup import SemigroupEngine, apply_semigroup, lp_norm, overflow_to_in
 
 def _phi(values: np.ndarray) -> np.ndarray:
     """u log u with 0 log 0 = 0."""
-    if np.any(values < 0):
+    if (values < 0).any():
         raise NegativeValueError("u log u needs non-negative values")
     out = np.zeros_like(values)
     nz = values != 0.0
@@ -42,9 +42,15 @@ def _phi(values: np.ndarray) -> np.ndarray:
 
 
 def entropy(engine: SemigroupEngine, F: Functional) -> float:
-    """Ent(F) = E[F log F] - E[F] log E[F] for F >= 0 (exact mode only)."""
+    """Ent(F) = E[F log F] - E[F] log E[F] for F >= 0 (exact mode only),
+    taken once per functional per engine (see ``SemigroupEngine._memo``)."""
+    return engine._memo(F, "entropy", lambda: _entropy(engine, F))
+
+
+def _entropy(engine: SemigroupEngine, F: Functional) -> float:
     table = engine.tabulate(F)
     phi_table = _phi(table)
+    # not engine.mean: F may be table-backed (G^q), whose table is not held
     mean = engine.expect_table(table)
     base = 0.0 if mean == 0.0 else mean * math.log(mean)
     return engine.expect_table(phi_table) - base
@@ -60,8 +66,7 @@ def check_poincare(engine, F):
     if engine.mode == "exact":
         lhs = variance(engine, F)
         rhs = gamma_expectation(engine, F)
-        sup = float(np.max(np.abs(engine.tabulate(F))))
-        tol = _variance_tolerance(engine, sup)
+        tol = _variance_tolerance(engine, engine.sup_abs(F))
         return make_report("poincare", lhs, rhs, tolerance=tol)
     lhs, se_l = variance(engine, F)
     rhs, se_r = gamma_expectation(engine, F)
@@ -70,9 +75,9 @@ def check_poincare(engine, F):
 
 def check_modified_lsi(engine, F):
     """Ent(F) <= sum_i lam_i E[Phi(F(.+e_i)) - Phi(F) - (log F + 1) D_i F]."""
-    table = engine.tabulate(F)
-    if np.min(table) <= 0.0:
+    if engine.minimum(F) <= 0.0:
         raise PreconditionError("modified LSI needs F > 0 on the probed states")
+    table = engine.tabulate(F)
     lhs = entropy(engine, F)
     phi_table = _phi(table)
     phi_prime = np.log(table) + 1.0
@@ -83,27 +88,30 @@ def check_modified_lsi(engine, F):
         return engine.expect_table(d_phi - grids.drop_top(phi_prime, i) * df)
 
     rhs = engine.atom_sum(term)
-    scale = float(np.max(np.abs(phi_table))) + float(np.max(np.abs(table)))
+    scale = float(np.abs(phi_table).max()) + engine.sup_abs(F)
     tol = engine.tolerance(scale * (1 + engine.space.total_mass))
     return make_report("modified-lsi", lhs, rhs, tolerance=tol)
 
 
 def check_min_form_lsi(engine, F):
     """Ent(F) <= sum_i lam_i E[min((D_i F)^2 / F, D_i F * D_i log F)]."""
-    table = engine.tabulate(F)
-    if np.min(table) <= 0.0:
+    if engine.minimum(F) <= 0.0:
         raise PreconditionError("min-form LSI needs F > 0 on the probed states")
+    table = engine.tabulate(F)
     lhs = entropy(engine, F)
     log_table = np.log(table)
 
     def term(i):
         df = engine.difference(F, i)
         d_log = grids.diff_axis(log_table, i)
-        quad = df**2 / grids.drop_top(table, i)
-        return engine.expect_table(np.minimum(quad, df * d_log))
+        # an overflow is inf or nan: the minimum takes the other form where it
+        # is finite, and _finite_sides rejects the rest
+        with np.errstate(over="ignore", invalid="ignore"):
+            quad = df**2 / grids.drop_top(table, i)
+            return engine.expect_table(np.minimum(quad, df * d_log))
 
-    rhs = engine.atom_sum(term)
-    scale = float(np.max(np.abs(table * (1 + np.abs(log_table)))))
+    lhs, rhs = _finite_sides("min-form-lsi", lhs, engine.atom_sum(term))
+    scale = float(np.abs(table * (1 + np.abs(log_table))).max())
     tol = engine.tolerance(scale * (1 + engine.space.total_mass))
     return make_report("min-form-lsi", lhs, rhs, tolerance=tol)
 
@@ -127,7 +135,7 @@ def _pathwise_eval(a, b, q):
     absolute sides are their exponentials.
     """
     a, b, q = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in (a, b, q)))
-    if np.any(a < 0) or np.any(b < 0) or np.any(q <= 1):
+    if (a < 0).any() or (b < 0).any() or (q <= 1).any():
         raise ValueError("need a, b >= 0 and q > 1")
     pos, lone = b > 0.0, (b == 0.0) & (a > 0)
     with np.errstate(all="ignore"):
@@ -149,7 +157,7 @@ def _pathwise_eval(a, b, q):
         log_rhs = np.where(lone, np.inf, -np.inf)
         extreme = pos & (t > _LOG_REGIME)
         in_logs = extreme | (pos & ~(np.isfinite(lhs) & np.isfinite(rhs)))
-        if np.any(in_logs):
+        if in_logs.any():
             # a >> b: both sides scale like a^2q / b^q; the exp(-t) terms are
             # below 1e-150 and kept only to make the comparison one-sided
             ll = q * np.log(b) + 2.0 * t + 2.0 * np.log1p(-np.exp(-t))
@@ -222,9 +230,9 @@ def check_entropy_power(engine, G, q, bypass_hypotheses=False):
     """Ent(G^q) <= q^2/(q-1) * E[Gamma(G^{q-1}, G)] for G >= 0 non-increasing."""
     if not q > 1:
         raise ValueError("q must exceed 1")
-    table = engine.tabulate(G)
-    if np.min(table) < 0:
+    if engine.minimum(G) < 0:
         raise PreconditionError("entropy-power bound needs G >= 0")
+    table = engine.tabulate(G)
     certs = [certify_monotonicity(engine, G, PROP_DF_LE0)]
 
     def term(i):
@@ -236,7 +244,7 @@ def check_entropy_power(engine, G, q, bypass_hypotheses=False):
         lhs = entropy(engine, from_table(table**q, name=f"{G.name}^{q:g}"))
         rhs = engine.atom_sum(term) * overflow_to_inf(lambda: q**2 / (q - 1.0))
         scale = overflow_to_inf(
-            lambda: float(np.max(table) ** q) * (1 + engine.space.total_mass) * q**2 / (q - 1))
+            lambda: float(table.max() ** q) * (1 + engine.space.total_mass) * q**2 / (q - 1))
     lhs, rhs = _finite_sides("entropy-power", lhs, rhs)
     return make_report(
         "entropy-power", lhs, rhs, tolerance=engine.tolerance(scale),
@@ -249,14 +257,13 @@ def check_restricted_hypercontractivity(engine, F, t, p, bypass_hypotheses=False
     """||P_t F||_{1 + (p-1) e^t} <= ||F||_p for F >= 0 with DF <= 0."""
     if not p > 1:
         raise ValueError("p must exceed 1")
-    table = engine.tabulate(F)
-    nonneg = float(np.min(table)) >= 0.0
+    nonneg = engine.minimum(F) >= 0.0
     certs = [certify_monotonicity(engine, F, PROP_DF_LE0)]
     # beyond the double range q(t) is inf, its L^inf limit
     q_t = overflow_to_inf(lambda: 1.0 + (p - 1.0) * math.exp(t))
     lhs = lp_norm(engine, apply_semigroup(engine, F, t), q_t).value
     rhs = lp_norm(engine, F, p).value
-    scale = max(1.0, float(np.max(np.abs(table))))
+    scale = max(1.0, engine.sup_abs(F))
     return make_report(
         "restricted-hypercontractivity", lhs, rhs, tolerance=engine.tolerance(scale),
         certificates=certs, parameters={"t": t, "p": p, "q(t)": q_t},
@@ -266,9 +273,9 @@ def check_restricted_hypercontractivity(engine, F, t, p, bypass_hypotheses=False
 
 def check_weak_hypercontractivity(engine, F, t):
     """||exp(P_t F)||_{e^t} <= ||exp(F)||_1 for bounded F of any sign; no gate."""
-    table = engine.tabulate(F)
     # before the sides: where exp(max|F|) is beyond doubles, exp(F) overflows too
-    tol = engine.tolerance(overflow_to_inf(lambda: math.exp(float(np.max(np.abs(table))))))
+    tol = engine.tolerance(overflow_to_inf(lambda: math.exp(engine.sup_abs(F))))
+    table = engine.tabulate(F)
     pt = engine.apply_table(table, t)
     q_t = overflow_to_inf(lambda: math.exp(t))
     # e^t P_t F may pass the log of the largest double where F does not
@@ -328,7 +335,7 @@ def _talagrand_certs(engine, F):
 
 def check_talagrand(engine, F, bypass_hypotheses=False):
     """Var(F) <= the L1-L2 bound, gated on (DF>=0, D2F<=0) or (DF<=0, D2F>=0)."""
-    sup = float(np.max(np.abs(engine.tabulate(F))))
+    sup = engine.sup_abs(F)
     certs, met = _talagrand_certs(engine, F)
     lhs = variance(engine, F)
     rhs = talagrand_bound(engine, F)
@@ -342,8 +349,8 @@ def l1_variance_bound(engine, F, bypass_hypotheses=False):
     """Var(F) <= 11 (2||F||_inf)^alpha * sum_i lam_i B(E|D_i F|), where B is
     2/(1 + log(1/x)) for x <= 1 and x for x >= 1 (min of both at x = 1)."""
     table = engine.tabulate(F)
-    sup = float(np.max(np.abs(engine.interior(table))))
-    if not np.all(np.isfinite(table)):
+    sup = float(np.abs(engine.interior(table)).max())
+    if not np.isfinite(table).all():
         raise PreconditionError("F must be bounded")
     certs, met = _talagrand_certs(engine, F)
     alpha = 1.0 if 2.0 * sup > 1.0 else 2.0 / (math.e + 1.0)
@@ -375,16 +382,14 @@ def check_concentration(engine, F, thresholds, bypass_hypotheses=False):
     Gated on DF <= 0. The report's lhs/rhs are the worst (tail - bound) pair
     over the threshold grid; per-threshold values sit in the parameters.
     """
-    table = engine.tabulate(F)
     certs = [certify_monotonicity(engine, F, PROP_DF_LE0)]
     # an overflow is inf, rejected below
-    alpha_sq = float(np.max(engine.interior(engine.energy_density(F))))
+    alpha_sq = float(engine.interior(engine.energy_density(F)).max())
     if not math.isfinite(alpha_sq):
         raise NonFiniteValueError("alpha^2 of the concentration bound is not a finite double")
-    mean = engine.expect_table(table)
     # F - E F beyond the double range is +-inf, which compares with t alike
     with np.errstate(over="ignore"):
-        centered = table - mean
+        centered = engine.tabulate(F) - engine.mean(F)
     pairs = {}
     worst_lhs, worst_rhs = 0.0, math.inf
     for t in thresholds:
@@ -436,7 +441,7 @@ def check_lsi_failure(k_max=50):
     """
     ratios = lsi_failure_ratios(k_max)
     half = len(ratios) // 2
-    increasing = bool(np.all(np.diff(ratios[half:]) > 0))
+    increasing = bool((np.diff(ratios[half:]) > 0).all())
     mid, last = float(ratios[half]), float(ratios[-1])
     return make_report(
         # the end of the sequence must exceed its midpoint value

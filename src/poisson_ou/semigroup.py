@@ -142,7 +142,9 @@ class SemigroupEngine:
         samples and (i,) for F on the samples shifted at atom i, a property
         for F's sign certificate, "variance" for Var(F), ("D", *atoms) for a
         difference table (exact mode) and ("E|D|^", i, power) for its
-        moment. Arrays come back read-only.
+        moment; "min", "sup" and "mean" for min F, max|F| and E F,
+        "entropy" for Ent(F) and ("Lp", p) for ||F||_p (exact mode). Arrays
+        come back read-only.
         The memo holds F beside its result, so F's id cannot be reused while
         the engine lives. A table-backed F is not held: its values come from
         F's own table, and holding it would only keep transient tables (such
@@ -164,6 +166,18 @@ class SemigroupEngine:
         """F on the padded grid, built once per functional and read-only."""
         self._require_exact("tabulation")
         return self._memo(F, None, lambda: F.tabulate(self.shape))
+
+    def minimum(self, F: Functional) -> float:
+        """min F on the padded grid, once per functional."""
+        return self._memo(F, "min", lambda: float(self.tabulate(F).min()))
+
+    def sup_abs(self, F: Functional) -> float:
+        """max |F| on the padded grid, once per functional."""
+        return self._memo(F, "sup", lambda: float(np.abs(self.tabulate(F)).max()))
+
+    def mean(self, F: Functional) -> float:
+        """E F under the truncated law, once per functional."""
+        return self._memo(F, "mean", lambda: self.expect_table(self.tabulate(F)))
 
     def difference(self, F: Functional, *atoms: int) -> np.ndarray:
         """D_i F for one atom i, or D_j D_i F for a pair i <= j, read-only.
@@ -210,8 +224,8 @@ class SemigroupEngine:
     def expect_table(self, table: np.ndarray) -> float:
         """E[table(eta)] under the truncated law; accepts reduced shapes."""
         self._require_exact("exact expectation")
-        law = grids.trim_to(self.law, table.shape)
-        return float(np.sum(law * table))
+        law = self.law if table.shape == self.shape else grids.trim_to(self.law, table.shape)
+        return float((law * table).sum())
 
     def interior(self, table: np.ndarray) -> np.ndarray:
         """Restrict a (possibly reduced) table to the declared truncation grid."""
@@ -309,7 +323,7 @@ def apply_semigroup(engine: SemigroupEngine, F: Functional, t: float) -> Functio
 
 def expectation(engine: SemigroupEngine, F: Functional):
     if engine.mode == "exact":
-        return engine.expect_table(engine.tabulate(F))
+        return engine.mean(F)
     return engine.expect_mc(F)
 
 
@@ -326,7 +340,7 @@ def _variance(engine: SemigroupEngine, F: Functional):
     vals = engine.tabulate(F) if exact else engine.sample_values(F)
     with np.errstate(over="ignore", invalid="ignore"):
         if exact:
-            var = engine.expect_table((vals - engine.expect_table(vals)) ** 2)
+            var = engine.expect_table((vals - engine.mean(F)) ** 2)
         else:
             var = float(vals.var(ddof=1))
             centered = (vals - vals.mean()) ** 2
@@ -339,20 +353,26 @@ def _variance(engine: SemigroupEngine, F: Functional):
 def lp_norm(engine: SemigroupEngine, F: Functional, p) -> LpNorm:
     """||F||_p = E[|F|^p]^(1/p); p = inf is the max over truncated states.
 
-    Exact mode only. Raises NonFiniteValueError when E|F|^p overflows, or
-    underflows to 0 while F is not 0: no norm can be stated from it.
+    Exact mode only, taken once per (F, p) per engine (see
+    ``SemigroupEngine._memo``). Raises NonFiniteValueError when E|F|^p
+    overflows, or underflows to 0 while F is not 0: no norm can be stated
+    from it.
     """
     p = float(p)
     if not (p >= 1.0):
         raise ValueError("p must be in [1, inf]")
+    return engine._memo(F, ("Lp", p), lambda: _lp_norm(engine, F, p))
+
+
+def _lp_norm(engine: SemigroupEngine, F: Functional, p: float) -> LpNorm:
     vals = np.abs(engine.tabulate(F))
     if math.isinf(p):
-        return LpNorm(value=float(np.max(engine.interior(vals))))
+        return LpNorm(value=float(engine.interior(vals).max()))
     with np.errstate(over="ignore", invalid="ignore"):  # rejected below
         moment = engine.expect_table(vals**p)
     if not math.isfinite(moment):
         raise NonFiniteValueError(f"E|{F.name}|^{p:g} is not a finite double")
-    if moment == 0.0 and np.max(vals) > 0.0:
+    if moment == 0.0 and vals.max() > 0.0:
         raise NonFiniteValueError(f"E|{F.name}|^{p:g} underflows to 0")
     return LpNorm(value=float(moment ** (1.0 / p)))
 
@@ -382,10 +402,9 @@ def _generator_of_table(engine: SemigroupEngine, table: np.ndarray) -> np.ndarra
 
 def mean_preservation_check(engine, F, t):
     """E[P_t F] = E[F], exact tolerance 10 * tail_mass * sup|F|."""
-    table = engine.tabulate(F)
-    lhs = engine.expect_table(engine.apply_table(table, t))
-    rhs = engine.expect_table(table)
-    tol = engine.tolerance(np.max(np.abs(table)))
+    lhs = engine.expect_table(engine.apply_table(engine.tabulate(F), t))
+    rhs = engine.mean(F)
+    tol = engine.tolerance(engine.sup_abs(F))
     return make_report(
         "mean-preservation", lhs, rhs, tolerance=tol, equality_form=True,
         parameters={"t": t},
@@ -394,15 +413,13 @@ def mean_preservation_check(engine, F, t):
 
 def commutation_check(engine, F, t):
     """max over interior states and atoms of |D_i(P_t F) - e^-t P_t(D_i F)|."""
-    table = engine.tabulate(F)
     pt = apply_semigroup(engine, F, t)
     worst = 0.0
     for i in range(engine.space.atom_count):
         left = engine.difference(pt, i)
         right = math.exp(-t) * engine.apply_table(engine.difference(F, i), t)
-        resid = np.abs(engine.interior(left - right))
-        worst = max(worst, float(np.max(resid)))
-    tol = engine.tolerance(np.max(np.abs(table)))
+        worst = max(worst, float(np.abs(engine.interior(left - right)).max()))
+    tol = engine.tolerance(engine.sup_abs(F))
     return make_report(
         "commutation", worst, 0.0, tolerance=tol, equality_form=True,
         parameters={"t": t},
@@ -414,8 +431,8 @@ def semigroup_property_check(engine, F, s, t):
     table = engine.tabulate(F)
     two_step = engine.apply_table(engine.apply_table(table, t), s)
     one_step = engine.apply_table(table, s + t)
-    worst = float(np.max(np.abs(engine.interior(two_step - one_step))))
-    tol = engine.tolerance(np.max(np.abs(table)))
+    worst = float(np.abs(engine.interior(two_step - one_step)).max())
+    tol = engine.tolerance(engine.sup_abs(F))
     return make_report(
         "semigroup-property", worst, 0.0, tolerance=tol, equality_form=True,
         parameters={"s": s, "t": t},
@@ -434,11 +451,11 @@ def generator_check(engine, F, h):
     finite = (engine.apply_table(table, h) - table) / h
     lf = generator_table(engine, F)
     resid = engine.interior(grids.trim_to(finite, lf.shape) - lf)
-    lhs = float(np.max(np.abs(resid)))
+    lhs = float(np.abs(resid).max())
     llf = _generator_of_table(engine, lf)
-    scale = float(np.max(np.abs(engine.interior(llf))))
+    scale = float(np.abs(engine.interior(llf)).max())
     rhs = h * scale
-    tol = engine.tolerance(np.max(np.abs(table))) + 1e-12 * scale
+    tol = engine.tolerance(engine.sup_abs(F)) + 1e-12 * scale
     return make_report("generator", lhs, rhs, tolerance=tol, parameters={"h": h})
 
 
@@ -454,7 +471,7 @@ def symmetry_check(engine, F, G):
     worst = max(
         abs(e_flg - e_glf), abs(e_flg + e_gamma), abs(e_glf + e_gamma)
     )
-    scale = float(np.max(np.abs(tf)) * np.max(np.abs(tg)))
+    scale = engine.sup_abs(F) * engine.sup_abs(G)
     tol = engine.tolerance(scale * (1.0 + engine.space.total_mass))
     return make_report(
         "generator-symmetry", worst, 0.0, tolerance=tol, equality_form=True,
@@ -464,16 +481,13 @@ def symmetry_check(engine, F, G):
 
 def pointwise_gradient_check(engine, F, t):
     """|D_i(P_t F)| <= 2 e^-t over interior states, for ||F||_inf <= 1."""
-    table = engine.tabulate(F)
-    sup = float(np.max(np.abs(table)))
+    sup = engine.sup_abs(F)
     if sup > 1.0 + 1e-12:
         raise PreconditionError(f"||F||_inf = {sup} > 1")
     pt = apply_semigroup(engine, F, t)
     worst = 0.0
     for i in range(engine.space.atom_count):
-        worst = max(
-            worst, float(np.max(np.abs(engine.interior(engine.difference(pt, i)))))
-        )
+        worst = max(worst, float(np.abs(engine.interior(engine.difference(pt, i))).max()))
     rhs = 2.0 * math.exp(-t)
     return make_report(
         "pointwise-gradient", worst, rhs, tolerance=engine.tolerance(1.0),
@@ -488,14 +502,12 @@ def integrated_gradient_check(engine, F, t, p):
         raise ValueError("p must be in [2, inf]")
     if not t > 0:
         raise ValueError("t must be positive")
-    table = engine.tabulate(F)
     sq = engine.energy_density(apply_semigroup(engine, F, t))
     if math.isinf(p):
-        lhs = float(np.sqrt(np.max(engine.interior(sq))))
-        rhs_norm = float(np.max(np.abs(engine.interior(table))))
+        lhs = float(np.sqrt(engine.interior(sq).max()))
     else:
         lhs = engine.expect_table(sq ** (p / 2.0)) ** (1.0 / p)
-        rhs_norm = lp_norm(engine, F, p).value
+    rhs_norm = lp_norm(engine, F, p).value
     rhs = math.exp(-t) / math.sqrt(1.0 - math.exp(-t)) * rhs_norm
     tol = engine.tolerance(rhs_norm)
     return make_report("integrated-gradient", lhs, rhs, tolerance=tol,

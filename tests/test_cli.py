@@ -591,6 +591,12 @@ OVERFLOW_RUNS = {
     # q**2 raised OverflowError
     "entropy-power-q": (base_config(
         checks=[{"check": "entropy-power", "functional": "f", "params": {"q": 1e308}}]), 4),
+    # (D F)^2 / F overflows where F is small; the minimum takes D F * D log F
+    "min-form-lsi-quotient": (base_config(
+        space={"weights": [0.5055, 1.6165]},
+        truncation={"tail_mass": 4.94e-14, "budget": 1_000_000},
+        functionals={"f": "2.243e+151 * max_radius_gt(0) + 7463000000000.0 * exp_neg(2.485, 1)"},
+        checks=[{"check": "min-form-lsi", "functional": "f"}]), 0),
     # 11 (2 sup|F|)^alpha times the atom sum overflows, and so does Var(F)
     "l1-variance-rhs": (base_config(
         space={"weights": [6.5321]}, functionals={"f": "6.267e+214 * exp_neg(0.334, 0)"},
@@ -629,6 +635,14 @@ class TestOverflow:
         assert capsys.readouterr().err == ""
         line = (tmp_path / "config.json.out" / "report.txt").read_text()
         assert "q(t)=inf," in line and "verdict=holds" in line
+
+    def test_min_form_lsi_quotient_overflow_keeps_its_record(self, tmp_path, capsys):
+        assert run_quietly(tmp_path, OVERFLOW_RUNS["min-form-lsi-quotient"][0]) == 0
+        assert capsys.readouterr().err == ""
+        assert (tmp_path / "config.json.out" / "report.txt").read_text() == (
+            "name=min-form-lsi params=functional=f lhs=8.2266875064081526e+150 "
+            "rhs=2.2082482696739267e+153 slack=2.2000215821675185e+153 stderr=- "
+            "verdict=holds certs=-\n")
 
     def test_exact_poincare_variance_overflow_exits_4(self, tmp_path, capsys):
         assert run_quietly(tmp_path, OVERFLOW_RUNS["poincare-exact"][0]) == 4
@@ -901,6 +915,15 @@ class TestExamples:
         err = capsys.readouterr().err.splitlines()
         assert err == ["error: near-optimality ratio at a=1e-200, q=1.05: "
                        "lhs is 0 in double precision"]
+        assert not list(tmp_path.iterdir())
+
+    def test_near_optimality_ratio_with_a_subnormal_lhs_exits_4(self, tmp_path, capsys):
+        # lhs = 1.99999997e-316 here; its ratio read 2.0000000247, not 2
+        assert main(["example", "near_optimality", "a_grid=[1e-158]", "q_grid=[2]",
+                     "--out", str(tmp_path)]) == 4
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: near-optimality ratio at a=1e-158, q=2.0: "
+                       "lhs is subnormal in double precision"]
         assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("k_max", ["1e300", str(cli.DEFAULT_BUDGET + 1)])

@@ -65,9 +65,11 @@ class TestDiagnostics:
 
     @pytest.mark.parametrize("text,column,message", [
         ("count(0", 8, "unexpected end of input"),
-        ("count(x)", 7, "expected number, found 'x'"),
-        ("count(0 1)", 9, "expected punct, found '1'"),
-        ("count(0 * 1)", 9, "expected ')', found '*'"),
+        ("count(x)", 7, "expected a number, found 'x'"),
+        ("count(0, x)", 10, "expected a number, found 'x'"),
+        ("count(0 1)", 9, "expected ',' or ')', found '1'"),
+        ("count(0 * 1)", 9, "expected ',' or ')', found '*'"),
+        ("count 0", 7, "expected '(', found '0'"),
         ("count(0) + -count(1)", 12, "expected a number or a call, found '-'"),
     ])
     def test_parser_diagnostics(self, text, column, message):

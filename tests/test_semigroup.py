@@ -31,7 +31,7 @@ from poisson_ou import (
     variance,
 )
 from poisson_ou import cli, functionals, grids, ground, inequalities, semigroup
-from poisson_ou.errors import NonFiniteValueError, PreconditionError
+from poisson_ou.errors import NegativeValueError, NonFiniteValueError, PreconditionError
 from poisson_ou.functionals import (
     PROP_D2F_GE0,
     PROP_D2F_LE0,
@@ -367,9 +367,12 @@ class TestTableMemo:
         held = weakref.ref(ptf)
         table = engine.tabulate(ptf)
         assert not table.flags.writeable
-        # nor by its certificates or its variance
+        # nor by its certificates, its variance or its scalars
         assert certify_monotonicity(engine, ptf, PROP_DF_LE0).valid
         assert variance(engine, ptf) > 0
+        assert engine.minimum(ptf) > 0 and engine.sup_abs(ptf) == table.max()
+        assert engine.mean(ptf) > 0 and inequalities.entropy(engine, ptf) > 0
+        assert lp_norm(engine, ptf, 2.0).value > 0
         del ptf, table
         gc.collect()
         assert held() is None
@@ -617,25 +620,77 @@ class TestResultMemo:
         expects = counting(monkeypatch, SemigroupEngine, "expect_table")
         diffs = counting(monkeypatch, grids, "diff_axis")
         assert cli.run_config(GRID_3ATOM_SEED_1, tmp_path) == 0
-        # 42 and 55 before the difference memo; E[D(F^{q-1}) D F] of
-        # entropy-power equals the energy only at q = 2, so it is no hit
-        assert len(expects) <= 33
+        # 42 and 55 before the difference memo, 33 expectations before the
+        # scalar memos; E[D(F^{q-1}) D F] of entropy-power equals the energy
+        # only at q = 2, so it is no hit
+        assert len(expects) <= 32
         assert len(diffs) <= 26
+
+    def test_grid_3atom_seed1_report_is_unchanged(self, tmp_path):
+        # every exact check of a grid-3atom pass, as written before the
+        # engine memoized min F, max|F|, E F, Ent F and ||F||_p
+        assert cli.run_config(GRID_3ATOM_SEED_1, tmp_path) == 0
+        expected = (ROOT / "tests" / "data" / "grid_3atom_seed1.report.txt").read_bytes()
+        assert (tmp_path / "report.txt").read_bytes() == expected
 
     def test_shipped_suite_takes_differences_through_the_engine(self, tmp_path, monkeypatch):
         diffs = counting(monkeypatch, grids, "diff_axis")
+        expects = counting(monkeypatch, SemigroupEngine, "expect_table")
         config = cli.load_config(str(ROOT / "configs" / "onedim_suite.json"))
         assert cli.run_config(config, tmp_path) == 0
         assert len(diffs) == 11
+        assert len(expects) == 31  # 35 before the scalar memos
+
+    def test_scalars_of_a_functional_once_per_engine(self, monkeypatch):
+        engine = SemigroupEngine(GroundSpace((1.0, 0.5)))
+        F = from_rule(lambda c: math.exp(-0.4 * c[0]) * (1.0 + c[1]), name="F")
+        table = F.tabulate(engine.shape)
+
+        def scalars():
+            return (engine.minimum(F), engine.sup_abs(F), engine.mean(F),
+                    inequalities.entropy(engine, F), lp_norm(engine, F, 2.0),
+                    lp_norm(engine, F, math.inf))
+
+        first = scalars()
+        law = engine.law
+        mean = float(np.sum(law * table))
+        assert first[:4] == (float(np.min(table)), float(np.max(np.abs(table))), mean,
+                             float(np.sum(law * (table * np.log(table)))) - mean * math.log(mean))
+        assert first[4].value == float(np.sum(law * table**2)) ** 0.5
+        assert first[5].value == float(np.max(engine.interior(table)))
+        expects = counting(monkeypatch, SemigroupEngine, "expect_table")
+        tables = counting(monkeypatch, Functional, "tabulate")
+        again = scalars()
+        assert all(a is b for a, b in zip(again, first))
+        assert expects == [] and tables == []
+
+    def test_restricted_at_ten_times_takes_the_norm_of_f_once(self, tmp_path, monkeypatch):
+        built = counting(monkeypatch, semigroup, "_lp_norm")
+        config = {
+            "space": {"weights": [1.0]},
+            "functionals": {"f": "exp_neg(0.5, 0)"},
+            "checks": [{"check": "restricted-hypercontractivity", "functional": "f",
+                        "params": {"t": [0.1 * k for k in range(1, 11)], "p": 2.0}}],
+        }
+        assert cli.run_config(config, tmp_path) == 0
+        assert len((tmp_path / "report.txt").read_text().splitlines()) == 10
+        # one norm of each P_t F, and one of F for all ten records
+        names = [F.name for _, F, _ in built]
+        assert len(names) == 11 and names.count("f") == 1
 
     @pytest.mark.parametrize("mode", ["exact", "mc"])
     def test_throwaway_functionals_never_share_a_certificate(self, mode):
         # increasing and decreasing functionals alternate, rule-backed and
         # table-backed, so an id reused by a freed functional would be served
-        # the other sign's certificate and variance
+        # the other sign's certificate, variance or scalars
         engine = SemigroupEngine(GroundSpace((1.0, 0.5)), mode=mode,
                                  replications=50, seed=3)
         counts = np.indices(engine.shape or (30, 30), dtype=float)
+        if mode == "exact":
+            top = sum(engine.shape) - 2  # c_0 + c_1 at the padded grid's far corner
+            cap = sum(engine.trunc.caps)
+            # Ent(c_0 + c_1); Ent(a F) = a Ent(F) for a > 0
+            unit_entropy = inequalities.entropy(engine, from_table(counts[0] + counts[1]))
         for k in range(200):
             sign = 1.0 if k % 2 else -1.0
             if k % 4 < 2:
@@ -647,6 +702,20 @@ class TestResultMemo:
                 assert certify_monotonicity(engine, F, PROP_DF_LE0).valid == (sign < 0)
                 # Var(c_0 + c_1) = 1 + 0.5
                 assert variance(engine, F) == pytest.approx(1.5 * (k + 1) ** 2, rel=1e-9)
+                a = sign * (k + 1)
+                assert engine.minimum(F) == min(0.0, a * top)
+                assert engine.sup_abs(F) == abs(a) * top
+                assert engine.mean(F) == pytest.approx(1.5 * a, rel=1e-9)
+                # E(c_0 + c_1)^2 = 1.5 + 1.5^2
+                assert lp_norm(engine, F, 2).value == pytest.approx(
+                    abs(a) * math.sqrt(3.75), rel=1e-9)
+                assert lp_norm(engine, F, math.inf).value == abs(a) * cap
+                if sign > 0:
+                    assert inequalities.entropy(engine, F) == pytest.approx(
+                        a * unit_entropy, rel=1e-9)
+                else:
+                    with pytest.raises(NegativeValueError):
+                        inequalities.entropy(engine, F)
             else:
                 samples = tuple(engine.samples.T)
                 assert variance(engine, F)[0] == F.values(samples).var(ddof=1)
