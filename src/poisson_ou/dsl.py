@@ -256,7 +256,15 @@ class BatchRule:
         self._values = [value for _, value in readers]
         self._lines = [np.empty(0) for _ in readers]
 
-    def _line(self, k: int, top: int) -> np.ndarray:
+    def _line(self, k: int, n: np.ndarray, reach: int = 0) -> np.ndarray:
+        """Term k's line, long enough to be read at every count of ``n`` plus
+        ``reach``; a negative count raises ValueError."""
+        # one reduction for both bounds: read as uint64, a negative int64 is
+        # at least 2**63
+        top = int(n.view(np.uint64).max()) if n.size else 0
+        if top >= 2**63:
+            raise ValueError("counts must be non-negative")
+        top += reach
         line = self._lines[k]
         if top >= line.size:
             more = map(self._values[k], range(line.size, max(top + 1, 2 * line.size)))
@@ -269,14 +277,30 @@ class BatchRule:
         with np.errstate(over="ignore", invalid="ignore"):
             for k, axis in enumerate(self.axes):
                 n = counts[axis]
-                # one reduction for both bounds: read as uint64, a negative
-                # int64 is at least 2**63
-                top = int(n.view(np.uint64).max()) if n.size else 0
-                if top >= 2**63:
-                    raise ValueError("counts must be non-negative")
-                total += self._line(k, top)[n]
+                total += self._line(k, n)[n]
             total += self.const  # in place: addition commutes, bit for bit
         return total
+
+    def shift_table(self, counts) -> np.ndarray:
+        """Row 0 is ``self(counts)`` and row 1 + i is ``self`` on counts plus
+        one point at atom i, for every one of the m atoms of counts, bit for
+        bit: each row adds the same terms in the same order. Each term
+        gathers its line twice, at ``counts[axis]`` and one above, and adds
+        the upper gather into the row of its own atom and the lower one into
+        every other row, so the work is two gathers per term, not 1 + m.
+        """
+        table = np.zeros((1 + len(counts),) + grids.count_shape(counts))
+        # an overflow is left to Functional.shift_table, which names the state
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k, axis in enumerate(self.axes):
+                n = counts[axis]
+                line = self._line(k, n, reach=1)
+                at = line[n]
+                table[: 1 + axis] += at
+                table[2 + axis:] += at
+                table[1 + axis] += line[1:][n]
+            table += self.const
+        return table
 
 
 def to_functional(expr: Expr, name: str | None = None) -> Functional:

@@ -30,8 +30,9 @@ class Functional:
     beyond it (the engines size tables so this never happens in normal use).
     ``batch``, when present, is the rule's array form: counts in index form
     (``grids.index_form``) -> values of their broadcast shape, equal to the
-    rule bit for bit. ``values`` is the one evaluator: calls, grid tables,
-    samples and the difference operators all go through it and its checks.
+    rule bit for bit. ``values`` is the one evaluator: calls, grid tables
+    and the difference operators go through it and its checks, and
+    ``shift_table`` (samples and their one-point shifts) through its checks.
     """
 
     rule: object | None = None
@@ -72,12 +73,42 @@ class Functional:
             out = np.asarray(self.batch(c), dtype=float)
         else:
             out = grids.map_rows(self.rule, c)
+        return self._checked(out, lambda index: _state_at(c, out.shape, index))
+
+    def shift_table(self, counts) -> np.ndarray:
+        """F on the states held by counts in index form (row 0) and on each of
+        them plus one point at atom i (row 1 + i), as one array of shape
+        (1 + m, *their broadcast shape).
+
+        Each row equals ``values`` on its states bit for bit and is checked as
+        ``values`` checks, rows in order: a bad value names the first bad
+        state of the first bad row. A batch with a ``shift_table`` of its own
+        (``dsl.BatchRule``) builds all rows in one pass; any other F fills
+        them through ``values``, one row at a time.
+        """
+        c = grids.index_form(counts)
+        build = getattr(self.batch, "shift_table", None)
+        if self.table is None and build is not None:
+            table = build(c)
+            shape = table.shape[1:]
+            return self._checked(table, lambda index: _state_at(
+                c if index[0] == 0 else grids.add_unit(c, index[0] - 1), shape, index[1:]))
+        table = np.empty((1 + len(c),) + grids.count_shape(c))
+        table[0] = self.values(c)
+        for i in range(len(c)):
+            table[1 + i] = self.values(grids.add_unit(c, i))
+        return table
+
+    def _checked(self, out: np.ndarray, state_at) -> np.ndarray:
+        """``out``, or NonFiniteValueError for a non-finite value and ValueError
+        for one beyond ``bounded_by``, at the first such index in C order;
+        ``state_at(index)`` is the state ``out[index]`` was taken at."""
         bad = ~np.isfinite(out)
         if self.bounded_by is not None:
             bad |= np.abs(out) > self.bounded_by + 1e-12
         if bad.any():
             first = np.unravel_index(int(np.flatnonzero(bad)[0]), bad.shape)
-            state = tuple(int(np.broadcast_to(x, bad.shape)[first]) for x in c)
+            state = state_at(first)
             if not np.isfinite(out[first]):
                 raise NonFiniteValueError(f"{self.name} is non-finite at {state}")
             raise ValueError(
@@ -93,6 +124,12 @@ class Functional:
         ):
             return grids.trim_to(self.table, shape)
         return self.values(np.indices(shape, sparse=True))
+
+
+def _state_at(counts, shape, index) -> tuple:
+    """The state at ``index`` of the states of the given shape held by counts
+    in index form, as a tuple of ints."""
+    return tuple(int(np.broadcast_to(x, shape)[index]) for x in counts)
 
 
 def from_rule(rule, name="F", **kwargs) -> Functional:

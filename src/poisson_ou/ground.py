@@ -132,8 +132,9 @@ def check_mecke(engine, h, trunc: TruncatedStateSpace | None = None):
     time for each atom. Exact mode sums over the truncated grid extended by
     one level (caps + 2), so the shifted side is never clipped, and reads
     F from the engine's memoized table. Monte Carlo mode averages both sides
-    over the engine's samples, reading F from ``engine.sample_values``, and
-    reports the standard error of their difference.
+    over the engine's samples, reading F from the rows of its sample table
+    (``engine.sample_values``), and reports the standard error of their
+    difference.
     """
     from .functionals import Functional
 
@@ -147,23 +148,29 @@ def check_mecke(engine, h, trunc: TruncatedStateSpace | None = None):
         shape = tuple(n + 2 for n in engine.trunc.caps)  # one level for eta+delta_x
         law = grids.trim_to(engine.law, shape)
         states = np.indices(shape, sparse=True)
+
+        def checked(table, i):
+            """(table, max|table|), or NonFiniteValueError naming atom i."""
+            if not np.isfinite(table).all():
+                raise NonFiniteValueError(f"h produced a non-finite value at atom {i}")
+            return table, float(np.abs(table).max())
+
         if isinstance(h, Functional):
-            # a table-backed h need only cover caps + 2, not the padded grid
-            fixed = (h.values(states) if h.table is not None
-                     else grids.trim_to(engine.tabulate(h), shape))
+            # a table-backed h need only cover caps + 2, not the padded grid;
+            # every atom reads this one table, checked once
+            fixed = checked(h.values(states) if h.table is not None
+                            else grids.trim_to(engine.tabulate(h), shape), 0)
             tables = (fixed for _ in range(space.atom_count))
         else:
-            tables = (grids.map_rows(lambda c: h(c, i), states)
+            tables = (checked(grids.map_rows(lambda c: h(c, i), states), i)
                       for i in range(space.atom_count))
         lhs = 0.0
         rhs = 0.0
         sup_h = 1.0
-        for i, table in enumerate(tables):
-            if not np.isfinite(table).all():
-                raise NonFiniteValueError(f"h produced a non-finite value at atom {i}")
+        for i, (table, peak) in enumerate(tables):
             lhs += float((law * states[i] * table).sum())
             rhs += lam[i] * float((grids.drop_top(law, i) * grids.shift_up(table, i)).sum())
-            sup_h = max(sup_h, float(np.abs(table).max()))
+            sup_h = max(sup_h, peak)
         tol = engine.tolerance(sup_h * (1.0 + space.total_mass))
         return make_report(
             "mecke", lhs, rhs, tolerance=tol, equality_form=True,
@@ -172,14 +179,23 @@ def check_mecke(engine, h, trunc: TruncatedStateSpace | None = None):
     samples = tuple(engine.samples.T)
     replications = engine.replications
     if isinstance(h, Functional):
-        def occupied_values(occupied, i):
-            return engine.sample_values(h)[occupied]
+        table = engine.sample_values(h)
+
+        def point_values(i):
+            # where c_i = 0 the product c_i * F below adds +-0, which changes
+            # no sum, since every value in the table is finite
+            return table[0]
 
         def shifted_values(i):
-            return engine.sample_values(h, i)
+            return table[1 + i]
     else:
-        def occupied_values(occupied, i):
-            return grids.map_rows(lambda c: h(c, i), tuple(x[occupied] for x in samples))
+        def point_values(i):
+            # a callable h is evaluated only where c_i > 0, and is 0 elsewhere
+            occupied = samples[i] > 0
+            out = np.zeros(replications)
+            out[occupied] = grids.map_rows(lambda c: h(c, i),
+                                           tuple(x[occupied] for x in samples))
+            return out
 
         def shifted_values(i):
             return grids.map_rows(lambda c: h(c, i), grids.add_unit(samples, i))
@@ -188,10 +204,7 @@ def check_mecke(engine, h, trunc: TruncatedStateSpace | None = None):
     # the check below and make_report reject what overflows here
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(space.atom_count):
-            # only occupied atoms carry a point; a callable h is not evaluated
-            # where c_i = 0
-            occupied = samples[i] > 0
-            left[occupied] += samples[i][occupied] * occupied_values(occupied, i)
+            left += samples[i] * point_values(i)
         for i in range(space.atom_count):
             right += lam[i] * shifted_values(i)
         diffs = left - right

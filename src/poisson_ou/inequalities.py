@@ -37,8 +37,17 @@ def _phi(values: np.ndarray) -> np.ndarray:
         raise NegativeValueError("u log u needs non-negative values")
     out = np.zeros_like(values)
     nz = values != 0.0
-    out[nz] = values[nz] * np.log(values[nz])
+    # u log u overflows to inf for u near the top of the double range; the
+    # sides and tolerances built on it reject it
+    with np.errstate(over="ignore"):
+        out[nz] = values[nz] * np.log(values[nz])
     return out
+
+
+def _phi_table(engine: SemigroupEngine, F: Functional, table: np.ndarray) -> np.ndarray:
+    """F log F from F's table on the padded grid (exact mode only), once per
+    functional per engine (see ``SemigroupEngine._memo``) and read-only."""
+    return engine._memo(F, "phi", lambda: _phi(table))
 
 
 def entropy(engine: SemigroupEngine, F: Functional) -> float:
@@ -49,11 +58,11 @@ def entropy(engine: SemigroupEngine, F: Functional) -> float:
 
 def _entropy(engine: SemigroupEngine, F: Functional) -> float:
     table = engine.tabulate(F)
-    phi_table = _phi(table)
+    phi = _phi_table(engine, F, table)
     # not engine.mean: F may be table-backed (G^q), whose table is not held
     mean = engine.expect_table(table)
     base = 0.0 if mean == 0.0 else mean * math.log(mean)
-    return engine.expect_table(phi_table) - base
+    return engine.expect_table(phi) - base
 
 
 def _variance_tolerance(engine, sup: float) -> float:
@@ -78,17 +87,19 @@ def check_modified_lsi(engine, F):
     if engine.minimum(F) <= 0.0:
         raise PreconditionError("modified LSI needs F > 0 on the probed states")
     table = engine.tabulate(F)
-    lhs = entropy(engine, F)
-    phi_table = _phi(table)
+    phi = _phi_table(engine, F, table)
     phi_prime = np.log(table) + 1.0
 
     def term(i):
-        d_phi = grids.diff_axis(phi_table, i)
         df = engine.difference(F, i)
-        return engine.expect_table(d_phi - grids.drop_top(phi_prime, i) * df)
+        # an overflow of F log F is inf, and inf - inf is nan: _finite_sides
+        # rejects both
+        with np.errstate(over="ignore", invalid="ignore"):
+            d_phi = grids.diff_axis(phi, i)
+            return engine.expect_table(d_phi - grids.drop_top(phi_prime, i) * df)
 
-    rhs = engine.atom_sum(term)
-    scale = float(np.abs(phi_table).max()) + engine.sup_abs(F)
+    lhs, rhs = _finite_sides("modified-lsi", entropy(engine, F), engine.atom_sum(term))
+    scale = float(np.abs(phi).max()) + engine.sup_abs(F)
     tol = engine.tolerance(scale * (1 + engine.space.total_mass))
     return make_report("modified-lsi", lhs, rhs, tolerance=tol)
 

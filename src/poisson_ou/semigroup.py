@@ -138,17 +138,20 @@ class SemigroupEngine:
     def _memo(self, F: Functional, what, build):
         """``build()`` once per (F, what) for the engine's lifetime.
 
-        ``what`` names the result: None for F's table, () for F on the
-        samples and (i,) for F on the samples shifted at atom i, a property
-        for F's sign certificate, "variance" for Var(F), ("D", *atoms) for a
-        difference table (exact mode) and ("E|D|^", i, power) for its
-        moment; "min", "sup" and "mean" for min F, max|F| and E F,
+        ``what`` names the result: None for F's table; "samples" for F's
+        sample table, which holds F on the samples and on every one-point
+        shift of them (``sample_values``); a property for F's sign
+        certificate, "variance" for Var(F), ("D", *atoms) for a difference
+        table (exact mode) and ("E|D|^", i, power) for its moment; "min",
+        "sup" and "mean" for min F, max|F| and E F, "phi" for F log F,
         "entropy" for Ent(F) and ("Lp", p) for ||F||_p (exact mode). Arrays
         come back read-only.
         The memo holds F beside its result, so F's id cannot be reused while
-        the engine lives. A table-backed F is not held: its values come from
-        F's own table, and holding it would only keep transient tables (such
-        as P_t F) alive for the engine's lifetime. A ``build()`` that raises
+        the engine lives. On an exact engine a table-backed F is not held:
+        its values come from F's own table, and holding it would only keep
+        transient tables (such as P_t F) alive for the engine's lifetime. No
+        check builds such tables on a Monte Carlo engine, so there every F
+        is held and its sample table built once. A ``build()`` that raises
         stores nothing.
         """
         key = (id(F), what)
@@ -158,7 +161,7 @@ class SemigroupEngine:
         result = build()
         if isinstance(result, np.ndarray):
             result.setflags(write=False)
-        if F.table is None:
+        if F.table is None or self.mode == "mc":
             self._results[key] = (F, result)
         return result
 
@@ -184,14 +187,15 @@ class SemigroupEngine:
 
         On the padded grid (one smaller along each differenced axis) it is
         built once per (F, atoms), like ``tabulate``. On the samples only
-        D_i F exists: it is built on each call from the memoized values, as
-        ``add_one_cost`` does, and not stored, which takes one subtraction and
-        keeps one array per shift.
+        D_i F exists: it is row 1 + i less row 0 of F's sample table
+        (``sample_values``), as ``add_one_cost`` takes it, built on each call
+        and not stored, so the memo keeps one table per functional.
         """
         if self.mode == "mc":
             if len(atoms) != 1:
                 raise PreconditionError("a second difference requires an exact-mode engine")
-            d = self.sample_values(F, atoms[0]) - self.sample_values(F)
+            table = self.sample_values(F)
+            d = table[1 + atoms[0]] - table[0]
             d.setflags(write=False)
             return d
 
@@ -261,20 +265,19 @@ class SemigroupEngine:
 
     # ------------------------------------------------------------------ mc
 
-    def sample_values(self, F: Functional, atom: int | None = None) -> np.ndarray:
-        """F on the engine's samples, or on each sample plus one point at
-        ``atom``; evaluated once per (F, atom) and read-only, like ``tabulate``."""
+    def sample_values(self, F: Functional) -> np.ndarray:
+        """F's sample table, of shape (1 + m, replications): row 0 is F on the
+        engine's samples and row 1 + i is F on each sample plus one point at
+        atom i (``Functional.shift_table``). Built once per functional and
+        read-only, like ``tabulate``; every Monte Carlo reading of F, shifted
+        or not, is a row of it."""
         if self.mode != "mc":
             raise PreconditionError("sample evaluation requires a Monte Carlo engine")
-        def build():
-            counts = tuple(self.samples.T)
-            return F.values(counts if atom is None else grids.add_unit(counts, atom))
-
-        return self._memo(F, () if atom is None else (atom,), build)
+        return self._memo(F, "samples", lambda: F.shift_table(tuple(self.samples.T)))
 
     def expect_mc(self, F: Functional) -> tuple[float, float]:
         """Sample mean and stderr of F over the engine's samples."""
-        vals = self.sample_values(F)
+        vals = self.sample_values(F)[0]
         return float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(len(vals)))
 
     # ----------------------------------------------------------- atom sums
@@ -337,7 +340,7 @@ def variance(engine: SemigroupEngine, F: Functional):
 
 def _variance(engine: SemigroupEngine, F: Functional):
     exact = engine.mode == "exact"
-    vals = engine.tabulate(F) if exact else engine.sample_values(F)
+    vals = engine.tabulate(F) if exact else engine.sample_values(F)[0]
     with np.errstate(over="ignore", invalid="ignore"):
         if exact:
             var = engine.expect_table((vals - engine.mean(F)) ** 2)

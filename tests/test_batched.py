@@ -9,6 +9,7 @@ order as the rule, so reports do not move by a single bit.
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -313,3 +314,111 @@ class TestMeckeOnTheEngine:
         if mode == "exact":
             assert any(t < s for t, s in zip(T.table.shape, engine.shape))
         assert format_report_line(check_mecke(engine, T)) == line
+
+
+def random_expression(rng, atoms) -> Expr:
+    """A seeded DSL expression on the given number of atoms that calls every
+    builtin at least once, at a random atom, plus up to three more terms."""
+    names = sorted(BUILTINS) + list(rng.choice(sorted(BUILTINS), size=rng.integers(0, 4)))
+    terms = []
+    for func in names:
+        atom = float(rng.integers(atoms))
+        level = float(rng.integers(0, 5))
+        args = {"count": (atom,), "indicator_le": (atom, level + 0.5),
+                "exp_neg": (round(float(rng.uniform(0, 2)), 3), atom),
+                "cumsum_g": (atom, level), "max_radius_gt": (atom,)}[func]
+        terms.append(Term(round(float(rng.uniform(-5, 5)), 3) or 1.0, func, args))
+    return Expr(const=round(float(rng.uniform(-3, 3)), 3), terms=tuple(terms))
+
+
+class TestSampleTable:
+    """``Functional.shift_table``: F on the states and on every one-point shift
+    of them, equal to ``values`` row by row, checked as ``values`` checks."""
+
+    @staticmethod
+    def per_shift(F, counts):
+        m = len(counts)
+        return [F.values(counts)] + [F.values(grids.add_unit(counts, i)) for i in range(m)]
+
+    @pytest.mark.parametrize("atoms", [1, 2, 3, 4])
+    def test_rows_equal_values_on_every_shift(self, atoms):
+        rng = np.random.default_rng(atoms)
+        counts = columns(rng.poisson(1.5, size=(60, atoms)))
+        for _ in range(25):
+            F = to_functional(random_expression(rng, atoms))
+            table = F.shift_table(counts)
+            assert table.shape == (1 + atoms, 60)
+            assert all(same_bits(row, want) for row, want in zip(table, self.per_shift(F, counts)))
+
+    def test_rule_and_table_backed_functionals_fill_rows_through_values(self):
+        counts = columns(np.random.default_rng(5).poisson(1.0, size=(40, 3)))
+        F = functional_from_text(EXPR)
+        rule = from_rule(F.rule, name="R")
+        table_backed = from_table(F.tabulate((12, 12, 12)), name="T")
+        for G in (rule, table_backed):
+            table = G.shift_table(counts)
+            assert all(same_bits(row, want) for row, want in zip(table, self.per_shift(G, counts)))
+            assert same_bits(table, F.shift_table(counts))
+
+    @pytest.mark.parametrize("batch", [True, False], ids=["batch", "rule"])
+    def test_a_value_bad_only_after_a_shift_names_its_state(self, batch):
+        # 1.7e308 at c_0 = 1 is a double, 3.4e308 at c_0 = 2 is not: only the
+        # row shifted at atom 0 holds an inf
+        big = functional_from_text("1e308 * count(0) + 0.7e308 * count(0)", name="big")
+        # the bound first breaks at the first state shifted at atom 1, but
+        # rows are checked in order: the fourth state shifted at atom 0 is named
+        bounded = dataclasses.replace(functional_from_text("count(0) + 2 * count(1)", name="n"),
+                                      bounded_by=4.0)
+        cases = [(big, NonFiniteValueError, [[1, 1], [0, 2], [1, 0]],
+                  "big is non-finite at (2, 1)"),
+                 (bounded, ValueError, [[1, 1], [0, 1], [1, 0], [2, 1]],
+                  "n exceeds its declared bound 4.0 at (3, 1)")]
+        for G, error, rows, message in cases:
+            if not batch:
+                G = dataclasses.replace(G, batch=None)
+            with pytest.raises(error) as reference:
+                self.per_shift(G, columns(rows))
+            with pytest.raises(error) as built:
+                G.shift_table(columns(rows))
+            assert str(built.value) == str(reference.value) == message
+
+    def test_the_engine_reports_the_first_bad_shifted_sample(self):
+        engine = SemigroupEngine(GroundSpace((0.8, 1.5)), mode="mc", replications=300, seed=7)
+        samples = tuple(engine.samples.T)
+        top = float((samples[0] + samples[1]).max())
+        F = dataclasses.replace(functional_from_text("count(0) + count(1)"), bounded_by=top)
+        with pytest.raises(ValueError) as reference:
+            F.values(grids.add_unit(samples, 0))
+        with pytest.raises(ValueError) as built:
+            engine.sample_values(F)
+        assert str(built.value) == str(reference.value)
+
+    def test_build_memory_stays_within_one_table(self):
+        # the table holds (1 + m) * n doubles; index arrays for every shifted
+        # copy of the states would hold m times as many int64s
+        m, n = 6, 20_000
+        space = GroundSpace((1.0,) * m)
+        trunc = TruncatedStateSpace.from_tail_mass(space, budget=10**8)
+        engine = SemigroupEngine(space, trunc, mode="mc", replications=n, seed=1)
+        F = to_functional(random_expression(np.random.default_rng(0), m))
+        F.values(tuple(engine.samples.T))  # grow the term lines outside the trace
+        tracemalloc.start()
+        try:
+            engine.sample_values(F)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * (1 + m) * n * 8
+
+    def test_engine_table_is_read_only_and_built_once(self, mc_engine):
+        F = functional_from_text(EXPR)
+        # a table-backed functional too: no check builds a transient one on
+        # samples, so the engine holds it and builds its table once
+        T = from_table(F.tabulate((20, 20, 20)), name="T")
+        for G in (F, T):
+            table = mc_engine.sample_values(G)
+            assert mc_engine.sample_values(G) is table
+            assert not table.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                table[1, 0] = 0.0
+            assert same_bits(table, F.shift_table(tuple(mc_engine.samples.T)))

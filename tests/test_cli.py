@@ -21,6 +21,7 @@ from poisson_ou.cli import (
     load_config,
     main,
 )
+from poisson_ou.dsl import BUILTINS
 from poisson_ou.reports import HOLDS, HOLDS_STAT, VIOLATED, make_report
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -597,6 +598,13 @@ OVERFLOW_RUNS = {
         truncation={"tail_mass": 4.94e-14, "budget": 1_000_000},
         functionals={"f": "2.243e+151 * max_radius_gt(0) + 7463000000000.0 * exp_neg(2.485, 1)"},
         checks=[{"check": "min-form-lsi", "functional": "f"}]), 0),
+    # F log F overflows near the top of the double range, and with it Ent(F)
+    "modified-lsi-entropy": (base_config(
+        functionals={"f": "1e307 * exp_neg(0.5, 0)"},
+        checks=[{"check": "modified-lsi", "functional": "f"}]), 4),
+    "min-form-lsi-entropy": (base_config(
+        functionals={"f": "1e307 * exp_neg(0.5, 0)"},
+        checks=[{"check": "min-form-lsi", "functional": "f"}]), 4),
     # 11 (2 sup|F|)^alpha times the atom sum overflows, and so does Var(F)
     "l1-variance-rhs": (base_config(
         space={"weights": [6.5321]}, functionals={"f": "6.267e+214 * exp_neg(0.334, 0)"},
@@ -669,6 +677,8 @@ class TestOverflow:
         ("weak-hypercontractivity-underflow", WEAK_MOMENT),
         ("weak-hypercontractivity-e^t", WEAK_MOMENT),
         ("entropy-power-q", "a side of entropy-power is not a finite double"),
+        ("modified-lsi-entropy", "a side of modified-lsi is not a finite double"),
+        ("min-form-lsi-entropy", "a side of min-form-lsi is not a finite double"),
     ])
     def test_no_finite_error_model_exits_4(self, tmp_path, capsys, name, message):
         assert run_quietly(tmp_path, OVERFLOW_RUNS[name][0]) == 4
@@ -678,7 +688,7 @@ class TestOverflow:
     def test_no_runtime_warnings(self, tmp_path):
         runs = {"onedim_suite": (load_config(str(REPO_CONFIG)), 0)}
         runs.update({name: (load_config(str(DATA / f"{name}.json")), 0)
-                     for name in ("mc_3atom", "grid_3atom")})
+                     for name in ("mc_3atom", "grid_3atom", "mc_builtins")})
         runs.update(OVERFLOW_RUNS)
         codes = {name: run_quietly(tmp_path, config, f"{k}.json")
                  for k, (name, (config, _)) in enumerate(runs.items())}
@@ -703,6 +713,16 @@ class TestDeterminism:
         config = load_config(str(DATA / f"{name}.json"))
         assert cli.run_config(config, tmp_path) == 0
         expected = (DATA / f"{name}.report.txt").read_bytes()
+        assert (tmp_path / "report.txt").read_bytes() == expected
+
+    def test_monte_carlo_report_over_every_builtin_unchanged(self, tmp_path):
+        # a report written by the code that evaluated each functional once
+        # per shift, before the checks read one sample table per functional
+        config = load_config(str(DATA / "mc_builtins.json"))
+        texts = " ".join(config["functionals"].values())
+        assert all(f"{name}(" in texts for name in BUILTINS)
+        assert cli.run_config(config, tmp_path) == 0
+        expected = (DATA / "mc_builtins.report.txt").read_bytes()
         assert (tmp_path / "report.txt").read_bytes() == expected
 
     def test_shipped_suite_exits_zero_with_tagged_demo(self, tmp_path):

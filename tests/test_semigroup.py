@@ -419,37 +419,37 @@ class TestTableMemo:
 
 
 class TestSampleMemo:
-    def test_one_read_only_array_per_functional_and_atom(self):
+    def test_one_read_only_table_per_functional(self):
         engine = SemigroupEngine(GroundSpace((1.0, 0.5)), mode="mc",
                                  replications=300, seed=2)
         F = from_rule(lambda c: float(c[0] - 2 * c[1]), name="F")
-        for atom in (None, 0, 1):
-            vals = engine.sample_values(F, atom)
-            assert engine.sample_values(F, atom) is vals
-            with pytest.raises(ValueError, match="read-only"):
-                vals[0] = 1.0
+        table = engine.sample_values(F)
+        assert engine.sample_values(F) is table
+        assert table.shape == (3, 300)
+        with pytest.raises(ValueError, match="read-only"):
+            table[0, 0] = 1.0
         samples = tuple(engine.samples.T)
-        assert np.array_equal(engine.sample_values(F), F.values(samples))
-        assert np.array_equal(engine.sample_values(F, 1),
-                              F.values((samples[0], samples[1] + 1)))
+        assert np.array_equal(table[0], F.values(samples))
+        assert np.array_equal(table[2], F.values((samples[0], samples[1] + 1)))
 
     def test_throwaway_functionals_never_share_values(self):
         engine = SemigroupEngine(GroundSpace((1.0, 0.5)), mode="mc",
                                  replications=50, seed=3)
         for k in range(200):
             F = from_rule(lambda c, k=k: float(k * c[0] + c[1]), name=f"F{k}")
-            assert np.array_equal(engine.sample_values(F),
+            assert np.array_equal(engine.sample_values(F)[0],
                                   F.values(tuple(engine.samples.T)))
 
-    def test_mecke_and_poincare_evaluate_once_per_atom(self, tmp_path, monkeypatch):
-        calls = {"values": 0, "sample_configurations": 0}
-        values = Functional.values
+    def test_mecke_and_poincare_evaluate_once_per_functional(self, tmp_path, monkeypatch):
+        calls = {"shift_table": 0, "values": 0, "sample_configurations": 0}
+        for method in ("shift_table", "values"):
+            original = getattr(Functional, method)
 
-        def values_spy(self, counts):
-            calls["values"] += 1
-            return values(self, counts)
+            def spy(self, counts, _method=method, _original=original):
+                calls[_method] += 1
+                return _original(self, counts)
 
-        monkeypatch.setattr(Functional, "values", values_spy)
+            monkeypatch.setattr(Functional, method, spy)
         for module in (ground, semigroup):
             original = module.sample_configurations
 
@@ -468,7 +468,8 @@ class TestSampleMemo:
                        {"check": "poincare", "functional": "f"}],
         }
         assert cli.run_config(config, tmp_path) == 0
-        assert calls == {"values": len(weights) + 1, "sample_configurations": 1}
+        # one table, built in one pass by the DSL batch, serves both checks
+        assert calls == {"shift_table": 1, "values": 0, "sample_configurations": 1}
 
 
 class TestSharedKernels:
@@ -641,6 +642,13 @@ class TestResultMemo:
         assert len(diffs) == 11
         assert len(expects) == 31  # 35 before the scalar memos
 
+    def test_shipped_suite_takes_u_log_u_once_per_table(self, tmp_path, monkeypatch):
+        phis = counting(monkeypatch, inequalities, "_phi")
+        config = cli.load_config(str(ROOT / "configs" / "onedim_suite.json"))
+        assert cli.run_config(config, tmp_path) == 0
+        # modified-lsi reads the F log F that entropy took: 4 calls before
+        assert len(phis) == len({id(table) for table, in phis}) == 3
+
     def test_scalars_of_a_functional_once_per_engine(self, monkeypatch):
         engine = SemigroupEngine(GroundSpace((1.0, 0.5)))
         F = from_rule(lambda c: math.exp(-0.4 * c[0]) * (1.0 + c[1]), name="F")
@@ -768,7 +776,7 @@ class TestOneDifferencePath:
         for i in range(3):
             engine.difference(F, i)
         whats = [what for _, what in engine._results]
-        assert sorted(whats) == [(), (0,), (1,), (2,)]  # only the values stay
+        assert whats == ["samples"]  # only the sample table stays
         d = engine.difference(F, 1)
         assert d is not engine.difference(F, 1)
         with pytest.raises(ValueError, match="read-only"):
