@@ -1,6 +1,9 @@
 """Functional mini-language: parsing, diagnostics, round-trip, semantics."""
 
+import builtins
+import json
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -85,6 +88,29 @@ class TestDiagnostics:
             assert err.line == 1 and err.column == 10
         else:
             pytest.fail("expected a DslError")
+
+
+DIAGNOSTICS = json.loads(
+    (Path(__file__).parent / "data" / "dsl_diagnostics.json").read_text(encoding="utf-8")
+)
+
+
+@pytest.mark.parametrize("case", DIAGNOSTICS, ids=lambda case: repr(case["text"]))
+def test_recorded_diagnostics(case):
+    """Every recorded text parses to its recorded structure or fails with its
+    recorded message, line and column."""
+    text = case["text"]
+    if "message" in case:
+        with pytest.raises(DslError) as info:
+            parse(text)
+        assert (info.value.line, info.value.column) == (case["line"], case["column"])
+        assert str(info.value) == f"line {case['line']}, column {case['column']}: {case['message']}"
+    elif "raises" in case:
+        with pytest.raises(getattr(builtins, case["raises"])):
+            parse(text)
+    else:
+        terms = tuple(Term(coeff, func, tuple(args)) for coeff, func, args in case["terms"])
+        assert parse(text) == Expr(const=case["const"], terms=terms)
 
 
 class TestRoundTrip:
