@@ -17,15 +17,18 @@ any engine work starts.
 
 Exit codes: 0 clean, 1 a check was violated (and nothing else), 2
 config/DSL error (a container or setting of the wrong JSON type, unknown
-check, example or functional, missing params, a check that cannot run in the
-engine mode, a parameter that the check or example does not take, that is an
-empty list, NaN or infinite or that fails its rule, bad weights or
-truncation, fewer than 2 Monte Carlo replications, a config file that cannot
-be read or is not UTF-8 or nests too deeply), 3 state budget exceeded
-(interior or padded grid, a k_max, or more Monte Carlo replications than the
-budget), 4 any other library error (a checker precondition that fails, a
-non-finite value, a norm or exponential moment that overflows or underflows,
-an output directory or file that cannot be created or written).
+check, example or functional, a functional text that does not parse,
+including a dangling '*', a number or constant sum beyond the double range
+and an atom index that is not a whole number, missing params, a check that
+cannot run in the engine mode, a parameter that the check or example does
+not take, that is an empty list, NaN or infinite or that fails its rule,
+bad weights or truncation, fewer than 2 Monte Carlo replications, a config
+file that cannot be read or is not UTF-8 or nests too deeply), 3 state
+budget exceeded (interior or padded grid, a k_max, or more Monte Carlo
+replications than the budget), 4 any other library error (a checker
+precondition that fails, a non-finite value, a norm or exponential moment
+that overflows or underflows, an output directory or file that cannot be
+created or written).
 
 Report files are UTF-8, one record per line, fields in fixed order
 (name, params sorted by key, lhs, rhs, slack, stderr, verdict, certs, tag),
@@ -425,7 +428,7 @@ def _maxima_rows(params):
 
 
 def _onedim_rows(params):
-    M = int(params.get("M", 1))
+    M = float(params.get("M", 1))
     for lam in params.get("lambda_grid", [1.0, 5.0, 10.0, 20.0]):
         rec = casestudies.one_dim_bound_comparison(
             lambda j: 1.0 if j <= M else 0.0, float(lam)

@@ -1,10 +1,15 @@
 """Textual mini-language for functionals used by the experiment runner.
 
-Grammar (whitespace-insensitive):
+Grammar (whitespace-insensitive; a flat sum, nothing nests):
 
-    expr  := term (('+' | '-') term)*
-    term  := [number '*'] call | number
-    call  := name '(' number (',' number)* ')'
+    expr   := ['+' | '-'] term (('+' | '-') term)*
+    term   := [number '*'] call | number
+    call   := name '(' number (',' number)* ')'
+    number := digits ['.' digits] [('e' | 'E') ['+' | '-'] digits]
+
+Every number must be a finite double (``1e400`` is refused), as must the sum
+of the constant terms; an atom index must be a whole number (``count(1.0)``
+reads atom 1, ``count(0.5)`` is refused), the other arguments are real.
 
 Built-in calls:
 
@@ -15,7 +20,8 @@ Built-in calls:
     max_radius_gt(i)    1 if atom i (the region outside the radius of
                         interest in a radially reduced space) holds a point
 
-Parsing errors carry line and column. ``serialize`` produces a canonical
+A parsing error (``DslError``) carries the line and column of the token at
+fault, or of the end of a truncated text. ``serialize`` produces a canonical
 string; parse -> serialize -> parse is the identity on the structure.
 """
 
@@ -72,132 +78,82 @@ class Expr:
 
 
 _TOKEN = re.compile(
-    r"\s*(?:(?P<number>[0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?)"
+    r"(?P<number>[0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?)"
     r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<punct>[()*,+-]))"
+    r"|(?P<punct>[()*,+-])"
+    r"|(?P<bad>\S)"
 )
 
 
-def _tokenize(text):
-    pos = 0
-    tokens = []
-    while pos < len(text):
-        if text[pos:].strip() == "":
-            break
-        match = _TOKEN.match(text, pos)
-        if match is None:
-            bad = pos + len(text[pos:]) - len(text[pos:].lstrip())
-            line, col = _position(text, bad)
-            raise DslError(f"unexpected character {text[bad]!r}", line, col)
-        kind = match.lastgroup
-        tokens.append((kind, match.group(kind), match.start(kind)))
-        pos = match.end()
-    return tokens
-
-
-def _position(text, offset):
-    line = text.count("\n", 0, offset) + 1
-    col = offset - (text.rfind("\n", 0, offset) + 1) + 1
-    return line, col
-
-
-class _Parser:
-    def __init__(self, text):
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.index = 0
-
-    def error(self, message):
-        if self.index < len(self.tokens):
-            offset = self.tokens[self.index][2]
-        else:
-            offset = len(self.text)
-        line, col = _position(self.text, offset)
-        raise DslError(message, line, col)
-
-    def peek(self):
-        return self.tokens[self.index] if self.index < len(self.tokens) else None
-
-    def take(self, kind=None, value=None, want=None):
-        """The next token, of ``kind`` and equal to ``value`` where given;
-        else an error naming ``want``, what the user must write there (by
-        default ``value``, quoted, or ``kind``)."""
-        tok = self.peek()
-        if tok is None:
-            self.error("unexpected end of input")
-        if (kind and tok[0] != kind) or (value and tok[1] != value):
-            self.error(f"expected {want or (repr(value) if value else kind)}, found {tok[1]!r}")
-        self.index += 1
-        return tok
-
-    def parse(self) -> Expr:
-        const = 0.0
-        terms = []
-        sign = 1.0
-        first = True
-        while True:
-            tok = self.peek()
-            if tok is None:
-                if first:
-                    self.error("empty expression")
-                break
-            if not first:
-                if tok[0] == "punct" and tok[1] in "+-":
-                    sign = 1.0 if tok[1] == "+" else -1.0
-                    self.take()
-                else:
-                    self.error(f"expected '+' or '-', found {tok[1]!r}")
-            elif tok[0] == "punct" and tok[1] in "+-":
-                sign = 1.0 if tok[1] == "+" else -1.0
-                self.take()
-            piece = self.term()
-            if isinstance(piece, float):
-                const += sign * piece
-            else:
-                terms.append(Term(sign * piece.coeff, piece.func, piece.args))
-            sign = 1.0
-            first = False
-        return Expr(const=const, terms=tuple(terms))
-
-    def term(self):
-        tok = self.peek()
-        if tok is None:
-            self.error("unexpected end of input")
-        if tok[0] == "number":
-            value = float(self.take("number")[1])
-            nxt = self.peek()
-            if nxt and nxt[0] == "punct" and nxt[1] == "*":
-                self.take("punct", "*")
-                call = self.call()
-                return Term(value * call.coeff, call.func, call.args)
-            return value
-        if tok[0] == "name":
-            return self.call()
-        self.error(f"expected a number or a call, found {tok[1]!r}")
-
-    def call(self) -> Term:
-        name = self.peek()[1]
-        if name not in BUILTINS:
-            self.error(f"unknown builtin {name!r}")
-        self.take("name")
-        self.take("punct", "(")
-        args = [float(self.take("number", want="a number")[1])]
-        while True:
-            tok = self.peek()
-            if tok and tok[0] == "punct" and tok[1] == ",":
-                self.take()
-                args.append(float(self.take("number", want="a number")[1]))
-            else:
-                break
-        self.take("punct", ")", want="',' or ')'")
-        arity = BUILTINS[name].arity
-        if len(args) != arity:
-            self.error(f"{name} takes {arity} argument(s), got {len(args)}")
-        return Term(1.0, name, tuple(args))
-
-
 def parse(text: str) -> Expr:
-    return _Parser(text).parse()
+    # (kind, text, offset) per token, then an end marker at the end of the text
+    tokens = [(m.lastgroup, m.group(), m.start()) for m in _TOKEN.finditer(text)]
+    tokens.append(("end", "", len(text)))
+    pos = 0
+
+    def fail(message, at=None):
+        """Raise a DslError at token ``at`` (by default the next one)."""
+        offset = tokens[pos if at is None else at][2]
+        line = text.count("\n", 0, offset) + 1
+        raise DslError(message, line, offset - text.rfind("\n", 0, offset))
+
+    def punct(chars):
+        """Whether the next token is one of the punctuation ``chars``."""
+        return tokens[pos][0] == "punct" and tokens[pos][1] in chars
+
+    def take(want, kind, value=None):
+        """The next token (a number as its float) if of ``kind`` and equal to
+        ``value`` where given; else an error naming ``want``, what must be there."""
+        nonlocal pos
+        tok_kind, tok, _ = tokens[pos]
+        if tok_kind == "end":
+            fail("unexpected end of input")
+        if tok_kind != kind or value not in (None, tok):
+            fail(f"expected {want}, found {tok!r}")
+        if kind == "number" and not math.isfinite(float(tok)):
+            fail(f"expected a finite double, found {tok!r}")
+        pos += 1
+        return float(tok) if kind == "number" else tok
+
+    for k, (kind, tok, _) in enumerate(tokens):
+        if kind == "bad":
+            fail(f"unexpected character {tok!r}", k)
+    if len(tokens) == 1:
+        fail("empty expression")
+    const, terms = 0.0, []
+    while pos == 0 or tokens[pos][0] != "end":
+        if pos and not punct("+-"):
+            fail(f"expected '+' or '-', found {tokens[pos][1]!r}")
+        coeff = -1.0 if punct("-") else 1.0
+        pos += punct("+-")
+        if tokens[pos][0] != "number":
+            name = take("a number or a call", "name")
+        else:
+            coeff *= take("a number", "number")
+            if not punct("*"):
+                const += coeff
+                if not math.isfinite(const):
+                    fail("the constant terms do not sum to a finite double", pos - 1)
+                continue
+            pos += 1
+            name = take("a call", "name")
+        if name not in BUILTINS:
+            fail(f"unknown builtin {name!r}", pos - 1)
+        take("'('", "punct", "(")
+        first = pos
+        args = [take("a number", "number")]
+        while punct(","):
+            pos += 1
+            args.append(take("a number", "number"))
+        take("',' or ')'", "punct", ")")
+        builtin = BUILTINS[name]
+        if len(args) != builtin.arity:
+            fail(f"{name} takes {builtin.arity} argument(s), got {len(args)}")
+        if not args[builtin.atom_arg].is_integer():
+            at = first + 2 * builtin.atom_arg
+            fail(f"expected a whole atom index, found {tokens[at][1]!r}", at)
+        terms.append(Term(coeff, name, tuple(args)))
+    return Expr(const=const, terms=tuple(terms))
 
 
 def _format_number(x: float) -> str:
@@ -240,17 +196,17 @@ class BatchRule:
     broadcast shape.
 
     Every builtin reads one atom's count, so each term is a 1-D line of its
-    values at counts 0..n (coefficient included), filled by the scalar
-    function that the rule calls (``_reader``) and extended on demand. Each
-    term gathers its line at ``counts[axis]`` alone, so on a sparse grid it
-    reads one axis, and the terms are added in term order, broadcast over
+    values at counts 0..n (coefficient included), filled by the term's
+    reader, the scalar function that the rule calls, and extended on demand.
+    Each term gathers its line at ``counts[axis]`` alone, so on a sparse grid
+    it reads one axis, and the terms are added in term order, broadcast over
     all states, as the scalar rule adds them: both give the same floats bit
     for bit. A negative count that a term reads raises ValueError.
     """
 
-    def __init__(self, expr: Expr):
-        self.const = expr.const
-        readers = [_reader(t) for t in expr.terms]
+    def __init__(self, const: float, readers: list):
+        """``readers``: each term's (atom, f), as ``_reader`` returns them."""
+        self.const = const
         #: atom index read by each term
         self.axes = tuple(axis for axis, _ in readers)
         self._values = [value for _, value in readers]
@@ -316,7 +272,7 @@ def to_functional(expr: Expr, name: str | None = None) -> Functional:
             total += value(c[axis])
         return const + total
 
-    return Functional(rule=rule, batch=BatchRule(expr), name=name or serialize(expr))
+    return Functional(rule=rule, batch=BatchRule(const, readers), name=name or serialize(expr))
 
 
 def functional_from_text(text: str, name: str | None = None) -> Functional:

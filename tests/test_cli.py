@@ -230,6 +230,17 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "line 1" in err and "column" in err
 
+    @pytest.mark.parametrize("text,message", [
+        ("2*", "line 1, column 3: unexpected end of input"),
+        ("count(1e400)", "line 1, column 7: expected a finite double, found '1e400'"),
+        ("count(0.5)", "line 1, column 7: expected a whole atom index, found '0.5'"),
+    ])
+    def test_malformed_dsl_prints_one_line(self, tmp_path, capsys, text, message):
+        path = write_config(tmp_path, base_config(functionals={"f": text}))
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
     def test_unknown_functional_exits_2(self, tmp_path):
         config = base_config(checks=[{"check": "poincare", "functional": "nope"}])
         path = write_config(tmp_path, config)
@@ -887,6 +898,16 @@ class TestExamples:
         lines = (tmp_path / "counterexample_fk.csv").read_text().splitlines()
         assert len(lines) == k_max  # header + k in 2..k_max
         assert all(math.isfinite(float(line.split(",")[-1])) for line in lines[1:])
+
+    def test_onedim_negative_m_is_all_zero_g(self, tmp_path):
+        """M is compared as a number: no j >= 0 is <= -0.5, as none is <= -1."""
+        rows = {}
+        for M in ("-0.5", "-1"):
+            assert main(["example", "onedim", f"M={M}", "--out", str(tmp_path / M)]) == 0
+            rows[M] = (tmp_path / M / "onedim.csv").read_text()
+        assert rows["-0.5"] == rows["-1"]
+        assert main(["example", "onedim", "--out", str(tmp_path / "1")]) == 0
+        assert rows["-1"] != (tmp_path / "1" / "onedim.csv").read_text()
 
     def test_unknown_example_exits_2(self, tmp_path, capsys):
         assert main(["example", "nope", "--out", str(tmp_path)]) == 2
