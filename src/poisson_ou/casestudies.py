@@ -20,7 +20,7 @@ from scipy.special import gammainc, pdtr, pdtrc
 
 from . import grids
 from .functionals import Functional
-from .ground import GroundSpace
+from .ground import GroundSpace, sample_moments
 from .inequalities import entropy, talagrand_bound
 from .semigroup import SemigroupEngine, variance
 from .errors import NonFiniteValueError, PreconditionError
@@ -124,14 +124,12 @@ def maxima_monte_carlo(
     f2[hit] = np.minimum.reduceat(u, (np.cumsum(kappa) - kappa)[hit]) < tail(t)
 
     def _stats(f):
-        p = float(f.mean())
-        var = float(f.var(ddof=1))
-        se_var = float(((f - f.mean()) ** 2).std(ddof=1) / math.sqrt(replications))
+        moments = sample_moments(f)
         # E int (D_z F)^2 lam(dz) = m * P[no point outside]
-        grad = m * float((1.0 - f).mean())
-        se_grad = m * float(f.std(ddof=1) / math.sqrt(replications))
-        return {"mean": p, "variance": var, "variance_stderr": se_var,
-                "poincare_rhs": grad, "poincare_rhs_stderr": se_grad}
+        return {"mean": moments.mean, "variance": moments.variance,
+                "variance_stderr": sample_moments(moments.squared_deviations).stderr,
+                "poincare_rhs": m * sample_moments(1.0 - f).mean,
+                "poincare_rhs_stderr": m * moments.stderr}
 
     closed = maxima_closed_forms(MaximaModel(m=m))
     return {

@@ -182,9 +182,7 @@ CHECK_CATALOG = {spec.name: spec for spec in (
 def _fmt(x) -> str:
     if x is None:
         return "-"
-    if isinstance(x, float):
-        if math.isinf(x):
-            return "inf" if x > 0 else "-inf"
+    if isinstance(x, float):  # np.float64 too; writes inf, -inf and nan
         return format(x, ".17g")
     return str(x)
 

@@ -9,6 +9,7 @@ import numpy as np
 
 from . import grids
 from .errors import CapOverflowError, NonFiniteValueError
+from .ground import sample_moments
 # unused here, but the per-layer tracer (bench/layers.py) wraps this name on
 # every module that imports it and fails with KeyError where it is missing
 from .ground import sample_configurations  # noqa: F401
@@ -211,7 +212,8 @@ def gamma_expectation(engine, F: Functional, G: Functional = None):
     """E[Gamma(F, G)] = sum_i lam_i E[D_i F * D_i G].
 
     ``engine`` is a SemigroupEngine; exact mode returns a float, Monte Carlo
-    mode a (value, stderr) pair.
+    mode the sample mean of sum_i lam_i D_i F * D_i G over the engine's
+    samples and its standard error, both from ``ground.sample_moments``.
     """
     if G is None:
         G = F
@@ -226,4 +228,5 @@ def gamma_expectation(engine, F: Functional, G: Functional = None):
         df = engine.difference(F, i)
         dg = df if G is F else engine.difference(G, i)
         vals += lam[i] * df * dg
-    return float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(len(vals)))
+    moments = sample_moments(vals)
+    return moments.mean, moments.stderr

@@ -74,8 +74,9 @@ def trim_to(table: np.ndarray, shape) -> np.ndarray:
 
 
 def diff_axis(table: np.ndarray, axis: int) -> np.ndarray:
-    """Add-one-cost along one axis: table[c + e_axis] - table[c]."""
-    return np.diff(table, axis=axis)
+    """Add-one-cost along one axis: table[c + e_axis] - table[c]; the
+    subtraction ``np.diff`` makes, without its wrapper."""
+    return shift_up(table, axis) - drop_top(table, axis)
 
 
 def index_form(counts) -> tuple:

@@ -30,6 +30,7 @@ from .ground import (
     TruncatedStateSpace,
     _min_cap,
     sample_configurations,
+    sample_moments,
 )
 from .reports import LpNorm, make_report
 
@@ -277,8 +278,8 @@ class SemigroupEngine:
 
     def expect_mc(self, F: Functional) -> tuple[float, float]:
         """Sample mean and stderr of F over the engine's samples."""
-        vals = self.sample_values(F)[0]
-        return float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(len(vals)))
+        moments = sample_moments(self.sample_values(F)[0])
+        return moments.mean, moments.stderr
 
     # ----------------------------------------------------------- atom sums
 
@@ -339,15 +340,19 @@ def variance(engine: SemigroupEngine, F: Functional):
 
 
 def _variance(engine: SemigroupEngine, F: Functional):
+    """Exact mode: E[(F - E F)^2] over the padded grid, a float. Monte Carlo
+    mode: the ddof-1 sample variance of F with its standard error, the
+    standard error of the mean of the squared deviations, both from
+    ``sample_moments``."""
     exact = engine.mode == "exact"
     vals = engine.tabulate(F) if exact else engine.sample_values(F)[0]
     with np.errstate(over="ignore", invalid="ignore"):
         if exact:
             var = engine.expect_table((vals - engine.mean(F)) ** 2)
         else:
-            var = float(vals.var(ddof=1))
-            centered = (vals - vals.mean()) ** 2
-            stderr = float(centered.std(ddof=1) / np.sqrt(len(vals)))
+            moments = sample_moments(vals)
+            var = moments.variance
+            stderr = sample_moments(moments.squared_deviations).stderr
     if not math.isfinite(var):
         raise NonFiniteValueError(f"the variance of {F.name} is not a finite double")
     return var if exact else (var, stderr)

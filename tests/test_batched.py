@@ -218,6 +218,20 @@ class TestDifferenceParity:
                     for c in counts
                 ])
 
+    def test_diff_axis_is_np_diff(self):
+        """grids.diff_axis is np.diff's subtraction, bit for bit, on random
+        1- to 3-atom tables holding ties (0.0 and -0.0), +-inf and nan."""
+        rng = np.random.default_rng(24)
+        specials = np.array([0.0, -0.0, 1.0, math.inf, -math.inf, math.nan])
+        for _ in range(300):
+            shape = tuple(int(s) for s in rng.integers(1, 7, size=rng.integers(1, 4)))
+            table = rng.standard_normal(shape) * 10.0 ** rng.uniform(-3, 3)
+            special = rng.random(shape) < rng.uniform(0.0, 0.6)
+            table[special] = rng.choice(specials, size=int(special.sum()))
+            for axis in range(len(shape)):
+                with np.errstate(invalid="ignore"):  # inf - inf
+                    assert same_bits(grids.diff_axis(table, axis), np.diff(table, axis=axis))
+
     def test_one_state_gives_a_float(self):
         F = functional_from_text("exp_neg(0.5, 0) + count(1)")
         assert type(add_one_cost(F, (2, 3), 0)) is float

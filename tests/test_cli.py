@@ -8,6 +8,7 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from poisson_ou import (GroundSpace, SemigroupEngine, TruncatedStateSpace, cli, inequalities,
@@ -840,6 +841,14 @@ class TestReportFormat:
         lines = (tmp_path / "out" / "report.txt").read_text().splitlines()
         assert len(lines) == 2  # one per parameter point
         assert all(line.startswith("name=pathwise-lemma") for line in lines)
+
+    @pytest.mark.parametrize("value,text", [
+        (math.inf, "inf"), (-math.inf, "-inf"), (math.nan, "nan"), (-0.0, "-0"),
+        (np.float64(0.1), "0.10000000000000001"), (np.float64(-math.inf), "-inf"),
+        (3, "3"), (True, "True"), ("exact", "exact"), (None, "-"),
+    ])
+    def test_value_format(self, value, text):
+        assert cli._fmt(value) == text
 
 
 class TestFlags:

@@ -17,7 +17,7 @@ from poisson_ou import (
     check_mecke,
     sample_configurations,
 )
-from poisson_ou.ground import _min_cap
+from poisson_ou.ground import _min_cap, sample_moments
 
 
 class TestGroundSpace:
@@ -100,6 +100,66 @@ class TestSampling:
             sample_configurations(space, 50, seed),
             sample_configurations(space, 50, seed),
         )
+
+
+def moment_samples():
+    """About 1000 seeded samples, n from 2 to 5000: scaled and offset
+    normals, integer values, all-equal samples and samples holding inf or
+    nan."""
+    rng = np.random.default_rng(24)
+    for k in range(1000):
+        n = int(np.exp(rng.uniform(math.log(2), math.log(5001))))
+        kind = k % 4
+        if kind == 0:
+            offset = rng.uniform(-1e3, 1e3)
+            yield offset + 10.0 ** rng.uniform(-5, 5) * rng.standard_normal(n)
+        elif kind == 1:
+            yield rng.integers(-50, 51, size=n).astype(float)
+        elif kind == 2:
+            yield np.full(n, rng.choice([0.0, -0.0, 1.0, 0.1, -3e5]))
+        else:
+            x = rng.standard_normal(n)
+            x[rng.integers(0, n, size=rng.integers(1, 3))] = rng.choice(
+                [math.inf, -math.inf, math.nan])
+            yield x
+
+
+def numpy_moments(x):
+    return x.mean(), x.var(ddof=1), x.std(ddof=1) / np.sqrt(len(x)), (x - x.mean()) ** 2
+
+
+class TestSampleMoments:
+    """``sample_moments`` is numpy's mean, var(ddof=1), std(ddof=1) / sqrt(n)
+    and squared deviations, bit for bit."""
+
+    def test_bit_for_bit_numpy(self):
+        for x in moment_samples():
+            with np.errstate(invalid="ignore", over="ignore"):
+                got, want = sample_moments(x), numpy_moments(x)
+            assert type(got.mean) is type(got.variance) is type(got.stderr) is float
+            for g, w in zip(got, want):
+                g, w = np.asarray(g, dtype=float), np.asarray(w, dtype=float)
+                assert g.shape == w.shape and g.tobytes() == w.tobytes(), (len(x), x[:4])
+
+    def test_all_equal_sample_has_zero_variance(self):
+        moments = sample_moments(np.full(7, 0.3))
+        assert moments.variance == moments.stderr == 0.0
+        assert not moments.squared_deviations.any()
+
+    @pytest.mark.parametrize("x", [[1.0, math.inf], [math.inf, -math.inf], [1.0, math.nan],
+                                   [1e308, 1e308, 1e308], [1e200, -1e200]])
+    def test_same_floating_point_errors(self, x):
+        """Under np.errstate(all="raise") the helper stops at the same
+        operation as numpy, with the same message."""
+        def error(moments):
+            with np.errstate(all="raise"):
+                try:
+                    moments(np.array(x))
+                except FloatingPointError as err:
+                    return str(err)
+            return None
+
+        assert error(sample_moments) == error(numpy_moments)
 
 
 class TestPoissonLaw:
