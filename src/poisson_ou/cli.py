@@ -44,6 +44,7 @@ import io
 import itertools
 import json
 import math
+import os
 import sys
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -169,7 +170,7 @@ CHECK_CATALOG = {spec.name: spec for spec in (
               "L1-only variance bound", EXACT,
               _each(lambda e, f, p, b: inequalities.l1_variance_bound(
                   e, f, bypass_hypotheses=b))),
-    CheckSpec("concentration", {"thresholds": _list_rule(lambda x: True)}, "DF <= 0",
+    CheckSpec("concentration", {"thresholds": _list_rule(lambda x: x >= 0, ">= 0")}, "DF <= 0",
               "Gaussian upper tail for the centered functional", EXACT,
               _each(lambda e, f, p, b: inequalities.check_concentration(
                   e, f, p["thresholds"], bypass_hypotheses=b))),
@@ -180,6 +181,7 @@ CHECK_CATALOG = {spec.name: spec for spec in (
 )}
 
 def _fmt(x) -> str:
+    """A parameter value, a stderr or a CSV cell as report text."""
     if x is None:
         return "-"
     if isinstance(x, float):  # np.float64 too; writes inf, -inf and nan
@@ -188,23 +190,13 @@ def _fmt(x) -> str:
 
 
 def format_report_line(report: InequalityReport) -> str:
-    params = ",".join(
-        f"{k}={_fmt(v)}" for k, v in sorted(report.parameters.items())
-    )
-    certs = ";".join(c.brief() for c in report.hypothesis_certificates) or "-"
-    fields = [
-        f"name={report.name}",
-        f"params={params or '-'}",
-        f"lhs={_fmt(report.lhs)}",
-        f"rhs={_fmt(report.rhs)}",
-        f"slack={_fmt(report.slack)}",
-        f"stderr={_fmt(report.stderr)}",
-        f"verdict={report.verdict}",
-        f"certs={certs}",
-    ]
-    if report.tag:
-        fields.append(f"tag={report.tag}")
-    return " ".join(fields)
+    """One report record; ``make_report`` stores lhs, rhs and slack as floats."""
+    params = ",".join([f"{k}={_fmt(v)}" for k, v in sorted(report.parameters.items())])
+    certs = ";".join([c.brief() for c in report.hypothesis_certificates])
+    tag = f" tag={report.tag}" if report.tag else ""
+    return (f"name={report.name} params={params or '-'} lhs={report.lhs:.17g} "
+            f"rhs={report.rhs:.17g} slack={report.slack:.17g} stderr={_fmt(report.stderr)} "
+            f"verdict={report.verdict} certs={certs or '-'}{tag}")
 
 
 def load_config(path: str) -> dict:
@@ -224,20 +216,40 @@ class OutputError(PoissonOUError):
     """An output directory or file could not be created or written."""
 
 
+#: flags of an exclusive create: never opens, follows or truncates an old file
+_CREATE_NEW = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0)
+
+
 def _write_new(path: Path, text: str):
     """Write ``text`` to ``path`` as a new file, creating its directory.
 
     Any file already at ``path`` is deleted first, not truncated: on ext4
     (``auto_da_alloc``) closing a file that was truncated, or renamed over
     an old one, starts writeback of its blocks, which costs several times
-    the write itself. A symlink at ``path`` is replaced, not followed. A
-    crash in between leaves a missing or partial file.
+    the write itself. The file is then made by an exclusive create
+    (``O_CREAT | O_EXCL``, mode 0o666 less the umask), so a symlink at
+    ``path`` is replaced, not followed, and a file that appears in between
+    is an error, not overwritten. The directory is made only when that
+    create finds it missing. A crash in between leaves a missing or
+    partial file.
     """
+    data = text.encode("utf-8")
     try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.unlink(missing_ok=True)
-        with open(path, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+        try:
+            os.unlink(path)
+        except FileNotFoundError:
+            pass
+        try:
+            fd = os.open(path, _CREATE_NEW, 0o666)
+        except FileNotFoundError:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            fd = os.open(path, _CREATE_NEW, 0o666)
+        try:
+            view = memoryview(data)
+            while view:
+                view = view[os.write(fd, view):]
+        finally:
+            os.close(fd)
     except OSError as err:
         raise OutputError(f"cannot write {path}: {err}") from err
 

@@ -104,7 +104,9 @@ class TruncatedStateSpace:
         if not 0.0 < tail_mass < 1.0:
             raise ValueError(f"tail_mass must lie in (0, 1), got {tail_mass}")
         per_atom = tail_mass / space.atom_count
-        caps = tuple(_min_cap(lam, per_atom) for lam in space.weights)
+        # _min_cap is 0 where P[X > 0] <= per_atom already, but a grid keeps
+        # a level above 0 on every axis (caps must be positive)
+        caps = tuple(max(1, _min_cap(lam, per_atom)) for lam in space.weights)
         return cls(space=space, caps=caps, tail_mass=tail_mass, budget=budget)
 
     def state_count(self) -> int:

@@ -392,7 +392,10 @@ def check_concentration(engine, F, thresholds, bypass_hypotheses=False):
 
     Gated on DF <= 0. The report's lhs/rhs are the worst (tail - bound) pair
     over the threshold grid; per-threshold values sit in the parameters.
+    The bound is a theorem for t >= 0 only, so a negative t is refused.
     """
+    if any(t < 0 for t in thresholds):
+        raise ValueError("concentration thresholds must be >= 0")
     certs = [certify_monotonicity(engine, F, PROP_DF_LE0)]
     # an overflow is inf, rejected below
     alpha_sq = float(engine.interior(engine.energy_density(F)).max())

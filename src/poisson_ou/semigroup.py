@@ -61,9 +61,13 @@ def ou_kernel_1d(lam: float, size: int, t: float) -> np.ndarray:
     n = np.arange(size)
     # [n, k]; nan for k > n, which no row reads
     thinned = binom_pmf(n, n[:, None], keep)
-    kernel = np.zeros((size, size))
-    for row in range(size):
-        kernel[row] = np.convolve(thinned[row, : row + 1], refresh)[:size]
+    # each row is np.convolve(thinned[row, :row + 1], refresh)[:size], taken
+    # as the correlate call np.convolve makes, with the longer input first,
+    # without its wrapper: the same products summed in the same order
+    kernel = np.empty((size, size))
+    for row in range(size - 1):
+        kernel[row] = np.correlate(refresh, thinned[row, row::-1], "full")[:size]
+    kernel[-1] = np.correlate(thinned[-1], refresh[::-1], "full")[:size]
     return kernel
 
 

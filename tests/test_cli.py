@@ -23,7 +23,8 @@ from poisson_ou.cli import (
     main,
 )
 from poisson_ou.dsl import BUILTINS
-from poisson_ou.reports import HOLDS, HOLDS_STAT, VIOLATED, make_report
+from poisson_ou.reports import (HOLDS, HOLDS_STAT, VIOLATED, InequalityReport,
+                                MonotonicityCertificate, make_report)
 
 ROOT = Path(__file__).resolve().parents[1]
 REPO_CONFIG = ROOT / "configs" / "onedim_suite.json"
@@ -278,6 +279,17 @@ class TestExitCodes:
         path = write_config(tmp_path, base_config(space={"weights": [0]}))
         assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
 
+    @pytest.mark.parametrize("overrides", [
+        {"space": {"weights": [1e-13]}},
+        {"space": {"weights": [1e-300, 2.0]}, "engine": {"mode": "mc", "replications": 100}},
+        {"truncation": {"tail_mass": 0.999}},
+    ], ids=["tiny-weight", "tiny-weight-mc", "huge-tail"])
+    def test_a_tail_met_at_cap_0_runs(self, tmp_path, capsys, overrides):
+        # P[X > 0] is within the per-atom tail, so the least cap is 0; the
+        # grid keeps cap 1 (this exited 2 with "caps must be positive")
+        assert run_quietly(tmp_path, base_config(**overrides)) == 0
+        assert capsys.readouterr().err == ""
+
     def test_missing_functional_exits_2_before_compute(
         self, tmp_path, monkeypatch, capsys
     ):
@@ -318,6 +330,9 @@ class TestExitCodes:
         {"check": "pathwise-lemma", "params": {"a": math.inf, "b": 1.0, "q": 2.0}},
         {"check": "pathwise-lemma", "params": {"a": 2.0, "b": 1.0, "q": math.inf}},
         {"check": "concentration", "functional": "f", "params": {"thresholds": [[math.nan]]}},
+        # the bound is a theorem for t >= 0 only; t = -1 read a false violated
+        {"check": "concentration", "functional": "f",
+         "params": {"thresholds": [[-1.0, 0.0, 1e308]]}},
         {"check": "weak-hypercontractivity", "functional": "f", "params": {"t": math.inf}},
         {"check": "restricted-hypercontractivity", "functional": "f",
          "params": {"t": math.nan, "p": 2.0}},
@@ -488,6 +503,13 @@ class TestExitCodes:
         assert err.count("config error:") == 1 and len(err.splitlines()) == 1
         assert "Traceback" not in err
         assert not out.exists()
+
+    def test_zero_concentration_threshold_runs(self, tmp_path):
+        config = base_config(checks=[{"check": "concentration", "functional": "f",
+                                      "params": {"thresholds": [[0.0]]}}])
+        out = tmp_path / "out"
+        assert main(["run", str(write_config(tmp_path, config)), "--out", str(out)]) == 0
+        assert "verdict=holds" in (out / "report.txt").read_text()
 
     def test_huge_concentration_threshold(self, tmp_path, capsys):
         # t * t overflows to inf, so the Gaussian bound is 0; t**2 raised
@@ -778,6 +800,45 @@ class TestOutputFiles:
         assert target.read_text() == "keep\n"
 
 
+class TestExclusiveCreate:
+    """An output file is made by an exclusive create, its directory only when missing."""
+
+    @pytest.mark.parametrize("argv,name", OUTPUTS, ids=["report", "csv"])
+    def test_mode_is_0666_less_the_umask(self, tmp_path, argv, name):
+        old = os.umask(0o027)
+        try:
+            assert main([*argv, "--out", str(tmp_path)]) == 0
+        finally:
+            os.umask(old)
+        assert (tmp_path / name).stat().st_mode & 0o777 == 0o640
+
+    @pytest.mark.parametrize("argv,name", OUTPUTS, ids=["report", "csv"])
+    def test_a_file_still_there_is_refused_not_truncated(
+        self, tmp_path, monkeypatch, capsys, argv, name
+    ):
+        # a file that is back at the path between the delete and the create
+        (tmp_path / name).write_text("old\n")
+        monkeypatch.setattr(os, "unlink", lambda path: None)
+        assert main([*argv, "--out", str(tmp_path)]) == 4
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: cannot write {tmp_path / name}: ")
+        assert "File exists" in err[0]
+        assert (tmp_path / name).read_text() == "old\n"
+
+    @pytest.mark.parametrize("argv,name", OUTPUTS, ids=["report", "csv"])
+    def test_the_directory_is_made_only_when_missing(self, tmp_path, monkeypatch, argv, name):
+        made = []
+        mkdir = Path.mkdir
+        monkeypatch.setattr(Path, "mkdir", lambda self, *a, **k: made.append(self)
+                            or mkdir(self, *a, **k))
+        out = tmp_path / "a" / "b"
+        assert main([*argv, "--out", str(out)]) == 0
+        assert made[0] == out  # then its parents, through mkdir's own recursion
+        first, calls = (out / name).read_bytes(), len(made)
+        assert main([*argv, "--out", str(out)]) == 0
+        assert len(made) == calls and (out / name).read_bytes() == first
+
+
 class TestInputOutputErrors:
     @pytest.mark.parametrize("case,message", [
         ("missing", "No such file or directory"),
@@ -815,6 +876,79 @@ class TestInputOutputErrors:
         assert (tmp_path / "report.txt").is_dir()
 
 
+def fields_fmt(x) -> str:
+    """The value format of ``fields_report_line``: ``_fmt`` as it was kept."""
+    if x is None:
+        return "-"
+    if isinstance(x, float):
+        return format(x, ".17g")
+    return str(x)
+
+
+def fields_report_line(report) -> str:
+    """A report line built field by field, every float through ``fields_fmt``:
+    the oracle ``format_report_line`` must match byte for byte."""
+    params = ",".join(
+        f"{k}={fields_fmt(v)}" for k, v in sorted(report.parameters.items())
+    )
+    certs = ";".join(c.brief() for c in report.hypothesis_certificates) or "-"
+    fields = [
+        f"name={report.name}",
+        f"params={params or '-'}",
+        f"lhs={fields_fmt(report.lhs)}",
+        f"rhs={fields_fmt(report.rhs)}",
+        f"slack={fields_fmt(report.slack)}",
+        f"stderr={fields_fmt(report.stderr)}",
+        f"verdict={report.verdict}",
+        f"certs={certs}",
+    ]
+    if report.tag:
+        fields.append(f"tag={report.tag}")
+    return " ".join(fields)
+
+
+SPECIAL_FLOATS = [0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan, 5e-324, -5e-324,
+                  2.2250738585072009e-308, 2.2250738585072014e-308, 1.7976931348623157e308,
+                  0.1, 1.0 / 3.0, 1e16, 1e17, 123456789012345678.0]
+
+
+def random_float(rng):
+    """A float or np.float64: random bits, a special value, or an ordinary number."""
+    kind = rng.integers(4)
+    if kind == 0:
+        x = np.frombuffer(rng.bytes(8), dtype=np.float64)[0]
+    elif kind == 1:
+        x = SPECIAL_FLOATS[rng.integers(len(SPECIAL_FLOATS))]
+    elif kind == 2:  # subnormal: a multiple of the least one below 2**52
+        x = float(rng.integers(1, 2**52)) * 5e-324 * rng.choice([1.0, -1.0])
+    else:
+        x = rng.normal() * 10.0 ** rng.integers(-20, 21)
+    return np.float64(x) if rng.integers(2) else float(x)
+
+
+def random_report(rng):
+    values = [lambda: int(rng.integers(-10**6, 10**6)), lambda: 10**20,
+              lambda: bool(rng.integers(2)), lambda: "exact", lambda: "0.1<=0.2",
+              lambda: None, lambda: random_float(rng)]
+    keys = ["functional", "t", "p", "q", "alpha^2", "mode", "replications", "a", "t=0.5"]
+    parameters = {keys[k]: values[rng.integers(len(values))]()
+                  for k in rng.choice(len(keys), size=rng.integers(0, 5), replace=False)}
+    certificates = [
+        MonotonicityCertificate(
+            ("DF<=0", "DF>=0", "D2F<=0", "D2F>=0")[rng.integers(4)], int(rng.integers(1, 999)),
+            None if rng.integers(2) else ((1, 0), (0,), random_float(rng)))
+        for _ in range(rng.integers(0, 3))
+    ]
+    return InequalityReport(
+        name=("poincare", "mecke", "concentration")[rng.integers(3)],
+        lhs=random_float(rng), rhs=random_float(rng), slack=random_float(rng),
+        verdict=(HOLDS, HOLDS_STAT, VIOLATED, "hypothesis-not-met")[rng.integers(4)],
+        stderr=None if rng.integers(3) == 0 else random_float(rng),
+        hypothesis_certificates=certificates, parameters=parameters,
+        tag=(None, "", DEMO_TAG, "x")[rng.integers(4)],
+    )
+
+
 class TestReportFormat:
     def test_field_order_and_float_precision(self):
         report = make_report("demo", 1.0 / 3.0, 2.0, tolerance=0.0,
@@ -849,6 +983,18 @@ class TestReportFormat:
     ])
     def test_value_format(self, value, text):
         assert cli._fmt(value) == text
+
+    def test_one_f_string_matches_the_field_by_field_line(self):
+        rng = np.random.default_rng(25)
+        reports = [random_report(rng) for _ in range(500)]
+        for report in reports:
+            assert format_report_line(report) == fields_report_line(report), report
+        # every case the generator is there to reach was drawn
+        assert {len(r.hypothesis_certificates) for r in reports} == {0, 1, 2}
+        assert {r.tag for r in reports} == {None, "", DEMO_TAG, "x"}
+        assert {type(r.lhs) for r in reports} == {float, np.float64}
+        assert any(r.stderr is None for r in reports)
+        assert any(0 < abs(r.lhs) < 2.2250738585072014e-308 for r in reports)
 
 
 class TestFlags:
@@ -917,6 +1063,15 @@ class TestExamples:
         assert rows["-0.5"] == rows["-1"]
         assert main(["example", "onedim", "--out", str(tmp_path / "1")]) == 0
         assert rows["-1"] != (tmp_path / "1" / "onedim.csv").read_text()
+
+    def test_onedim_at_a_tiny_intensity_runs(self, tmp_path, capsys):
+        # its engine's least cap is 0; this printed a ValueError traceback
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["example", "onedim", "lambda_grid=[1e-300]",
+                         "--out", str(tmp_path)]) == 0
+        assert capsys.readouterr().err == ""
+        assert (tmp_path / "onedim.csv").read_text().splitlines()[1].startswith("1e-300,")
 
     def test_unknown_example_exits_2(self, tmp_path, capsys):
         assert main(["example", "nope", "--out", str(tmp_path)]) == 2

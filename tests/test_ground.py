@@ -65,6 +65,21 @@ class TestTruncation:
         with pytest.raises(ValueError):
             TruncatedStateSpace.from_tail_mass(GroundSpace((1.0,)), tail_mass=tail)
 
+    @pytest.mark.parametrize("weights,tail", [
+        ((1e-13,), 1e-12), ((1e-300, 2.0), 1e-12), ((1.0,), 0.999),
+    ])
+    def test_a_tail_met_at_cap_0_gets_cap_1(self, weights, tail):
+        # P[X > 0] <= tail / m already, so the least cap is 0, which a grid
+        # cannot have: from_tail_mass raised "caps must be positive"
+        assert _min_cap(weights[0], tail / len(weights)) == 0
+        trunc = TruncatedStateSpace.from_tail_mass(GroundSpace(weights), tail_mass=tail)
+        assert trunc.caps[0] == 1
+        assert trunc.caps[1:] == tuple(_min_cap(w, tail / len(weights)) for w in weights[1:])
+
+    def test_a_cap_of_0_given_directly_raises(self):
+        with pytest.raises(ValueError, match="caps must be positive"):
+            TruncatedStateSpace(GroundSpace((1e-13,)), (0,), 1e-12)
+
     def test_larger_intensity_needs_larger_caps(self):
         small = TruncatedStateSpace.from_tail_mass(GroundSpace((0.5,)))
         large = TruncatedStateSpace.from_tail_mass(GroundSpace((5.0,)))

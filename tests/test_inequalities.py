@@ -442,6 +442,15 @@ class TestConcentration:
         labels = [key for key in rep.parameters if key.startswith("t=")]
         assert labels == ["t=0.1234567", "t=0.1234568", "t=0.3"]
 
+    def test_negative_threshold_is_refused(self):
+        # the bound is a theorem for t >= 0 only: at t = -1 the tail is 1 and
+        # the bound e^{-1/(2 alpha^2)} < 1, a false "violated"
+        engine = engine_for(1.0)
+        with pytest.raises(ValueError, match="thresholds must be >= 0"):
+            check_concentration(engine, exp_functional(0.5), [-1.0, 0.0, 1e308])
+        rep = check_concentration(engine, exp_functional(0.5), [0.0])
+        assert rep.verdict == "holds"
+
     def test_bypass_exposes_gaussian_failure_at_large_t(self):
         # Poisson upper tails decay like e^{-t log t}, slower than e^{-t^2/2}:
         # the bound genuinely fails for the increasing functional F = c

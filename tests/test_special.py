@@ -39,6 +39,20 @@ def loop_kernel(lam, size, t):
     return kernel
 
 
+def convolve_kernel(lam, size, t):
+    """``ou_kernel_1d`` on its own inputs, one ``np.convolve`` per row."""
+    keep = math.exp(-t)
+    if keep < semigroup._KEEP_FLOOR:
+        keep = 0.0
+    refresh = grids.poisson_pmf_vector((1.0 - keep) * lam, size)
+    n = np.arange(size)
+    thinned = _ufuncs._binom_pmf(n, n[:, None], keep)
+    kernel = np.zeros((size, size))
+    for row in range(size):
+        kernel[row] = np.convolve(thinned[row, : row + 1], refresh)[:size]
+    return kernel
+
+
 def stats_min_cap(lam, tail):
     """``_min_cap`` with the ``scipy.stats`` ppf guess and sf."""
     guess = stats.poisson.ppf(1.0 - tail, lam)
@@ -144,6 +158,23 @@ def test_tail_series(lam):
     k = np.arange(1, 120)
     tail = np.exp(grids.poisson_logpmf(k + 1, lam)) * grids.poisson_tail_series(k, lam)
     assert np.allclose(tail, special.pdtrc(k, lam), rtol=1e-12, atol=0.0)
+
+
+def test_kernel_rows_are_np_convolve_bit_for_bit():
+    """Each row is taken by ``np.correlate`` in the argument order
+    ``np.convolve`` passes on, so every entry has the loop's bits: sizes
+    1-199, with t random in (0, 3), 0, tiny (1e-9 to 1e-3) and past the keep
+    floor (e^-t < 1e-300 from t = 690.8; scipy's binomial pmf would overflow
+    from about 706.5)."""
+    rng = np.random.default_rng(25)
+    cases = [(1.0, 1, 0.0), (1.0, 1, 706.5), (40.0, 1, 1.0), (0.02, 2, 0.0),
+             (27.5, 102, 706.5), (15.0, 188, 800.0)]
+    for k in range(120):
+        t = (rng.uniform(0.0, 3.0), 0.0, 800.0, rng.uniform(1e-9, 1e-3))[k % 4]
+        cases.append((rng.uniform(0.01, 40.0), int(rng.integers(1, 200)), t))
+    for lam, size, t in cases:
+        assert (ou_kernel_1d(lam, size, t).tobytes()
+                == convolve_kernel(lam, size, t).tobytes()), (lam, size, t)
 
 
 class TestFallback:
