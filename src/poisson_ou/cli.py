@@ -22,8 +22,10 @@ including a dangling '*', a number or constant sum beyond the double range
 and an atom index that is not a whole number, missing params, a check that
 cannot run in the engine mode, a parameter that the check or example does
 not take, that is an empty list, NaN or infinite or that fails its rule,
-bad weights or truncation, fewer than 2 Monte Carlo replications, a config
-file that cannot be read or is not UTF-8 or nests too deeply), 3 state
+bad weights or truncation, a negative seed, a functional name, functional
+reference or tag that does not encode as UTF-8, fewer than 2 Monte Carlo
+replications, a config file that cannot be read or is not UTF-8 or nests
+too deeply), 3 state
 budget exceeded (interior or padded grid, a k_max, or more Monte Carlo
 replications than the budget), 4 any other library error (a checker
 precondition that fails, a non-finite value, a norm or exponential moment
@@ -76,6 +78,15 @@ def _is_number(value) -> bool:
 
 def _is_integer(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _encodes(text: str) -> bool:
+    """Whether text encodes as UTF-8, which a lone surrogate does not."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
 
 
 def _number_rule(test, what):
@@ -312,7 +323,15 @@ def _check_shapes(config):
          "truncation.tail_mass must be a number")
     need(_is_integer(config.get("truncation", {}).get("budget", DEFAULT_BUDGET)),
          "truncation.budget must be an integer")
-    need(_is_integer(config.get("seed", 0)), "seed must be an integer")
+    seed = config.get("seed", 0)
+    need(_is_integer(seed) and seed >= 0, "seed must be a non-negative integer")
+    # a lone surrogate (JSON "\ud800") would only fail when the report is encoded
+    need(all(map(_encodes, config.get("functionals", {}))),
+         "functional names must encode as UTF-8")
+    need(all(_encodes(item.get("functional", "")) for item in checks),
+         "the functional of a check must encode as UTF-8")
+    need(all(_encodes(item["tag"]) for item in checks if isinstance(item.get("tag"), str)),
+         "the tag of a check must encode as UTF-8")
 
 
 def _resolve(item: dict, functionals: dict, mode: str, budget: int):

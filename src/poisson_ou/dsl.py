@@ -53,14 +53,26 @@ class Builtin:
     #: value(n, *rest): the value at count n of that atom, given the other
     #: arguments in order
     value: Callable[..., float]
+    #: line(ns, *rest): ``value`` at every count of a non-empty int64 array
+    #: ns, as one float array with the same bits, given the same arguments
+    line: Callable[..., np.ndarray]
+
+
+def _cumsum_g_line(ns, m):
+    # M clipped to the line's top first: int(1e300) + 1 fits no int64
+    return np.minimum(ns, min(int(m) + 1, int(ns[-1]))).astype(float)
 
 
 BUILTINS = {
-    "count": Builtin(1, 0, lambda n: float(n)),
-    "indicator_le": Builtin(2, 0, lambda n, k: 1.0 if n <= k else 0.0),
-    "exp_neg": Builtin(2, 1, lambda n, a: math.exp(-a * n)),
-    "cumsum_g": Builtin(2, 0, lambda n, m: float(min(int(n), int(m) + 1))),
-    "max_radius_gt": Builtin(1, 0, lambda n: 1.0 if n >= 1 else 0.0),
+    "count": Builtin(1, 0, lambda n: float(n), lambda ns: ns.astype(float)),
+    "indicator_le": Builtin(2, 0, lambda n, k: 1.0 if n <= k else 0.0,
+                            lambda ns, k: (ns <= k).astype(float)),
+    # math.exp per count: np.exp can differ from it by an ulp
+    "exp_neg": Builtin(2, 1, lambda n, a: math.exp(-a * n),
+                       lambda ns, a: np.array(list(map(math.exp, (-a * ns).tolist())))),
+    "cumsum_g": Builtin(2, 0, lambda n, m: float(min(int(n), int(m) + 1)), _cumsum_g_line),
+    "max_radius_gt": Builtin(1, 0, lambda n: 1.0 if n >= 1 else 0.0,
+                             lambda ns: (ns >= 1).astype(float)),
 }
 
 
@@ -182,12 +194,15 @@ def serialize(expr: Expr) -> str:
 
 
 def _reader(term: Term):
-    """(atom, f): the atom the term reads and f(n), the term's value
-    (coefficient included) at count n of that atom."""
+    """(atom, f, fill): the atom the term reads, f(n), the term's value
+    (coefficient included) at count n of that atom, and fill(ns), f at every
+    count of an int64 array ns as one array with f's bits."""
     builtin = BUILTINS[term.func]
     k = builtin.atom_arg
     rest = term.args[:k] + term.args[k + 1:]
-    return int(term.args[k]), lambda n: term.coeff * builtin.value(n, *rest)
+    coeff = term.coeff
+    return (int(term.args[k]), lambda n: coeff * builtin.value(n, *rest),
+            lambda ns: coeff * builtin.line(ns, *rest))
 
 
 class BatchRule:
@@ -196,8 +211,10 @@ class BatchRule:
     broadcast shape.
 
     Every builtin reads one atom's count, so each term is a 1-D line of its
-    values at counts 0..n (coefficient included), filled by the term's
-    reader, the scalar function that the rule calls, and extended on demand.
+    values at counts 0..n (coefficient included), extended on demand by one
+    array operation over the new counts (the builtin's ``line``, which has
+    the bits of the scalar ``value`` that the rule calls, times the
+    coefficient).
     Each term gathers its line at ``counts[axis]`` alone, so on a sparse grid
     it reads one axis, and the terms are added in term order, broadcast over
     all states, as the scalar rule adds them: both give the same floats bit
@@ -205,16 +222,17 @@ class BatchRule:
     """
 
     def __init__(self, const: float, readers: list):
-        """``readers``: each term's (atom, f), as ``_reader`` returns them."""
+        """``readers``: each term's (atom, f, fill), as ``_reader`` returns them."""
         self.const = const
         #: atom index read by each term
-        self.axes = tuple(axis for axis, _ in readers)
-        self._values = [value for _, value in readers]
+        self.axes = tuple(axis for axis, _, _ in readers)
+        self._fills = [fill for _, _, fill in readers]
         self._lines = [np.empty(0) for _ in readers]
 
     def _line(self, k: int, n: np.ndarray, reach: int = 0) -> np.ndarray:
         """Term k's line, long enough to be read at every count of ``n`` plus
-        ``reach``; a negative count raises ValueError."""
+        ``reach``, its new counts filled by one call of the term's fill; a
+        negative count raises ValueError."""
         # one reduction for both bounds: read as uint64, a negative int64 is
         # at least 2**63
         top = int(n.view(np.uint64).max()) if n.size else 0
@@ -223,8 +241,8 @@ class BatchRule:
         top += reach
         line = self._lines[k]
         if top >= line.size:
-            more = map(self._values[k], range(line.size, max(top + 1, 2 * line.size)))
-            line = self._lines[k] = np.concatenate([line, list(more)])
+            more = self._fills[k](np.arange(line.size, max(top + 1, 2 * line.size)))
+            line = self._lines[k] = np.concatenate([line, more])
         return line
 
     def __call__(self, counts) -> np.ndarray:
@@ -268,7 +286,7 @@ def to_functional(expr: Expr, name: str | None = None) -> Functional:
         # an explicit loop, not sum(): from Python 3.12 sum() of floats is
         # compensated and would stop matching the array form's plain adds
         total = 0.0
-        for axis, value in readers:
+        for axis, value, _ in readers:
             total += value(c[axis])
         return const + total
 

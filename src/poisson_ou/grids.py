@@ -6,6 +6,8 @@ are numpy arrays indexed by those counts. All helpers here are pure.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from scipy.special import gammaln, xlogy
 
@@ -48,9 +50,20 @@ def product_pmf(weights, shape) -> np.ndarray:
 
 
 def tensor_apply(mats, table: np.ndarray) -> np.ndarray:
-    """Apply one matrix per axis: out[c] = sum_k prod_i M_i[c_i, k_i] table[k]."""
+    """Apply one matrix per axis: out[c] = sum_k prod_i M_i[c_i, k_i] table[k].
+
+    Per axis this is the transpose, reshape and ``np.dot`` that
+    ``np.tensordot(mat, table, axes=(1, axis))`` makes, without its wrapper,
+    so the result has tensordot's bits. A 1-D table is one ``np.dot``:
+    numpy multiplies a matrix by a vector as by a one-column matrix.
+    """
+    if table.ndim == 1:
+        return np.dot(mats[0], table)
     for axis, mat in enumerate(mats):
-        table = np.moveaxis(np.tensordot(mat, table, axes=(1, axis)), 0, axis)
+        moved = np.moveaxis(table, axis, 0)
+        rest = moved.shape[1:]
+        out = np.dot(mat, moved.reshape(moved.shape[0], math.prod(rest)))
+        table = np.moveaxis(out.reshape(mat.shape[:1] + rest), 0, axis)
     return table
 
 

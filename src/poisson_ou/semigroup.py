@@ -46,6 +46,9 @@ def ou_kernel_1d(lam: float, size: int, t: float) -> np.ndarray:
     """One-atom kernel K[n, k] = P[Binomial(n, e^-t) + Poisson((1-e^-t) lam) = k].
 
     Columns are truncated at ``size``; rows sum to 1 minus the truncated tail.
+    The binomial pmf is evaluated once, over a table whose row n holds
+    P[Binomial(n, e^-t) = n - j] at column j, and row n of K is one
+    ``np.correlate`` of the refresh pmf with that row's first n + 1 entries.
     """
     if t < 0:
         raise ValueError("negative time")
@@ -59,15 +62,17 @@ def ou_kernel_1d(lam: float, size: int, t: float) -> np.ndarray:
 
         binom_pmf = stats.binom.pmf
     n = np.arange(size)
-    # [n, k]; nan for k > n, which no row reads
-    thinned = binom_pmf(n, n[:, None], keep)
-    # each row is np.convolve(thinned[row, :row + 1], refresh)[:size], taken
-    # as the correlate call np.convolve makes, with the longer input first,
-    # without its wrapper: the same products summed in the same order
+    # each row already reversed: rev[n, j] = P[Binomial(n, keep) = n - j];
+    # nan (0 from scipy.stats) for j > n, which no row reads
+    rev = binom_pmf(n[:, None] - n, n[:, None], keep)
+    # each row is np.convolve(pmf of row, refresh)[:size], taken as the
+    # correlate call np.convolve makes, with the longer input first, without
+    # its wrapper: the same products summed in the same order, each row
+    # reading a contiguous prefix of its reversed pmf
     kernel = np.empty((size, size))
     for row in range(size - 1):
-        kernel[row] = np.correlate(refresh, thinned[row, row::-1], "full")[:size]
-    kernel[-1] = np.correlate(thinned[-1], refresh[::-1], "full")[:size]
+        kernel[row] = np.correlate(refresh, rev[row, :row + 1], "full")[:size]
+    kernel[-1] = np.correlate(rev[-1, ::-1], refresh[::-1], "full")[:size]
     return kernel
 
 

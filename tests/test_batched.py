@@ -436,3 +436,49 @@ class TestSampleTable:
             with pytest.raises(ValueError, match="read-only"):
                 table[1, 0] = 0.0
             assert same_bits(table, F.shift_table(tuple(mc_engine.samples.T)))
+
+
+def scalar_line(term: Term, size: int) -> list:
+    """The term's values at counts 0..size-1, one scalar ``value`` call each:
+    what a term's line held when it was filled count by count."""
+    builtin = BUILTINS[term.func]
+    k = builtin.atom_arg
+    rest = term.args[:k] + term.args[k + 1:]
+    return [term.coeff * builtin.value(n, *rest) for n in range(size)]
+
+
+def line_terms(rng) -> list:
+    """Seeded terms of every builtin, plus the edges of each argument range."""
+    terms = [
+        Term(1.0, "cumsum_g", (0.0, 1e300)), Term(-2.5, "cumsum_g", (0.0, 0.0)),
+        Term(1.0, "cumsum_g", (0.0, 3.7)), Term(1.0, "indicator_le", (0.0, 1e300)),
+        Term(3.0, "indicator_le", (0.0, 0.0)), Term(1.0, "indicator_le", (0.0, 2.5)),
+        Term(1.0, "exp_neg", (1e308, 0.0)), Term(1.0, "exp_neg", (0.0, 0.0)),
+        Term(-1.0, "exp_neg", (5e-324, 0.0)), Term(1e308, "count", (0.0,)),
+        Term(-0.0, "count", (0.0,)), Term(5e-324, "max_radius_gt", (0.0,)),
+    ]
+    for _ in range(60):
+        func = str(rng.choice(sorted(BUILTINS)))
+        level = float(rng.choice([rng.integers(0, 40), rng.uniform(0, 40), 10.0 ** rng.uniform(-5, 300)]))
+        args = {"count": (0.0,), "indicator_le": (0.0, level), "exp_neg": (level, 0.0),
+                "cumsum_g": (0.0, level), "max_radius_gt": (0.0,)}[func]
+        coeff = float(rng.choice([rng.uniform(-10, 10), 10.0 ** rng.uniform(-300, 308), -1.0]))
+        terms.append(Term(coeff, func, args))
+    return terms
+
+
+class TestLinesMatchScalarValues:
+    """Each term's line is filled by one array operation per extension (the
+    builtin's ``line``); every entry has the bits of the scalar ``value``."""
+
+    @pytest.mark.parametrize("reach", [0, 1])
+    def test_lines_grown_in_steps_match_value_calls(self, reach):
+        rng = np.random.default_rng(26)
+        for term in line_terms(rng):
+            batch = to_functional(Expr(0.0, (term,))).batch
+            # an overflowing product is inf in both forms; Python floats do not warn
+            with np.errstate(over="ignore"):
+                for top in (0, 1, 2, 5, 6, 40, int(rng.integers(41, 300))):
+                    line = batch._line(0, np.array([top]), reach=reach)
+                    assert line.size >= top + reach + 1
+                    assert same_bits(line, scalar_line(term, line.size)), (term, top)

@@ -478,15 +478,53 @@ class TestExitCodes:
         {"checks": [{"check": ["poincare"], "functional": "f"}]},
         {"checks": [{"check": "talagrand", "functional": "f", "bypass_hypotheses": "no"}]},
         {"checks": [{"check": "nope", "functional": "f"}]},
+        # a lone surrogate, which Python's json reads, does not encode as UTF-8
+        {"functionals": {"f\ud800": "exp_neg(0.5, 0)"},
+         "checks": [{"check": "poincare", "functional": "f\ud800"}]},
+        {"checks": [{"check": "poincare", "functional": "f", "tag": "x\ud800"}]},
     ], ids=lambda overrides: json.dumps(overrides))
-    def test_bad_config_shape_exits_2(self, tmp_path, capsys, overrides):
+    def test_bad_config_shape_exits_2(self, tmp_path, monkeypatch, capsys, overrides):
+        calls = spy_on(monkeypatch, DISPATCHED)
         out = tmp_path / "out"
         path = write_config(tmp_path, base_config(**overrides))
         assert main(["run", str(path), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.count("config error:") == 1 and len(err.splitlines()) == 1
         assert "Traceback" not in err
+        assert not any(calls.values())
         assert not (out / "report.txt").exists()
+
+    @pytest.mark.parametrize("overrides,field", [
+        ({"functionals": {"f\ud800": "exp_neg(0.5, 0)"},
+          "checks": [{"check": "poincare", "functional": "f\ud800"}]}, "functional names"),
+        ({"checks": [{"check": "poincare", "functional": "f\ud800"}]}, "the functional of a check"),
+        ({"checks": [{"check": "poincare", "functional": "f", "tag": "x\ud800"}]},
+         "the tag of a check"),
+    ], ids=["name", "reference", "tag"])
+    def test_unencodable_text_exits_2_before_compile(self, tmp_path, monkeypatch, capsys,
+                                                     overrides, field):
+        # these ran every check, then raised UnicodeEncodeError writing the report
+        compiled = spy_on(monkeypatch, [(cli.dsl, "functional_from_text")])
+        out = tmp_path / "out"
+        path = write_config(tmp_path, base_config(**overrides))
+        assert main(["run", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"config error: {field} must encode as UTF-8\n"
+        assert not any(compiled.values())
+        assert not out.exists()
+
+    @pytest.mark.parametrize("mode", ["exact", "mc"])
+    @pytest.mark.parametrize("where", ["flag", "config"])
+    def test_negative_seed_exits_2_in_both_modes(self, tmp_path, monkeypatch, capsys,
+                                                 mode, where):
+        # exact mode ran with the unused seed; mc mode failed in numpy, naming no field
+        compiled = spy_on(monkeypatch, [(cli.dsl, "functional_from_text")])
+        config = base_config(engine={"mode": mode}, seed=0 if where == "flag" else -1)
+        flag = ["--seed", "-1"] if where == "flag" else []
+        out = tmp_path / "out"
+        assert main(["run", str(write_config(tmp_path, config)), *flag, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "config error: seed must be a non-negative integer\n"
+        assert not any(compiled.values())
+        assert not out.exists()
 
     @pytest.mark.parametrize("config,flag", [
         ([], ["--seed", "1"]),

@@ -781,3 +781,36 @@ class TestOneDifferencePath:
         assert d is not engine.difference(F, 1)
         with pytest.raises(ValueError, match="read-only"):
             d[0] = 1.0
+
+
+def tensordot_apply(mats, table):
+    """``grids.tensor_apply`` as it was first written, on ``np.tensordot``."""
+    for axis, mat in enumerate(mats):
+        table = np.moveaxis(np.tensordot(mat, table, axes=(1, axis)), 0, axis)
+    return table
+
+
+def test_tensor_apply_is_tensordot_bit_for_bit():
+    """Same bits, shape and strides as the tensordot loop on 200 seeded cases:
+    1-3 axes of size 1-40, contiguous and trimmed (non-contiguous) tables, of
+    values or of differences, and kernels sliced as ``apply_table`` slices
+    them."""
+    rng = np.random.default_rng(26)
+    for case in range(200):
+        m = 1 + case % 3
+        sizes = [int(s) for s in rng.integers(1, 41, size=m)]
+        if case < 6:  # every axis of size 1, and of size 40 on one axis
+            sizes = [1] * m if case < 3 else [40] + sizes[1:]
+        padded = [s + int(rng.integers(1, 4)) for s in sizes]
+        full = rng.standard_normal(padded) * 10.0 ** rng.uniform(-5, 5, size=padded)
+        table = grids.trim_to((full, grids.diff_axis(full, m - 1))[rng.integers(2)], sizes)
+        if rng.integers(2):
+            table = table.copy()  # contiguous; else a trimmed view
+        t = float(rng.choice([rng.uniform(0, 3), 1e-6, 800.0]))
+        mats = []
+        for s, p in zip(table.shape, padded):
+            kernel = ou_kernel_1d(float(rng.uniform(0.01, 40)), p, t)
+            mats.append(kernel[:s, :s] if case % 2 else rng.random((s, s)))
+        ours, ref = grids.tensor_apply(mats, table), tensordot_apply(mats, table)
+        assert ours.shape == ref.shape and ours.strides == ref.strides, case
+        assert ours.tobytes() == ref.tobytes(), case
