@@ -76,7 +76,6 @@ from .casestudies import (
     exponential_functional,
     indicator_family,
     maxima_closed_forms,
-    maxima_monte_carlo,
     near_optimality_scan,
     near_optimality_sides,
     one_dim_bound_comparison,

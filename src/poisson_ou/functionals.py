@@ -194,15 +194,19 @@ def certify_monotonicity(engine, F: Functional, prop: str) -> MonotonicityCertif
 
 def _scan_signs(engine, F: Functional, prop: str) -> MonotonicityCertificate:
     order = 2 if prop in (PROP_D2F_LE0, PROP_D2F_GE0) else 1
+    holds = np.less_equal if prop in (PROP_DF_LE0, PROP_D2F_LE0) else np.greater_equal
     checked = 0
+    interior = engine.trunc.shape
     for atoms in itertools.combinations_with_replacement(range(engine.space.atom_count), order):
         # the padding (>= 3) covers caps + 1 + order and differences are
-        # elementwise, so this equals the differences of the smaller grid
-        diff = grids.trim_to(engine.difference(F, *atoms), engine.trunc.shape)
+        # elementwise, so this equals the differences of the smaller grid (a
+        # second difference is held on it already)
+        diff = grids.trim_to(engine.difference(F, *atoms), interior)
         checked += diff.size
-        ok = diff <= 0.0 if prop in (PROP_DF_LE0, PROP_D2F_LE0) else diff >= 0.0
+        ok = holds(diff, 0.0)
         if not ok.all():
-            idx = tuple(int(x) for x in np.argwhere(~ok)[0])
+            # the first False in C order is the first failing state
+            idx = tuple(int(x) for x in np.unravel_index(int(ok.argmin()), ok.shape))
             where = atoms[0] if order == 1 else atoms
             return MonotonicityCertificate(prop, checked, witness=(idx, where, float(diff[idx])))
     return MonotonicityCertificate(prop, checked)

@@ -54,16 +54,21 @@ def tensor_apply(mats, table: np.ndarray) -> np.ndarray:
 
     Per axis this is the transpose, reshape and ``np.dot`` that
     ``np.tensordot(mat, table, axes=(1, axis))`` makes, without its wrapper,
-    so the result has tensordot's bits. A 1-D table is one ``np.dot``:
-    numpy multiplies a matrix by a vector as by a one-column matrix.
+    so the result has tensordot's bits; the axis is moved to the front and
+    back by the two ``transpose`` orders ``np.moveaxis`` would build. A 1-D
+    table is one ``np.dot``: numpy multiplies a matrix by a vector as by a
+    one-column matrix.
     """
-    if table.ndim == 1:
+    ndim = table.ndim
+    if ndim == 1:
         return np.dot(mats[0], table)
     for axis, mat in enumerate(mats):
-        moved = np.moveaxis(table, axis, 0)
-        rest = moved.shape[1:]
-        out = np.dot(mat, moved.reshape(moved.shape[0], math.prod(rest)))
-        table = np.moveaxis(out.reshape(mat.shape[:1] + rest), 0, axis)
+        rest = tuple(range(axis)) + tuple(range(axis + 1, ndim))
+        moved = table.transpose((axis,) + rest)
+        shape = moved.shape
+        out = np.dot(mat, moved.reshape(shape[0], math.prod(shape[1:])))
+        back = tuple(range(1, axis + 1)) + (0,) + tuple(range(axis + 1, ndim))
+        table = out.reshape(mat.shape[:1] + shape[1:]).transpose(back)
     return table
 
 
@@ -83,7 +88,7 @@ def drop_top(table: np.ndarray, axis: int) -> np.ndarray:
 
 def trim_to(table: np.ndarray, shape) -> np.ndarray:
     """Restrict a table to the sub-grid of the given (smaller) shape."""
-    return table[tuple(slice(0, s) for s in shape)]
+    return table[tuple(map(slice, shape))]
 
 
 def diff_axis(table: np.ndarray, axis: int) -> np.ndarray:

@@ -10,7 +10,7 @@ numpy's index form (``grids.index_form``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -75,6 +75,10 @@ class TruncatedStateSpace:
     caps: tuple[int, ...]
     tail_mass: float
     budget: int = DEFAULT_BUDGET
+    #: ``_min_cap`` per atom at tail_mass/m where ``from_tail_mass`` made
+    #: the caps (a cap is at least 1, the search may give 0); see ``min_caps``
+    searched: tuple[int, ...] | None = field(default=None, init=False, repr=False,
+                                             compare=False)
 
     def __post_init__(self):
         caps = tuple(int(n) for n in self.caps)
@@ -104,10 +108,21 @@ class TruncatedStateSpace:
         if not 0.0 < tail_mass < 1.0:
             raise ValueError(f"tail_mass must lie in (0, 1), got {tail_mass}")
         per_atom = tail_mass / space.atom_count
+        searched = tuple(_min_cap(lam, per_atom) for lam in space.weights)
         # _min_cap is 0 where P[X > 0] <= per_atom already, but a grid keeps
         # a level above 0 on every axis (caps must be positive)
-        caps = tuple(max(1, _min_cap(lam, per_atom)) for lam in space.weights)
-        return cls(space=space, caps=caps, tail_mass=tail_mass, budget=budget)
+        caps = tuple(max(1, n) for n in searched)
+        trunc = cls(space=space, caps=caps, tail_mass=tail_mass, budget=budget)
+        object.__setattr__(trunc, "searched", searched)
+        return trunc
+
+    def min_caps(self) -> tuple[int, ...]:
+        """Smallest N_i with P[Poisson(lam_i) > N_i] <= tail_mass/m, per atom:
+        the search ``from_tail_mass`` ran, or a fresh one for given caps."""
+        if self.searched is not None:
+            return self.searched
+        per_atom = self.tail_mass / self.space.atom_count
+        return tuple(_min_cap(lam, per_atom) for lam in self.space.weights)
 
     def state_count(self) -> int:
         return math.prod(n + 1 for n in self.caps)

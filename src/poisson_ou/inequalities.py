@@ -247,11 +247,12 @@ def check_entropy_power(engine, G, q, bypass_hypotheses=False):
     certs = [certify_monotonicity(engine, G, PROP_DF_LE0)]
 
     def term(i):
-        d_qm1 = grids.diff_axis(table ** (q - 1.0), i)
+        d_qm1 = grids.diff_axis(power_qm1, i)
         return engine.expect_table(d_qm1 * engine.difference(G, i))
 
     # an overflow is inf or nan, which _finite_sides and tolerance reject
     with np.errstate(over="ignore", invalid="ignore"):
+        power_qm1 = table ** (q - 1.0)  # G^{q-1}, one table for every atom
         lhs = entropy(engine, from_table(table**q, name=f"{G.name}^{q:g}"))
         rhs = engine.atom_sum(term) * overflow_to_inf(lambda: q**2 / (q - 1.0))
         scale = overflow_to_inf(

@@ -28,7 +28,6 @@ from .ground import (
     DEFAULT_REPLICATIONS,
     GroundSpace,
     TruncatedStateSpace,
-    _min_cap,
     sample_configurations,
     sample_moments,
 )
@@ -111,13 +110,12 @@ class SemigroupEngine:
         self.trunc = trunc
         #: (id(F), what) -> (F, result); see ``_memo``
         self._results: dict[tuple[int, object], tuple[Functional, object]] = {}
+        #: table shape -> the law on its sub-grid, a view (exact mode only)
+        self._laws: dict[tuple, np.ndarray] = {}
         if mode == "exact":
-            per_atom = trunc.tail_mass / space.atom_count
             # pad each axis so that any kernel row started at c <= N_i + 2
             # keeps all but ~tail_mass/m of its mass on the grid, for every t
-            pads = [
-                _min_cap(lam, per_atom) + 3 for lam in space.weights
-            ]
+            pads = [n + 3 for n in trunc.min_caps()]
             self.shape = tuple(n + 1 + p for n, p in zip(trunc.caps, pads))
             padded = math.prod(self.shape)
             if padded > trunc.budget:
@@ -127,6 +125,7 @@ class SemigroupEngine:
                 )
             self.law = grids.product_pmf(space.weights, self.shape)
             self._kernels = _kernel_table(tuple(space.weights), self.shape)
+            self._laws[self.shape] = self.law
             self.samples = None
         else:
             if self.replications < 2:  # a standard error needs two samples
@@ -156,6 +155,11 @@ class SemigroupEngine:
         "sup" and "mean" for min F, max|F| and E F, "phi" for F log F,
         "entropy" for Ent(F) and ("Lp", p) for ||F||_p (exact mode). Arrays
         come back read-only.
+        In exact mode the memo holds, per functional the checks difference,
+        its padded table and one first difference per atom: about 8(1 + m)
+        bytes per padded state, plus 8 for F log F where an entropy reads
+        it. Second differences are interior-sized (``difference``) and add
+        a few percent.
         The memo holds F beside its result, so F's id cannot be reused while
         the engine lives. On an exact engine a table-backed F is not held:
         its values come from F's own table, and holding it would only keep
@@ -177,6 +181,9 @@ class SemigroupEngine:
 
     def tabulate(self, F: Functional) -> np.ndarray:
         """F on the padded grid, built once per functional and read-only."""
+        hit = self._results.get((id(F), None))
+        if hit is not None:  # only an exact engine stores this key
+            return hit[1]
         self._require_exact("tabulation")
         return self._memo(F, None, lambda: F.tabulate(self.shape))
 
@@ -195,12 +202,19 @@ class SemigroupEngine:
     def difference(self, F: Functional, *atoms: int) -> np.ndarray:
         """D_i F for one atom i, or D_j D_i F for a pair i <= j, read-only.
 
-        On the padded grid (one smaller along each differenced axis) it is
-        built once per (F, atoms), like ``tabulate``. On the samples only
-        D_i F exists: it is row 1 + i less row 0 of F's sample table
+        D_i F is taken on the padded grid (one smaller along axis i) and
+        built once per (F, i), like ``tabulate``. D_j D_i F is built once per
+        (F, i, j) on the interior grid (``trunc.shape``) only, from D_i F
+        trimmed to the interior grown by one along j: the sign certificate is
+        its one reader and reads no state beyond the caps, and each value is
+        the same subtraction as on the padded grid. On the samples only D_i F
+        exists: it is row 1 + i less row 0 of F's sample table
         (``sample_values``), as ``add_one_cost`` takes it, built on each call
         and not stored, so the memo keeps one table per functional.
         """
+        hit = self._results.get((id(F), ("D",) + atoms))
+        if hit is not None:  # only an exact engine stores this key
+            return hit[1]
         if self.mode == "mc":
             if len(atoms) != 1:
                 raise PreconditionError("a second difference requires an exact-mode engine")
@@ -210,12 +224,17 @@ class SemigroupEngine:
             return d
 
         def build():
-            *inner, last = atoms
-            base = self.difference(F, *inner) if inner else self.tabulate(F)
+            if len(atoms) == 1:
+                base = self.tabulate(F)
+            else:
+                i, j = atoms
+                grown = list(self.trunc.shape)
+                grown[j] += 1
+                base = grids.trim_to(self.difference(F, i), grown)
             # an overflow is inf; where it happens |F| is near the double
             # range, and the checks reject F's variance or norms as non-finite
             with np.errstate(over="ignore"):
-                return grids.diff_axis(base, last)
+                return grids.diff_axis(base, atoms[-1])
 
         return self._memo(F, ("D",) + atoms, build)
 
@@ -236,9 +255,12 @@ class SemigroupEngine:
                         for i, lam in enumerate(self.space.weights)), np.zeros(reduced))
 
     def expect_table(self, table: np.ndarray) -> float:
-        """E[table(eta)] under the truncated law; accepts reduced shapes."""
-        self._require_exact("exact expectation")
-        law = self.law if table.shape == self.shape else grids.trim_to(self.law, table.shape)
+        """E[table(eta)] under the truncated law; accepts reduced shapes, whose
+        law view is sliced once per shape and held by the engine."""
+        law = self._laws.get(table.shape)
+        if law is None:
+            self._require_exact("exact expectation")
+            law = self._laws[table.shape] = grids.trim_to(self.law, table.shape)
         return float((law * table).sum())
 
     def interior(self, table: np.ndarray) -> np.ndarray:

@@ -43,7 +43,6 @@ from poisson_ou import (
     integrated_gradient_check,
     lsi_failure_ratios,
     maxima_closed_forms,
-    maxima_monte_carlo,
     mean_preservation_check,
     near_optimality_scan,
     near_optimality_sides,
@@ -55,6 +54,7 @@ from poisson_ou import (
 )
 
 from conftest import engine_for, random_bounded_functional, random_decreasing_functional
+from maxima_mc import maxima_monte_carlo
 
 
 def _record(criterion, description, ok):

@@ -17,7 +17,6 @@ from poisson_ou import (
     exponential_functional,
     indicator_family,
     maxima_closed_forms,
-    maxima_monte_carlo,
     near_optimality_scan,
     near_optimality_sides,
     one_dim_bound_comparison,
@@ -26,11 +25,11 @@ from poisson_ou import (
     talagrand_crosscheck,
     variance,
 )
-from poisson_ou.casestudies import _invert_tail
 from poisson_ou.errors import PreconditionError
 from poisson_ou.functionals import PROP_D2F_GE0, PROP_DF_LE0, certify_monotonicity
 
 from conftest import engine_for
+from maxima_mc import _invert_tail, maxima_monte_carlo
 
 
 class TestMaxima:

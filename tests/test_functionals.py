@@ -1,5 +1,7 @@
 """Difference calculus: D, D^2, sign certification, and the carre-du-champ."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,7 +21,7 @@ from poisson_ou import (
     gamma_expectation,
     second_difference,
 )
-from poisson_ou.functionals import PROP_D2F_GE0, PROP_D2F_LE0, PROP_DF_LE0
+from poisson_ou.functionals import PROP_D2F_GE0, PROP_D2F_LE0, PROP_DF_GE0, PROP_DF_LE0
 
 from conftest import engine_for, random_bounded_functional
 
@@ -189,6 +191,35 @@ class TestCertification:
         cert = certify_monotonicity(engine, F, PROP_D2F_LE0)
         assert cert.witness == ((0, 0, 2), (1, 2), 1.0)
         assert cert.states_checked == 5 * engine.trunc.state_count()
+
+    def test_witness_is_the_first_failing_state_of_np_diff(self):
+        # oracle: np.diff of the table, trimmed to the interior, scanned atom
+        # by atom (pair by pair) with np.argwhere; some tables hold a nan
+        space = GroundSpace((1.0, 0.5, 2.0))
+        engine = SemigroupEngine(space, TruncatedStateSpace.from_tail_mass(space, 1e-6))
+        interior = engine.trunc.shape
+        rng = np.random.default_rng(27)
+        for case in range(40):
+            table = rng.normal(size=engine.shape) + (case % 4) * sum(np.indices(engine.shape))
+            if case % 5 == 0:
+                table[tuple(int(rng.integers(0, s)) for s in interior)] = np.nan
+            F = from_table(table)
+            for prop, order in ((PROP_DF_GE0, 1), (PROP_D2F_LE0, 2)):
+                want = None
+                for atoms in itertools.combinations_with_replacement(range(3), order):
+                    d = table
+                    for a in atoms:
+                        d = np.diff(d, axis=a)
+                    d = d[tuple(slice(0, s) for s in interior)]
+                    bad = np.argwhere(~(d >= 0.0 if prop == PROP_DF_GE0 else d <= 0.0))
+                    if len(bad):
+                        state = tuple(int(x) for x in bad[0])
+                        want = (state, atoms[0] if order == 1 else atoms, float(d[state]))
+                        break
+                got = certify_monotonicity(engine, F, prop).witness
+                assert got is None if want is None else got[:2] == want[:2]
+                if want is not None:  # nan != nan: compare the value's bits
+                    assert np.float64(got[2]).tobytes() == np.float64(want[2]).tobytes()
 
 
 class TestGammaExpectation:

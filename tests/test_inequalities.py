@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from poisson_ou import (
+    GroundSpace,
+    SemigroupEngine,
     check_concentration,
     check_entropy_power,
     check_lsi_failure,
@@ -31,7 +33,7 @@ from poisson_ou import (
     pathwise_lemma_sweep,
     talagrand_bound,
 )
-from poisson_ou import inequalities
+from poisson_ou import grids, inequalities
 from poisson_ou.errors import NonFiniteValueError, PreconditionError
 
 from conftest import engine_for, random_bounded_functional, random_decreasing_functional
@@ -262,6 +264,32 @@ class TestEntropyPower:
     def test_q_must_exceed_one(self):
         with pytest.raises(ValueError):
             check_entropy_power(engine_for(1.0), exp_functional(0.5), 1.0)
+
+    def test_one_power_of_g_per_call(self, monkeypatch):
+        engine = SemigroupEngine(GroundSpace((0.3, 0.5, 0.7)))
+        G = from_rule(lambda c: math.exp(-0.4 * c[0] - 0.7 * c[1] - 1.1 * c[2]), name="G")
+        q = 2.5
+        for i in range(3):  # D_i G is memoized, so only the terms take differences
+            engine.difference(G, i)
+        diffs = []
+        diff_axis = grids.diff_axis
+
+        def spy(table, axis):
+            diffs.append((table, axis))
+            return diff_axis(table, axis)
+
+        monkeypatch.setattr(grids, "diff_axis", spy)
+        rep = check_entropy_power(engine, G, q)
+        # one table G^{q-1} for every atom's term, not one power per atom
+        powers = {id(table) for table, _ in diffs}
+        assert [axis for _, axis in diffs] == [0, 1, 2] and len(powers) == 1
+        table = engine.tabulate(G)
+        assert diffs[0][0].tobytes() == (table ** (q - 1.0)).tobytes()
+        rhs = 0.0
+        for i, lam in enumerate(engine.space.weights):
+            d_qm1 = np.diff(table ** (q - 1.0), axis=i)
+            rhs += lam * engine.expect_table(d_qm1 * engine.difference(G, i))
+        assert rep.rhs == rhs * (q**2 / (q - 1.0))
 
     def test_q_squared_beyond_the_double_range_is_no_verdict(self):
         # q**2 raised OverflowError; as inf it makes rhs non-finite

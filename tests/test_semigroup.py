@@ -1,5 +1,6 @@
 """Exact kernel semigroup: oracles, structural identities, and norms."""
 
+import dataclasses
 import gc
 import math
 import weakref
@@ -605,6 +606,8 @@ class TestResultMemo:
             expected = table
             for a in atoms:
                 expected = np.diff(expected, axis=a)
+            if len(atoms) == 2:  # a second difference is held on the interior only
+                expected = grids.trim_to(expected, engine.trunc.shape)
             assert np.array_equal(d, expected)
         assert len(diffs) == 5  # each pair reads its memoized D_i F
         d0 = engine.difference(F, 0)
@@ -633,6 +636,53 @@ class TestResultMemo:
         assert cli.run_config(GRID_3ATOM_SEED_1, tmp_path) == 0
         expected = (ROOT / "tests" / "data" / "grid_3atom_seed1.report.txt").read_bytes()
         assert (tmp_path / "report.txt").read_bytes() == expected
+
+    def test_grid_3atom_pass_searches_each_cap_once(self, tmp_path, monkeypatch):
+        searches = counting(monkeypatch, ground, "_min_cap")
+        # pdtrik starts every search, whichever module's name calls it
+        guesses = counting(monkeypatch, ground, "pdtrik")
+        assert cli.run_config(GRID_3ATOM_SEED_1, tmp_path) == 0
+        # the caps and the pads read one search per atom
+        assert len(searches) == len(guesses) == 3
+
+    def test_given_caps_pad_as_searched_caps(self):
+        space = GroundSpace((0.035355, 0.126532, 0.155858, 7.5))
+        searched = TruncatedStateSpace.from_tail_mass(space, 1e-6)
+        given = TruncatedStateSpace(space, searched.caps, 1e-6)
+        assert given == searched
+        assert SemigroupEngine(space, given).shape == SemigroupEngine(space, searched).shape
+        wider = TruncatedStateSpace(space, tuple(n + 2 for n in searched.caps), 1e-6)
+        assert SemigroupEngine(space, wider).shape == tuple(
+            s + 2 for s in SemigroupEngine(space, searched).shape)
+        # a copy at another tail mass searches its own pads
+        looser = dataclasses.replace(searched, tail_mass=1e-3)
+        assert SemigroupEngine(space, looser).shape == SemigroupEngine(
+            space, TruncatedStateSpace(space, searched.caps, 1e-3)).shape
+        assert SemigroupEngine(space, looser).shape != SemigroupEngine(space, searched).shape
+
+    def test_four_atom_report_and_memo_bytes(self, tmp_path, monkeypatch):
+        engines = []
+        build = cli._build_engine
+        monkeypatch.setattr(cli, "_build_engine", lambda *args: engines.append(build(*args))
+                            or engines[-1])
+        config = cli.load_config(str(ROOT / "tests" / "data" / "grid_4atom.json"))
+        assert cli.run_config(config, tmp_path) == 0
+        expected = (ROOT / "tests" / "data" / "grid_4atom.report.txt").read_bytes()
+        assert (tmp_path / "report.txt").read_bytes() == expected
+        (engine,) = engines
+        arrays = {}
+        for F, result in engine._results.values():
+            if isinstance(result, np.ndarray):
+                owner = result if result.base is None else result.base
+                arrays[id(owner)] = owner.nbytes
+        held = {id(F) for F, _ in engine._results.values()}
+        # per functional: its table and F log F on the padded grid, one first
+        # difference per atom, and every second difference on the interior
+        padded, m = engine.shape, len(engine.shape)
+        first = sum(math.prod(padded) * (s - 1) // s for s in padded)
+        pairs = m * (m + 1) // 2 * engine.trunc.state_count()
+        per_functional = 8 * (2 * math.prod(padded) + first + pairs)
+        assert sum(arrays.values()) <= len(held) * per_functional
 
     def test_shipped_suite_takes_differences_through_the_engine(self, tmp_path, monkeypatch):
         diffs = counting(monkeypatch, grids, "diff_axis")
