@@ -16,7 +16,7 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammainc, pdtr, pdtrc
+from ._special import gammainc, pdtr, pdtrc
 
 from . import grids
 from .functionals import Functional
@@ -199,7 +199,11 @@ def near_optimality_sides(a: float, q: float) -> tuple[float, float]:
         lhs = x * x * (0.5 - x * (1.0 / 3.0 - x * (0.125 - x / 30.0)))
     else:
         lhs = float(gammainc(2.0, x))
-    rhs = q**2 / (q - 1.0) * (-math.expm1(-a)) * (-math.expm1(-(q - 1.0) * a))
+    try:
+        factor = q**2 / (q - 1.0)
+    except OverflowError:  # q above about 1.3e154, where q / (q - 1) is 1
+        factor = q / (q - 1.0) * q
+    rhs = factor * (-math.expm1(-a)) * (-math.expm1(-(q - 1.0) * a))
     return lhs, rhs
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import gammaln, xlogy
+from ._special import gammaln, xlogy
 
 
 def poisson_logpmf(k, lam):

@@ -10,11 +10,12 @@ numpy's index form (``grids.index_form``).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import pdtrc, pdtrik
+from ._special import pdtrc, pdtrik
 
 from . import grids
 from .errors import BudgetExceededError, NonFiniteValueError
@@ -23,6 +24,8 @@ from .reports import make_report
 DEFAULT_TAIL_MASS = 1e-12
 DEFAULT_BUDGET = 10**6
 DEFAULT_REPLICATIONS = 100_000
+#: the largest count a double holds; a cap beyond it is refused
+_MAX_COUNT = int(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -55,16 +58,36 @@ def _min_cap(lam: float, per_atom_tail: float) -> int:
     """Smallest N with P[Poisson(lam) > N] <= per_atom_tail.
 
     ``ceil(pdtrik(1 - tail, lam))``, the inverse of the cdf, is the starting
-    guess; for tails where ``1 - tail`` rounds to 1 it is nan, and the search
-    starts at ``lam`` instead. ``pdtrc(n, lam)`` is P[Poisson(lam) > n].
+    guess; for tails where ``1 - tail`` rounds to 1, or for lam from about
+    3e11, it is nan, and the search starts at ``lam`` instead.
+    ``pdtrc(n, lam)`` is P[Poisson(lam) > n], non-increasing in n. The search
+    steps away from the guess in doubling strides until it brackets the
+    answer, then bisects, so it makes O(log lam) calls even where the guess
+    is far off or a step of one count is below a double's spacing.
     """
     guess = np.ceil(pdtrik(1.0 - per_atom_tail, lam))
     n = int(guess) if math.isfinite(guess) else int(lam)
-    while pdtrc(n, lam) > per_atom_tail:
-        n += 1
-    while n > 0 and pdtrc(n - 1, lam) <= per_atom_tail:
-        n -= 1
-    return n
+    # bracket the answer in (low, high]: pdtrc(low) > tail >= pdtrc(high),
+    # with low = -1 standing for "every count from 0 up meets the tail"
+    stride = 1
+    if pdtrc(n, lam) > per_atom_tail:
+        low = n
+        while pdtrc(high := min(low + stride, _MAX_COUNT), lam) > per_atom_tail:
+            if high == _MAX_COUNT:
+                raise BudgetExceededError(f"the cap for lam={lam!r} exceeds the double range")
+            low, stride = high, 2 * stride
+    else:
+        high = n
+        while high - stride >= 0 and pdtrc(high - stride, lam) <= per_atom_tail:
+            high, stride = high - stride, 2 * stride
+        low = max(high - stride, -1)
+    while high - low > 1:
+        mid = (low + high) // 2
+        if pdtrc(mid, lam) <= per_atom_tail:
+            high = mid
+        else:
+            low = mid
+    return high
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import pdtrc
+from ._special import pdtrc
 
 from . import grids
 from .errors import NegativeValueError, NonFiniteValueError, PreconditionError
@@ -161,7 +161,9 @@ def _pathwise_eval(a, b, q):
         lhs = scale * uq_m1**2
         rhs = scale * q**2 / (q - 1.0) * delta * uqm1_m1 * np.maximum(np.exp(t), 1.0)
         violated = pos & (lhs > rhs + _REL_TOL * np.maximum(lhs, rhs))
-        # b = 0 < a: lhs = a^q and rhs = +inf by convention; a = b = 0: both 0
+        # b = 0 < a: lhs = a^q and rhs = +inf by convention; a = b: both
+        # exactly 0 (b^q may overflow, and inf * 0 is nan)
+        pos &= delta != 0.0
         lhs = np.where(pos, lhs, np.where(lone, a**q, 0.0))
         rhs = np.where(pos, rhs, np.where(lone, np.inf, 0.0))
         log_lhs = np.where(lone, q * np.log(a), -np.inf)
@@ -175,9 +177,9 @@ def _pathwise_eval(a, b, q):
             lr = (q * np.log(b) + np.log(q**2 / (q - 1.0)) + np.log(a - b) - np.log(b)
                   + (q - 1.0) * log_u + np.log1p(-np.exp(-(q - 1.0) * log_u)) + t)
             # moderate t but b^q overflows: q log b plus the log of the side in
-            # u, with rhs through its ratio to lhs (1 at a = b, where both are
-            # 0) so that a large q log b cannot round nearly equal sides apart
-            ratio = np.where(delta == 0.0, 1.0, q**2 / (q - 1.0) * delta * uqm1_m1 / uq_m1**2)
+            # u, with rhs through its ratio to lhs so that a large q log b
+            # cannot round nearly equal sides apart
+            ratio = q**2 / (q - 1.0) * delta * uqm1_m1 / uq_m1**2
             ll_mod = q * np.log(b) + np.log(uq_m1**2)
             lr_mod = ll_mod + (np.log(ratio) + np.maximum(t, 0.0))
             log_lhs = np.where(extreme, ll, np.where(in_logs, ll_mod, log_lhs))
@@ -208,7 +210,8 @@ def check_pathwise_lemma(a, b, q):
     evaluator covers every point, and the result is a list with one report
     per point, in order; each report's parameters hold the point's values as
     given. When the absolute sides overflow a double the report carries the
-    logarithms of both sides instead (flagged in the parameters).
+    logarithms of both sides instead (flagged in the parameters); a point
+    whose sides cannot be stated even so raises NonFiniteValueError.
     """
     points = np.broadcast(*(np.asarray(x, dtype=object) for x in (a, b, q)))
     columns = (np.ravel(col) for col in _pathwise_eval(a, b, q))
@@ -216,12 +219,16 @@ def check_pathwise_lemma(a, b, q):
     for (a_i, b_i, q_i), lhs, rhs, log_lhs, log_rhs, violated in zip(points, *columns):
         lhs, rhs = float(lhs), float(rhs)
         params = {"a": a_i, "b": b_i, "q": q_i}
-        if math.isinf(lhs):
+        if not math.isfinite(lhs):
             lhs, rhs = float(log_lhs), float(log_rhs)
             params["log_scale"] = True
             tol = _REL_TOL
         else:
             tol = _REL_TOL * max(abs(lhs), abs(lhs) if math.isinf(rhs) else abs(rhs))
+        if not math.isfinite(lhs) or math.isnan(rhs):
+            raise NonFiniteValueError(
+                f"pathwise-lemma at a={a_i!r}, b={b_i!r}, q={q_i!r}: "
+                "a side is beyond the double range even as a logarithm")
         report = make_report("pathwise-lemma", lhs, rhs, tolerance=tol, parameters=params)
         assert (report.verdict == VIOLATED) == bool(violated)
         reports.append(report)

@@ -19,7 +19,7 @@ import functools
 import math
 
 import numpy as np
-from scipy.special import _ufuncs
+from ._special import ufuncs as _ufuncs
 
 from . import grids
 from .errors import BudgetExceededError, NonFiniteValueError, PreconditionError

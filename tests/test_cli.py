@@ -379,6 +379,17 @@ class TestExitCodes:
         path = write_config(tmp_path, config)
         assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 3
 
+    @pytest.mark.parametrize("weight", [1e15, 1e300, sys.float_info.max])
+    def test_huge_weight_exits_3(self, tmp_path, capsys, weight):
+        # the cap search stepped one count at a time: minutes at 1e15, and no
+        # end at 1e300, where a step of one is below a double's spacing
+        config = base_config(space={"weights": [weight]})
+        out = tmp_path / "out"
+        assert main(["run", str(write_config(tmp_path, config)), "--out", str(out)]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("budget exceeded: ")
+        assert not (out / "report.txt").exists()
+
     @pytest.mark.parametrize("budget,k_max", [(1_000_000, 1e300), (200, 201)])
     def test_lsi_failure_k_max_over_budget_exits_3_before_engine(
         self, tmp_path, monkeypatch, capsys, budget, k_max
@@ -557,6 +568,29 @@ class TestExitCodes:
         assert main(["run", str(write_config(tmp_path, config)), "--out", str(out)]) == 0
         assert "Traceback" not in capsys.readouterr().err
         assert "t=1e+200=0<=0" in (out / "report.txt").read_text()
+
+    @pytest.mark.parametrize("b", [10, 1e300])
+    def test_pathwise_lemma_at_a_equals_b_is_0_for_any_q(self, tmp_path, capsys, b):
+        # b^q overflows and multiplied the zero difference: nan sides and an
+        # AssertionError; a = b is an exact equality at 0
+        out = tmp_path / "out"
+        config = lemma_at([b], [b], [1e308])
+        assert main(["run", str(write_config(tmp_path, config)), "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        fields = dict(field.split("=", 1) for field in (out / "report.txt").read_text().split())
+        assert (fields["lhs"], fields["rhs"], fields["verdict"]) == ("0", "0", "holds")
+
+    @pytest.mark.parametrize("a,b", [(10, 11), (11, 10), (10, 0), (1e-299, 1e-300)])
+    def test_pathwise_lemma_beyond_the_log_range_exits_4(self, tmp_path, capsys, a, b):
+        # q log b (or q log a at b = 0) overflows, so not even the logarithm
+        # of the sides is a double; at the last point it is -inf plus inf
+        out = tmp_path / "out"
+        config = lemma_at([a], [b], [1e308])
+        assert main(["run", str(write_config(tmp_path, config)), "--out", str(out)]) == 4
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: pathwise-lemma at a={a}, b={b}, q=1e+308: "
+            "a side is beyond the double range even as a logarithm"]
+        assert not (out / "report.txt").exists()
 
     def test_library_error_exits_4(self, tmp_path, capsys):
         # F = count(0) is 0 at the empty configuration: a failed precondition,
@@ -1167,6 +1201,26 @@ class TestExamples:
         err = capsys.readouterr().err.splitlines()
         assert err == ["error: near-optimality ratio at a=1e-158, q=2.0: "
                        "lhs is subnormal in double precision"]
+        assert not list(tmp_path.iterdir())
+
+    def test_near_optimality_beyond_q_squared_runs(self, tmp_path, capsys):
+        # q**2 raised OverflowError from q about 1.3e154; q / (q - 1) is 1 there
+        assert main(["example", "near_optimality", "q_grid=[1e300]",
+                     "--out", str(tmp_path)]) == 0
+        assert capsys.readouterr().err == ""
+        rows = (tmp_path / "near_optimality.csv").read_text().splitlines()[1:]
+        for row in rows:
+            a, q, ratio = (float(x) for x in row.split(","))
+            assert ratio == pytest.approx(q * -math.expm1(-a), rel=1e-15)
+
+    @pytest.mark.parametrize("name,param", [
+        ("onedim", "lambda_grid=[1e300]"),
+        ("near_optimality", "gamma=1e300"),
+    ])
+    def test_huge_intensity_exits_3(self, tmp_path, capsys, name, param):
+        assert main(["example", name, param, "--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("budget exceeded: ")
         assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("k_max", ["1e300", str(cli.DEFAULT_BUDGET + 1)])

@@ -9,6 +9,7 @@ oracle within a derived roundoff bound, which does not depend on its bits.
 
 import math
 from fractions import Fraction
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -20,7 +21,7 @@ from scipy import special, stats
 from scipy.special import _ufuncs
 
 import poisson_ou
-from poisson_ou import grids, ou_kernel_1d, semigroup
+from poisson_ou import grids, ground, ou_kernel_1d, semigroup
 from poisson_ou.ground import _min_cap
 
 INTENSITIES = [0.02, 0.05, 0.13, 0.25, 0.5, 1.0, 2.0, 15.0, 27.5, 40.0]
@@ -106,6 +107,18 @@ class TestMatchesStats:
                 assert _min_cap(lam, tail) == stats_min_cap(lam, tail), (lam, tail)
 
 
+@pytest.mark.parametrize("lam", [1.0, 40.0, 1e6, 1e11, 3e11, 1e15, 1e100, 1e300, 1e308])
+@pytest.mark.parametrize("tail", [1e-30, 1e-12, 0.5])
+def test_min_cap_search_is_logarithmic_in_lam(monkeypatch, lam, tail):
+    # the search stepped one count at a time from the guess, or from lam
+    # where pdtrik is nan (1 - tail rounds to 1, or lam from about 3e11)
+    calls = []
+    monkeypatch.setattr(ground, "pdtrc", lambda *args: calls.append(args) or special.pdtrc(*args))
+    cap = _min_cap(lam, tail)
+    assert len(calls) <= 2 * math.log2(lam + 2) + 10
+    assert special.pdtrc(cap, lam) <= tail and (cap == 0 or special.pdtrc(cap - 1, lam) > tail)
+
+
 def pascal_kernel(lam, size, t):
     """The kernel of the float keep = e^-t and refresh pmf, in exact arithmetic.
 
@@ -187,10 +200,80 @@ class TestFallback:
             assert np.array_equal(ou_kernel_1d(lam, size, t), loop_kernel(lam, size, t))
 
 
-def test_cli_import_leaves_scipy_stats_out():
+#: the functions the library takes from ``poisson_ou._special``
+SPECIAL_NAMES = ("gammainc", "gammaln", "pdtr", "pdtrc", "pdtrik", "xlogy")
+
+#: run after the library is imported in a fresh interpreter: imports the real
+#: ``scipy.special`` and ``scipy.stats``, then prints what the loader left
+LOADER_PROBE = f"""
+import json, sys
+import numpy as np
+from poisson_ou import _special
+heavy = [m for m in ("scipy.special", "scipy._lib._array_api", "numpy.f2py", "scipy.stats")
+         if m in sys.modules]
+import scipy.special
+from scipy import stats
+n = np.arange(80)
+k_idx, n_idx = np.broadcast_arrays(n, n[:, None])
+lower = k_idx <= n_idx
+pmf_same = all(
+    stats.binom.pmf(k_idx[lower], n_idx[lower], p).tobytes()
+    == _special.ufuncs._binom_pmf(k_idx[lower], n_idx[lower], p).tobytes()
+    for p in (0.0, 1e-9, 0.3, 0.5, 0.97, 1.0))
+same = (scipy.special._ufuncs is _special.ufuncs
+        and all(getattr(scipy.special, f) is getattr(_special, f) for f in {SPECIAL_NAMES!r}))
+print(json.dumps({{"heavy": heavy, "same": same, "pmf_same": pmf_same}}))
+"""
+
+#: forces the light path's import of ``_ufuncs`` to fail once
+REFUSE_ONCE = """
+class Refuse:
+    calls = 0
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy.special._ufuncs" and not Refuse.calls:
+            Refuse.calls += 1
+            raise ImportError("refused once")
+sys.meta_path.insert(0, Refuse())
+"""
+
+
+def run_loader_probe(before="", after=""):
+    """Import ``poisson_ou.cli`` in a fresh interpreter between ``before`` and
+    ``after``, then run ``LOADER_PROBE``; returns its record, plus whether
+    ``scipy.special`` was imported right after the library."""
     src = str(Path(poisson_ou.__file__).resolve().parents[1])
-    code = (f"import sys; sys.path.insert(0, {src!r}); import poisson_ou.cli; "
-            "print('scipy.stats' in sys.modules)")
+    code = (f"import sys; sys.path.insert(0, {src!r})\n{before}\n"
+            "import poisson_ou.cli\n"
+            "special_after_import = 'scipy.special' in sys.modules\n"
+            f"{after}\n{LOADER_PROBE}\n"
+            "print(special_after_import)")
     result = subprocess.run([sys.executable, "-c", code], capture_output=True,
                             text=True, check=True)
-    assert result.stdout.strip() == "False"
+    record, special_after_import = result.stdout.splitlines()
+    return {**json.loads(record), "special_after_import": special_after_import == "True"}
+
+
+def test_cli_import_leaves_scipy_stats_out():
+    """The light path: the library loads ``scipy.special._ufuncs`` without the
+    package's ``__init__``, so neither ``scipy.special`` nor its array-API
+    layer nor ``numpy.f2py`` is imported; importing them afterwards binds the
+    same ufunc objects, and ``scipy.stats`` gives the same binomial pmf bits."""
+    record = run_loader_probe()
+    assert record == {"heavy": [], "same": True, "pmf_same": True,
+                      "special_after_import": False}
+
+
+@pytest.mark.parametrize("before,after,took_ordinary_path", [
+    # scipy.special already imported: the ordinary import
+    ("from scipy import stats", "", True),
+    # another thread alive: the ordinary import
+    ("import threading; done = threading.Event(); "
+     "waiter = threading.Thread(target=done.wait); waiter.start()",
+     "done.set(); waiter.join()", True),
+    # the light path raises ImportError: the ordinary import
+    (REFUSE_ONCE, "assert Refuse.calls == 1", True),
+], ids=["stats-first", "live-thread", "import-error"])
+def test_loader_fallbacks_bind_the_same_ufuncs(before, after, took_ordinary_path):
+    record = run_loader_probe(before, after)
+    assert record["special_after_import"] is took_ordinary_path
+    assert record["same"] and record["pmf_same"]
