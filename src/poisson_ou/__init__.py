@@ -27,9 +27,7 @@ from .ground import (
 from .functionals import (
     Functional,
     add_one_cost,
-    affine,
     certify_monotonicity,
-    constant,
     from_rule,
     from_table,
     gamma_expectation,

@@ -133,9 +133,13 @@ def _each(check):
     return lambda e, f, grid, b: [check(e, f, p, b) for p in grid]
 
 
+#: h = 1 of a mecke item without a functional: one object, so that a held
+#: engine (``run_config``) memoizes its table once, not once per run
+_ONE = dsl.to_functional(dsl.Expr(1.0, ()))
+
+
 def _mecke(engine, func, params, bypass):
-    h = func if func is not None else dsl.to_functional(dsl.Expr(1.0, ()))
-    return check_mecke(engine, h)
+    return check_mecke(engine, func if func is not None else _ONE)
 
 
 def _pathwise(engine, func, grid, bypass):
@@ -373,7 +377,14 @@ def _check_atoms(functionals: dict, atom_count: int):
             )
 
 
+#: the last run's (key, functionals, engine), or None; see ``run_config``
+_held = None
+
+
 def _build_engine(config: dict, mode: str, functionals: dict) -> SemigroupEngine:
+    """The engine of a config, built once its space and truncation are valid
+    and the held context is dropped, so that two engines never live at once."""
+    global _held
     trunc_cfg = config.get("truncation", {})
     engine_cfg = config.get("engine", {})
     try:
@@ -384,6 +395,7 @@ def _build_engine(config: dict, mode: str, functionals: dict) -> SemigroupEngine
             tail_mass=float(trunc_cfg.get("tail_mass", DEFAULT_TAIL_MASS)),
             budget=trunc_cfg.get("budget", DEFAULT_BUDGET),
         )
+        _held = None
         return SemigroupEngine(
             space,
             trunc,
@@ -398,18 +410,33 @@ def _build_engine(config: dict, mode: str, functionals: dict) -> SemigroupEngine
 def run_config(config: dict, out_dir: Path) -> int:
     """Validate every check item, then build the engine and run the checks.
 
-    Returns the process exit code.
+    The compiled functionals and the engine are held after the run, under a
+    key of the settings that decide them; a later call with an equal key
+    reuses both, so every result the engine memoized is a hit. Any other
+    call compiles and validates first, and drops the held context only to
+    build its own engine. Returns the process exit code.
     """
+    global _held
     _check_shapes(config)
-    mode = config.get("engine", {}).get("mode", "exact")
-    functionals = {
-        name: dsl.functional_from_text(text, name=name)
-        for name, text in config.get("functionals", {}).items()
-    }
+    trunc_cfg, engine_cfg = config.get("truncation", {}), config.get("engine", {})
+    mode = engine_cfg.get("mode", "exact")
+    budget = trunc_cfg.get("budget", DEFAULT_BUDGET)
+    # the settings that decide the functionals and the engine, copied out
+    key = (tuple(config.get("space", {}).get("weights", ())),
+           tuple(config.get("functionals", {}).items()),
+           trunc_cfg.get("tail_mass", DEFAULT_TAIL_MASS), budget, mode,
+           engine_cfg.get("replications", DEFAULT_REPLICATIONS), config.get("seed", 0))
+    if _held is not None and _held[0] == key:
+        _, functionals, engine = _held
+    else:
+        functionals = {name: dsl.functional_from_text(text, name=name)
+                       for name, text in config.get("functionals", {}).items()}
+        engine = None
     items = config.get("checks", [])
-    budget = config.get("truncation", {}).get("budget", DEFAULT_BUDGET)
     resolved = [_resolve(item, functionals, mode, budget) for item in items]
-    engine = _build_engine(config, mode, functionals)
+    if engine is None:
+        engine = _build_engine(config, mode, functionals)
+        _held = (key, functionals, engine)
     catalog_order = list(CHECK_CATALOG)
     records = []
     for item, (spec, func, grid) in zip(items, resolved):

@@ -141,28 +141,6 @@ def from_table(table, name="F", **kwargs) -> Functional:
     return Functional(table=np.asarray(table, dtype=float), name=name, **kwargs)
 
 
-def constant(value: float) -> Functional:
-    v = float(value)
-    return Functional(rule=lambda c: v, name=f"const({v})", bounded_by=abs(v))
-
-
-def affine(coeffs, funcs, const=0.0) -> Functional:
-    """a_1 F_1 + ... + a_k F_k + const, as a rule-backed functional whose
-    batch sums the children's ``values`` in the rule's order."""
-    coeffs = [float(a) for a in coeffs]
-    funcs = list(funcs)
-
-    def rule(c):
-        return const + sum(a * f(c) for a, f in zip(coeffs, funcs))
-
-    def batch(c):
-        # adds like the rule's int 0 and keeps the shape of the states
-        start = np.zeros(grids.count_shape(c))
-        return const + sum((a * f.values(c) for a, f in zip(coeffs, funcs)), start)
-
-    return Functional(rule=rule, name="affine", batch=batch)
-
-
 def add_one_cost(F: Functional, c, i: int):
     """D_i F(c) = F(c + e_i) - F(c) for counts in index form; a float for one
     state, else an array."""

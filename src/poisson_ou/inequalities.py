@@ -98,7 +98,8 @@ def check_modified_lsi(engine, F):
             d_phi = grids.diff_axis(phi, i)
             return engine.expect_table(d_phi - grids.drop_top(phi_prime, i) * df)
 
-    lhs, rhs = _finite_sides("modified-lsi", entropy(engine, F), engine.atom_sum(term))
+    rhs = engine._memo(F, "modified-lsi", lambda: engine.atom_sum(term))
+    lhs, rhs = _finite_sides("modified-lsi", entropy(engine, F), rhs)
     scale = float(np.abs(phi).max()) + engine.sup_abs(F)
     tol = engine.tolerance(scale * (1 + engine.space.total_mass))
     return make_report("modified-lsi", lhs, rhs, tolerance=tol)
@@ -121,7 +122,8 @@ def check_min_form_lsi(engine, F):
             quad = df**2 / grids.drop_top(table, i)
             return engine.expect_table(np.minimum(quad, df * d_log))
 
-    lhs, rhs = _finite_sides("min-form-lsi", lhs, engine.atom_sum(term))
+    rhs = engine._memo(F, "min-form-lsi", lambda: engine.atom_sum(term))
+    lhs, rhs = _finite_sides("min-form-lsi", lhs, rhs)
     scale = float(np.abs(table * (1 + np.abs(log_table))).max())
     tol = engine.tolerance(scale * (1 + engine.space.total_mass))
     return make_report("min-form-lsi", lhs, rhs, tolerance=tol)
@@ -171,17 +173,23 @@ def _pathwise_eval(a, b, q):
         extreme = pos & (t > _LOG_REGIME)
         in_logs = extreme | (pos & ~(np.isfinite(lhs) & np.isfinite(rhs)))
         if in_logs.any():
+            # q^2/(q - 1) overflows for q above about 1.3e154; its log is then
+            # taken as 2 log q - log(q - 1), and the ratio below through logs
+            c = q**2 / (q - 1.0)
+            big = ~np.isfinite(c)
+            log_c = np.where(big, 2.0 * np.log(q) - np.log(q - 1.0), np.log(c))
             # a >> b: both sides scale like a^2q / b^q; the exp(-t) terms are
             # below 1e-150 and kept only to make the comparison one-sided
             ll = q * np.log(b) + 2.0 * t + 2.0 * np.log1p(-np.exp(-t))
-            lr = (q * np.log(b) + np.log(q**2 / (q - 1.0)) + np.log(a - b) - np.log(b)
+            lr = (q * np.log(b) + log_c + np.log(a - b) - np.log(b)
                   + (q - 1.0) * log_u + np.log1p(-np.exp(-(q - 1.0) * log_u)) + t)
             # moderate t but b^q overflows: q log b plus the log of the side in
             # u, with rhs through its ratio to lhs so that a large q log b
             # cannot round nearly equal sides apart
-            ratio = q**2 / (q - 1.0) * delta * uqm1_m1 / uq_m1**2
+            log_ratio = np.where(big, log_c + np.log(delta * uqm1_m1 / uq_m1**2),
+                                 np.log(c * delta * uqm1_m1 / uq_m1**2))
             ll_mod = q * np.log(b) + np.log(uq_m1**2)
-            lr_mod = ll_mod + (np.log(ratio) + np.maximum(t, 0.0))
+            lr_mod = ll_mod + (log_ratio + np.maximum(t, 0.0))
             log_lhs = np.where(extreme, ll, np.where(in_logs, ll_mod, log_lhs))
             log_rhs = np.where(extreme, lr, np.where(in_logs, lr_mod, log_rhs))
             lhs = np.where(in_logs, np.exp(log_lhs), lhs)
@@ -261,7 +269,8 @@ def check_entropy_power(engine, G, q, bypass_hypotheses=False):
     with np.errstate(over="ignore", invalid="ignore"):
         power_qm1 = table ** (q - 1.0)  # G^{q-1}, one table for every atom
         lhs = entropy(engine, from_table(table**q, name=f"{G.name}^{q:g}"))
-        rhs = engine.atom_sum(term) * overflow_to_inf(lambda: q**2 / (q - 1.0))
+        rhs = (engine._memo(G, ("entropy-power", q), lambda: engine.atom_sum(term))
+               * overflow_to_inf(lambda: q**2 / (q - 1.0)))
         scale = overflow_to_inf(
             lambda: float(table.max() ** q) * (1 + engine.space.total_mass) * q**2 / (q - 1))
     lhs, rhs = _finite_sides("entropy-power", lhs, rhs)

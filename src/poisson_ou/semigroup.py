@@ -15,7 +15,6 @@ over the interior c_i <= N_i.
 
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
@@ -75,18 +74,6 @@ def ou_kernel_1d(lam: float, size: int, t: float) -> np.ndarray:
     return kernel
 
 
-@functools.lru_cache(maxsize=1)
-def _kernel_table(weights: tuple, shape: tuple) -> dict[float, list[np.ndarray]]:
-    """t -> [one-atom kernel per atom] for exact engines on one padded grid.
-
-    Kernels depend only on (lam_i, padded size, t), so consecutive engines
-    with equal weights and padded shape share one table (read-only kernels).
-    Only the latest grid's table is kept: at most one engine's kernels outlive
-    that engine, and that engine has already shown they fit in memory.
-    """
-    return {}
-
-
 class SemigroupEngine:
     """Exact truncated tensor-product kernel for P_t, or seeded MC samples for
     expectations (P_t itself is exact-only)."""
@@ -124,7 +111,8 @@ class SemigroupEngine:
                     f"({trunc.state_count()} interior), over budget {trunc.budget}"
                 )
             self.law = grids.product_pmf(space.weights, self.shape)
-            self._kernels = _kernel_table(tuple(space.weights), self.shape)
+            #: t -> [one-atom kernel per atom], read-only; see ``kernels``
+            self._kernels: dict[float, list[np.ndarray]] = {}
             self._laws[self.shape] = self.law
             self.samples = None
         else:
@@ -153,7 +141,8 @@ class SemigroupEngine:
         certificate, "variance" for Var(F), ("D", *atoms) for a difference
         table (exact mode) and ("E|D|^", i, power) for its moment; "min",
         "sup" and "mean" for min F, max|F| and E F, "phi" for F log F,
-        "entropy" for Ent(F) and ("Lp", p) for ||F||_p (exact mode). Arrays
+        "entropy" for Ent(F), ("Lp", p) for ||F||_p and a check's name (with
+        q for entropy-power) for its sum over atoms (exact mode). Arrays
         come back read-only.
         In exact mode the memo holds, per functional the checks difference,
         its padded table and one first difference per atom: about 8(1 + m)
@@ -271,8 +260,7 @@ class SemigroupEngine:
         return grids.trim_to(table, shape)
 
     def kernels(self, t: float) -> list[np.ndarray]:
-        """The one-atom kernels at time t, built once per grid (see
-        ``_kernel_table``) and read-only."""
+        """The one-atom kernels at time t, built once per engine and read-only."""
         self._require_exact("the exact kernel")
         t = float(t)
         if t not in self._kernels:

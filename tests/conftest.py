@@ -1,14 +1,24 @@
-"""Shared fixtures: small spaces, exact engines, and random functional corpora."""
+"""Shared fixtures: small spaces, exact engines, and functional builders."""
 
 import numpy as np
 import pytest
 
 from poisson_ou import (
+    Functional,
     GroundSpace,
     SemigroupEngine,
     TruncatedStateSpace,
+    cli,
     from_rule,
+    grids,
 )
+
+
+@pytest.fixture(autouse=True)
+def cold_runner():
+    """Drop the runner's held context, so that each test's first
+    ``cli.run_config`` compiles and builds as a fresh process does."""
+    cli._held = None
 
 
 @pytest.fixture(scope="session")
@@ -67,3 +77,25 @@ def random_decreasing_functional(rng, n_values=80, name="F"):
         return float(vals[min(int(c[0]), top)])
 
     return from_rule(rule, name=name, bounded_by=float(vals[0]))
+
+
+def constant(value: float) -> Functional:
+    v = float(value)
+    return Functional(rule=lambda c: v, name=f"const({v})", bounded_by=abs(v))
+
+
+def affine(coeffs, funcs, const=0.0) -> Functional:
+    """a_1 F_1 + ... + a_k F_k + const, as a rule-backed functional whose
+    batch sums the children's ``values`` in the rule's order."""
+    coeffs = [float(a) for a in coeffs]
+    funcs = list(funcs)
+
+    def rule(c):
+        return const + sum(a * f(c) for a, f in zip(coeffs, funcs))
+
+    def batch(c):
+        # adds like the rule's int 0 and keeps the shape of the states
+        start = np.zeros(grids.count_shape(c))
+        return const + sum((a * f.values(c) for a, f in zip(coeffs, funcs)), start)
+
+    return Functional(rule=rule, name="affine", batch=batch)

@@ -6,13 +6,14 @@ import os
 import subprocess
 import sys
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from poisson_ou import (GroundSpace, SemigroupEngine, TruncatedStateSpace, cli, inequalities,
-                        semigroup)
+from poisson_ou import (GroundSpace, SemigroupEngine, TruncatedStateSpace, cli, dsl, grids,
+                        inequalities, semigroup)
 from poisson_ou.cli import (
     CHECK_CATALOG,
     DEMO_TAG,
@@ -836,6 +837,155 @@ class TestDeterminism:
         report = (tmp_path / "out" / "report.txt").read_text(encoding="utf-8")
         assert f"tag={DEMO_TAG}" in report
         assert "verdict=violated" in report
+
+
+#: the shipped suite and the run configs under tests/data, each with its report
+RUNS = [(REPO_CONFIG, REFERENCE_REPORT)] + [
+    (DATA / f"{name}.json", DATA / f"{name}.report.txt")
+    for name in ("grid_3atom", "grid_4atom", "mc_3atom", "mc_builtins")]
+
+#: what a run compiles and builds, by module attribute
+BUILDS = [(dsl, "functional_from_text"), (SemigroupEngine, "__init__")]
+
+
+def keyed_config(**overrides):
+    """A config that sets every setting of the held context's key."""
+    return base_config(**{"engine": {"mode": "exact", "replications": 100},
+                          "functionals": {"f": "exp_neg(0.5, 0)", "g": "count(0)"},
+                          **overrides})
+
+
+#: one edit per setting of the held context's key, each alone
+KEY_EDITS = {
+    "weight": lambda c: c["space"].update(weights=[1.5]),
+    "tail_mass": lambda c: c["truncation"].update(tail_mass=1e-10),
+    "budget": lambda c: c["truncation"].update(budget=999_999),
+    "mode": lambda c: c["engine"].update(mode="mc"),
+    "replications": lambda c: c["engine"].update(replications=101),
+    "seed": lambda c: c.update(seed=1),
+    "functional text": lambda c: c["functionals"].update(g="count(0) + 1"),
+    "functional name": lambda c: c["functionals"].update(h=c["functionals"].pop("g")),
+}
+
+
+class TestHeldContext:
+    @pytest.mark.parametrize("first", range(len(RUNS)), ids=[p.stem for p, _ in RUNS])
+    def test_warm_runs_write_the_cold_reports(self, tmp_path, first):
+        a, b = first, (first + 1) % len(RUNS)
+        engines = []
+        for k, index in enumerate((a, b, a, a)):
+            config, report = RUNS[index]
+            assert cli.run_config(load_config(str(config)), tmp_path / str(k)) == 0
+            assert (tmp_path / str(k) / "report.txt").read_bytes() == report.read_bytes()
+            engines.append(cli._held[2])
+        assert engines[1] is not engines[0] and engines[2] is not engines[1]
+        assert engines[3] is engines[2]
+
+    def test_a_repeat_compiles_builds_and_differences_nothing(self, tmp_path, monkeypatch):
+        assert cli.run_config(load_config(str(REPO_CONFIG)), tmp_path / "cold") == 0
+        calls = spy_on(monkeypatch, BUILDS + [(grids, "diff_axis")])
+        assert cli.run_config(load_config(str(REPO_CONFIG)), tmp_path / "warm") == 0
+        assert calls == {"functional_from_text": 0, "__init__": 0, "diff_axis": 0}
+        assert (tmp_path / "warm" / "report.txt").read_bytes() == REFERENCE_REPORT.read_bytes()
+
+    @pytest.mark.parametrize("edit", KEY_EDITS.values(), ids=list(KEY_EDITS))
+    def test_each_key_setting_alone_builds_afresh(self, tmp_path, monkeypatch, edit):
+        assert cli.run_config(keyed_config(), tmp_path / "a") == 0
+        calls = spy_on(monkeypatch, BUILDS)
+        assert cli.run_config(keyed_config(), tmp_path / "b") == 0
+        assert calls == {"functional_from_text": 0, "__init__": 0}
+        held = cli._held
+        changed = keyed_config()
+        edit(changed)
+        assert cli.run_config(changed, tmp_path / "c") == 0
+        assert calls == {"functional_from_text": 2, "__init__": 1}
+        assert cli._held[2] is not held[2]
+
+    def test_a_config_edited_in_place_builds_afresh(self, tmp_path, monkeypatch):
+        config = keyed_config()
+        assert cli.run_config(config, tmp_path / "a") == 0
+        calls = spy_on(monkeypatch, BUILDS)
+        config["space"]["weights"][0] = 1.5
+        assert cli.run_config(config, tmp_path / "b") == 0
+        assert calls == {"functional_from_text": 2, "__init__": 1}
+        config["functionals"]["f"] = "exp_neg(0.25, 0)"
+        assert cli.run_config(config, tmp_path / "c") == 0
+        assert calls == {"functional_from_text": 4, "__init__": 2}
+
+    def test_the_held_engine_is_gone_before_the_next_is_built(self, tmp_path, monkeypatch):
+        assert cli.run_config(keyed_config(), tmp_path / "a") == 0
+        held = weakref.ref(cli._held[2])
+        seen = []
+        init = SemigroupEngine.__init__
+
+        def spy(self, *args, **kwargs):
+            seen.append(held())
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(SemigroupEngine, "__init__", spy)
+        assert cli.run_config(keyed_config(seed=1), tmp_path / "b") == 0
+        assert seen == [None]
+
+    def test_a_repeat_adds_nothing_to_the_memo(self, tmp_path):
+        # mecke without a functional reads one h = 1 in every run
+        config = keyed_config(checks=[{"check": "mecke"}, {"check": "talagrand",
+                                                            "functional": "f"}])
+        assert cli.run_config(config, tmp_path / "a") == 0
+        engine = cli._held[2]
+        keys = list(engine._results)
+        assert cli.run_config(config, tmp_path / "b") == 0
+        assert cli._held[2] is engine and list(engine._results) == keys
+
+    @pytest.mark.parametrize("bad", [
+        {"checks": [{"check": "no-such-check"}]},
+        {"functionals": {"f": "exp_neg(0.5, 0) +"}},
+        {"functionals": {"f": "count(1)"}},
+        {"space": {"weights": [-1.0]}},
+        {"truncation": {"tail_mass": 2.0}},
+    ], ids=["check", "dsl", "atom", "weight", "tail_mass"])
+    def test_a_refused_config_leaves_the_held_context(self, tmp_path, monkeypatch, bad):
+        good = write_config(tmp_path, keyed_config(), name="good.json")
+        assert main(["run", str(good), "--out", str(tmp_path / "a")]) == 0
+        held = cli._held
+        path = write_config(tmp_path, keyed_config(**bad), name="bad.json")
+        assert main(["run", str(path), "--out", str(tmp_path / "b")]) == 2
+        assert cli._held is held
+        calls = spy_on(monkeypatch, BUILDS)
+        assert main(["run", str(good), "--out", str(tmp_path / "c")]) == 0
+        assert calls == {"functional_from_text": 0, "__init__": 0}
+
+    @pytest.mark.parametrize("bad,code,err", [
+        # 15 interior states fit a budget of 20; the 32 padded ones do not
+        ({"truncation": {"tail_mass": 1e-12, "budget": 20}}, 3,
+         "budget exceeded: padded grid (32,)"),
+        ({"engine": {"mode": "mc", "replications": 1}}, 2,
+         "config error: Monte Carlo needs at least 2 replications"),
+    ], ids=["padded-grid", "replications"])
+    def test_an_engine_that_cannot_be_built_leaves_nothing_held(
+            self, tmp_path, monkeypatch, capsys, bad, code, err):
+        assert cli.run_config(keyed_config(), tmp_path / "a") == 0
+        assert main(["run", str(write_config(tmp_path, keyed_config(**bad))), "--out",
+                     str(tmp_path / "b")]) == code
+        assert capsys.readouterr().err.startswith(err)
+        assert cli._held is None
+        calls = spy_on(monkeypatch, BUILDS)
+        assert cli.run_config(keyed_config(), tmp_path / "c") == 0
+        assert calls == {"functional_from_text": 2, "__init__": 1}
+
+    def test_a_check_that_raised_raises_again_when_repeated(self, tmp_path, monkeypatch,
+                                                             capsys):
+        # F = count(0) is 0 at the empty configuration
+        path = write_config(tmp_path, keyed_config(
+            checks=[{"check": "poincare", "functional": "f"},
+                    {"check": "modified-lsi", "functional": "g"}]))
+        assert main(["run", str(path), "--out", str(tmp_path / "a")]) == 4
+        cold = capsys.readouterr()
+        calls = spy_on(monkeypatch, BUILDS)
+        assert main(["run", str(path), "--out", str(tmp_path / "b")]) == 4
+        assert capsys.readouterr() == cold
+        assert cold.err.startswith("error: modified LSI needs F > 0")
+        assert calls == {"functional_from_text": 0, "__init__": 0}
+        assert not (tmp_path / "b" / "report.txt").exists()
 
 
 #: a command line without --out, and the file it writes

@@ -13,9 +13,7 @@ from poisson_ou import (
     SemigroupEngine,
     TruncatedStateSpace,
     add_one_cost,
-    affine,
     certify_monotonicity,
-    constant,
     from_rule,
     from_table,
     gamma_expectation,
@@ -23,7 +21,7 @@ from poisson_ou import (
 )
 from poisson_ou.functionals import PROP_D2F_GE0, PROP_D2F_LE0, PROP_DF_GE0, PROP_DF_LE0
 
-from conftest import engine_for, random_bounded_functional
+from conftest import affine, constant, engine_for, random_bounded_functional
 
 counts2 = st.tuples(
     st.integers(min_value=0, max_value=20), st.integers(min_value=0, max_value=20)

@@ -199,6 +199,19 @@ class TestPathwiseLemma:
         assert rep.parameters["log_scale"] and rep.verdict == "holds"
         assert rep.lhs <= rep.rhs
 
+    @pytest.mark.parametrize("q", [1e150, 1e200, 1e300])
+    @pytest.mark.parametrize("a,b", [(2.0, 1.0), (1.0, 2.0), (1e-3, 1.0)])
+    def test_q_whose_square_overflows(self, a, b, q):
+        # q^2/(q - 1) overflows from q ~ 1.3e154, and rhs read inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            (rep,) = check_pathwise_lemma(a, b, q)
+        assert rep.verdict == "holds"
+        assert math.isfinite(rep.rhs) and rep.rhs >= rep.lhs
+        assert rep.parameters.get("log_scale", False) == (a > 1e-3)
+        if a == 1e-3:  # rhs = q^2/(q - 1) (1 - a)(1 - a^(q-1)), lhs = 1
+            assert (rep.lhs, rep.rhs) == (1.0, pytest.approx(0.999 * q, rel=1e-12))
+
 
 #: (a, b, q) and the evaluator's five outputs, as float.hex, recorded with the
 #: subset-copy evaluator that preceded the one-pass form; no point whose sides

@@ -306,8 +306,7 @@ class TestEngineModes:
         F = from_rule(lambda c: math.exp(-0.5 * float(c[0])), bounded_by=1.0)  # ||F||_inf <= 1
         with pytest.raises(ValueError, match="negative time"):
             call(engine, F)
-        # nothing stored for t < 0 in the table the engine shares
-        assert engine._kernels is semigroup._kernel_table((1.0,), engine.shape)
+        # nothing stored for t < 0 in the engine's kernel table
         assert all(t >= 0 for t in engine._kernels)
 
     def test_sample_values_refused_in_exact(self):
@@ -473,35 +472,29 @@ class TestSampleMemo:
         assert calls == {"shift_table": 1, "values": 0, "sample_configurations": 1}
 
 
-class TestSharedKernels:
-    def test_an_equal_grid_serves_the_same_read_only_kernels(self, monkeypatch):
-        first = SemigroupEngine(GroundSpace((1.0, 0.5))).kernels(0.3)
+class TestKernels:
+    def test_an_engine_builds_each_time_once_read_only(self, monkeypatch):
+        engine = SemigroupEngine(GroundSpace((1.0, 0.5)))
         built = counting(monkeypatch, semigroup, "ou_kernel_1d")
-        second = SemigroupEngine(GroundSpace((1.0, 0.5))).kernels(0.3)
-        assert built == []
+        first = engine.kernels(0.3)
+        second = engine.kernels(0.3)
+        assert built == [(1.0, engine.shape[0], 0.3), (0.5, engine.shape[1], 0.3)]
         assert len(second) == 2 and all(a is b for a, b in zip(first, second))
         for mat in second:
             with pytest.raises(ValueError, match="read-only"):
                 mat[0, 0] = 1.0
 
-    def test_another_weight_or_tail_builds_afresh(self, monkeypatch):
-        space = GroundSpace((1.0,))
-        engine = SemigroupEngine(space)
-        kernel = engine.kernels(0.3)[0]
+    def test_an_engine_keeps_its_own_kernels(self, monkeypatch):
+        # reuse across runs is the runner's held engine, not a shared table
+        first = SemigroupEngine(GroundSpace((1.0,)))
+        kernel = first.kernels(0.3)[0]
         built = counting(monkeypatch, semigroup, "ou_kernel_1d")
-        other_weight = SemigroupEngine(GroundSpace((1.05,)))
-        assert other_weight.shape == engine.shape
-        other_tail = SemigroupEngine(space, TruncatedStateSpace.from_tail_mass(space, 1e-6))
-        assert other_tail.shape != engine.shape
-        for other in (other_weight, other_tail):
-            assert other.kernels(0.3)[0] is not kernel
-            assert semigroup._kernel_table.cache_info().currsize == 1
-        assert built == [(1.05, engine.shape[0], 0.3), (1.0, other_tail.shape[0], 0.3)]
-        # an engine keeps its own table after a later grid evicts it
-        assert engine.kernels(0.3)[0] is kernel
+        second = SemigroupEngine(GroundSpace((1.0,)))
+        assert second.shape == first.shape and second.kernels(0.3)[0] is not kernel
+        assert built == [(1.0, first.shape[0], 0.3)]
+        assert first.kernels(0.3)[0] is kernel
 
     def test_shipped_suite_twice_builds_kernels_once(self, tmp_path, monkeypatch):
-        semigroup._kernel_table.cache_clear()
         built = counting(monkeypatch, semigroup, "ou_kernel_1d")
         reference = (ROOT / "bench" / "reference" / "onedim_suite.report.txt").read_bytes()
         for run in ("first", "second"):
@@ -510,7 +503,12 @@ class TestSharedKernels:
             assert (tmp_path / run / "report.txt").read_bytes() == reference
             if run == "first":
                 first_builds = len(built)
+                held = cli._held[2]
         assert first_builds > 0 and len(built) == first_builds
+        assert cli._held[2] is held
+        for mat in held.kernels(0.5):
+            with pytest.raises(ValueError, match="read-only"):
+                mat[0, 0] = 1.0
 
 
 def counting(monkeypatch, module, name):
@@ -589,6 +587,7 @@ class TestResultMemo:
         # writes the same line
         alone = []
         for k, item in enumerate(GRID_3ATOM_CHECKS):
+            cli._held = None
             assert cli.run_config(dict(config, checks=[item]), tmp_path / str(k)) == 0
             alone += (tmp_path / str(k) / "report.txt").read_text().splitlines()
         together = (tmp_path / "all" / "report.txt").read_text().splitlines()
