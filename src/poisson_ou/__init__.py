@@ -37,7 +37,6 @@ from .semigroup import (
     SemigroupEngine,
     apply_semigroup,
     commutation_check,
-    expectation,
     generator_check,
     generator_table,
     integrated_gradient_check,
@@ -63,8 +62,6 @@ from .inequalities import (
     entropy,
     l1_variance_bound,
     lsi_failure_ratios,
-    pathwise_lemma_sides,
-    pathwise_lemma_sweep,
     talagrand_bound,
 )
 from .casestudies import (
@@ -72,13 +69,11 @@ from .casestudies import (
     counterexample_fk,
     counterexample_scan,
     exponential_functional,
-    indicator_family,
     maxima_closed_forms,
     near_optimality_scan,
     near_optimality_sides,
     one_dim_bound_comparison,
     one_dim_cumulative,
-    talagrand_crosscheck,
 )
 from .dsl import DslError, functional_from_text, parse, serialize
 from .reports import (

@@ -21,7 +21,7 @@ from ._special import gammainc, pdtr, pdtrc
 from . import grids
 from .functionals import Functional
 from .ground import GroundSpace
-from .inequalities import entropy, talagrand_bound
+from .inequalities import entropy
 from .semigroup import SemigroupEngine, variance
 from .errors import NonFiniteValueError, PreconditionError
 
@@ -35,13 +35,10 @@ class MaximaModel:
 
     ``m`` is the expected number of points outside the ball; the indicator
     depends on the configuration only through that outside count, so every
-    closed form is a function of m alone. ``radial_tail`` (r -> P[radius > r],
-    non-increasing, read by the tests' Monte Carlo cross-check) recovers
-    m = n * radial_tail(t).
+    closed form is a function of m alone.
     """
 
     m: float
-    radial_tail: object | None = None
 
     def __post_init__(self):
         if not self.m > 0:
@@ -90,14 +87,13 @@ def one_dim_cumulative(g) -> Functional:
     return Functional(rule=rule, name="cumulative-G")
 
 
-def one_dim_bound_comparison(g, lam: float, engine: SemigroupEngine | None = None) -> dict:
+def one_dim_bound_comparison(g, lam: float) -> dict:
     """Exact Poincare and L1-L2 bounds for the cumulative functional.
 
     The L1-L2 value uses the worked one-atom form
     2 lam E[g(X)^2] / (1 + log(||g(X)||_2 / ||g(X)||_1)).
     """
-    if engine is None:
-        engine = SemigroupEngine(GroundSpace((float(lam),)))
+    engine = SemigroupEngine(GroundSpace((float(lam),)))
     G = one_dim_cumulative(g)
     g_vals = np.array([float(g(n)) for n in range(engine.shape[0])])
     e_g2 = engine.expect_table(g_vals**2)
@@ -149,8 +145,6 @@ def counterexample_fk(k: int) -> dict:
         ratio = 2.0 * low * denom * float(grids.poisson_tail_series(k - 1, lam)) / k
     return {
         "variance": variance,
-        "e_dF": -p_km1,  # D F_k = -1{X = k-1}
-        "e_dF_abs": p_km1,
         "e_dF_sq": p_km1,
         "denom": denom,
         "talagrand_rhs": rhs,
@@ -172,11 +166,6 @@ def counterexample_scan(k_hi: int = 50) -> tuple[int, np.ndarray]:
     if k0 is None:
         raise RuntimeError("no admissible k0 found")
     return k0, ratios
-
-
-def indicator_family(M: int):
-    """g(j) = 1{j <= M}: the cumulative family whose L1-L2 denominator diverges."""
-    return one_dim_cumulative(lambda j: 1.0 if j <= M else 0.0)
 
 
 # ------------------------------------------------------ near-optimality scan
@@ -237,10 +226,8 @@ def near_optimality_scan(a_grid, q_grid, gamma: float = 1.0) -> dict:
         "q_grid": q_grid,
         "ratios": ratios,
         "min_ratio": float(ratios.min()),
-        "crosscheck_point": (a0, q0, gamma),
         "engine_entropy": engine_entropy,
         "closed_form_entropy": closed_entropy,
-        "e_gq_closed": math.exp(gamma * math.expm1(-q0 * a0)),
     }
 
 
@@ -252,14 +239,3 @@ def exponential_functional(a: float) -> Functional:
         bounded_by=1.0,
     )
 
-
-def talagrand_crosscheck(engine: SemigroupEngine, M: int) -> dict:
-    """Engine-side Talagrand quantities for the indicator cumulative family."""
-    lam = engine.space.weights[0]
-    F = indicator_family(M)
-    return {
-        "talagrand_rhs_engine": talagrand_bound(engine, F),
-        "comparison": one_dim_bound_comparison(
-            lambda j: 1.0 if j <= M else 0.0, lam, engine
-        ),
-    }

@@ -16,16 +16,18 @@ dispatch and the order of the report. A config is validated in full before
 any engine work starts.
 
 Exit codes: 0 clean, 1 a check was violated (and nothing else), 2
-config/DSL error (a container or setting of the wrong JSON type, unknown
-check, example or functional, a functional text that does not parse,
-including a dangling '*', a number or constant sum beyond the double range
-and an atom index that is not a whole number, missing params, a check that
-cannot run in the engine mode, a parameter that the check or example does
-not take, that is an empty list, NaN or infinite or that fails its rule,
-bad weights or truncation, a negative seed, a functional name, functional
-reference or tag that does not encode as UTF-8, fewer than 2 Monte Carlo
-replications, a config file that cannot be read or is not UTF-8 or nests
-too deeply), 3 state
+config/DSL error (a key that ``CONFIG_FIELDS`` does not list, a missing
+space, weights or check name, a container or setting of the wrong JSON
+type, unknown check, example or functional, a functional text that does
+not parse, including a dangling '*', a number or constant sum beyond the
+double range and an atom index that is not a whole number, missing params,
+a functional on a check that reads none, a check that cannot run in the
+engine mode, a parameter that the check or example does not take, that is
+an empty list, NaN or infinite or that fails its rule, bad weights or
+truncation, a negative seed, a functional name, functional reference or
+tag that holds whitespace, '=', ',' or ';' or does not encode as UTF-8, a
+tag that is not a string, fewer than 2 Monte Carlo replications, a config
+file that cannot be read or is not UTF-8 or nests too deeply), 3 state
 budget exceeded (interior or padded grid, a k_max, or more Monte Carlo
 replications than the budget), 4 any other library error (a checker
 precondition that fails, a non-finite value, a norm or exponential moment
@@ -47,6 +49,7 @@ import itertools
 import json
 import math
 import os
+import re
 import sys
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -80,15 +83,6 @@ def _is_integer(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _encodes(text: str) -> bool:
-    """Whether text encodes as UTF-8, which a lone surrogate does not."""
-    try:
-        text.encode("utf-8")
-    except UnicodeEncodeError:
-        return False
-    return True
-
-
 def _number_rule(test, what):
     """The rule (test of one value, what it must be) for a number passing ``test``."""
     return lambda v: _is_number(v) and test(v), f"a finite number {what}"
@@ -115,8 +109,9 @@ class CheckSpec:
     order. It looks the checker up on its module when called, so wrappers
     installed on ``inequalities.check_*`` or ``cli.check_mecke`` see the call.
     ``rules`` maps each parameter, in ``list-checks`` order, to (test of one
-    value, what it must be). ``needs_functional`` is False for the checks
-    that run without one.
+    value, what it must be). ``functional`` says whether a config item
+    must name a functional ("required"), may ("optional") or must not
+    ("none"): a check that reads none would only print the name.
     """
 
     name: str
@@ -125,7 +120,7 @@ class CheckSpec:
     summary: str
     modes: tuple[str, ...]
     run: Callable
-    needs_functional: bool = True
+    functional: str = "required"
 
 
 def _each(check):
@@ -151,7 +146,7 @@ def _pathwise(engine, func, grid, bypass):
 CHECK_CATALOG = {spec.name: spec for spec in (
     CheckSpec("mecke", {}, "none",
               "integration-by-parts identity for the point process", MODES, _each(_mecke),
-              needs_functional=False),
+              functional="optional"),
     CheckSpec("poincare", {}, "none",
               "variance bounded by the expected squared differences", MODES,
               _each(lambda e, f, p, b: inequalities.check_poincare(e, f))),
@@ -163,7 +158,7 @@ CHECK_CATALOG = {spec.name: spec for spec in (
               _each(lambda e, f, p, b: inequalities.check_min_form_lsi(e, f))),
     CheckSpec("pathwise-lemma", {"a": _AT_LEAST_0, "b": _AT_LEAST_0, "q": _ABOVE_1}, "none",
               "pathwise power-difference inequality", MODES, _pathwise,
-              needs_functional=False),
+              functional="none"),
     CheckSpec("entropy-power", {"q": _ABOVE_1}, "F >= 0, DF <= 0",
               "entropy of F^q against the bilinear form", EXACT,
               _each(lambda e, f, p, b: inequalities.check_entropy_power(
@@ -192,7 +187,7 @@ CHECK_CATALOG = {spec.name: spec for spec in (
     CheckSpec("lsi-failure", {"k_max": _K_MAX}, "none",
               "divergence of the would-be log-Sobolev constant", MODES,
               _each(lambda e, f, p, b: inequalities.check_lsi_failure(int(p["k_max"]))),
-              needs_functional=False),
+              functional="none"),
 )}
 
 def _fmt(x) -> str:
@@ -298,62 +293,137 @@ def _check_params(what: str, rules: dict, params: dict, points: list, budget: in
         raise DslOrConfigError(f"{what}: {empty} must not be an empty list")
 
 
-def _check_shapes(config):
-    """Reject containers and settings of the wrong JSON type before any work."""
+#: stands in ``CONFIG_FIELDS`` for a field that has no default
+_REQUIRED = object()
+
+#: every field a config may set, by section, with its default: the top
+#: level, its "space", "truncation" and "engine" objects, and each item of
+#: "checks". ``_check_shapes`` refuses any other key. The keys of
+#: "functionals" are the config's own names, and a check's "params" follow
+#: its rules in ``CHECK_CATALOG``.
+CONFIG_FIELDS = {
+    "config": {"space": _REQUIRED, "truncation": {}, "engine": {}, "functionals": {},
+               "checks": [], "seed": 0},
+    "space": {"weights": _REQUIRED},
+    "truncation": {"tail_mass": DEFAULT_TAIL_MASS, "budget": DEFAULT_BUDGET},
+    "engine": {"mode": "exact", "replications": DEFAULT_REPLICATIONS},
+    "check": {"check": _REQUIRED, "functional": None, "params": {},
+              "bypass_hypotheses": False, "tag": None},
+}
+
+#: the fields of each section that have no default, and the keys of a check
+_NEEDED = {section: [key for key, default in fields.items() if default is _REQUIRED]
+           for section, fields in CONFIG_FIELDS.items()}
+_CHECK_KEYS = CONFIG_FIELDS["check"].keys()
+
+#: a name or tag that keeps a report line parseable: no whitespace, '=', ','
+#: or ';', and no lone surrogate, the one text that does not encode as UTF-8
+_PLAIN = re.compile(r"[^\s=,;\ud800-\udfff]*").fullmatch
+
+
+def _known(section: str, value: dict, where: str | None = None):
+    """Refuse a key of ``value`` that ``CONFIG_FIELDS[section]`` does not
+    list, or a field of it without a default that ``value`` lacks."""
+    fields = CONFIG_FIELDS[section]
+    where = where or section
+    if not value.keys() <= fields.keys():
+        unknown = next(key for key in value if key not in fields)
+        raise DslOrConfigError(f"{where}: unknown key {unknown!r}; "
+                               f"known: {', '.join(fields)}")
+    for key in _NEEDED[section]:
+        if key not in value:
+            raise DslOrConfigError(f"{where}: missing field {key!r}")
+
+
+def _check_plain(text: str, what: str):
+    """Refuse a functional name or tag that is not ``_PLAIN``; a lone
+    surrogate (JSON "\ud800") would only fail when the report is encoded."""
+    if not _PLAIN(text):
+        try:
+            text.encode("utf-8")
+        except UnicodeEncodeError:
+            raise DslOrConfigError(f"{what} must encode as UTF-8") from None
+        raise DslOrConfigError(f"{what} must not hold whitespace, '=', ',' or ';', "
+                               f"got {text!r}")
+
+
+def _check_shapes(config) -> tuple:
+    """Refuse, before any work, a config with a key ``CONFIG_FIELDS`` does
+    not list or without a field it needs, a container or setting of the
+    wrong JSON type, or a name or tag that would not keep its report line
+    parseable. Returns the settings that decide the functionals and the
+    engine, defaults filled in: (weights, (name, text) pairs, tail_mass,
+    budget, mode, replications, seed)."""
     def need(ok, what):
         if not ok:
             raise DslOrConfigError(what)
 
     need(isinstance(config, dict), "the config must be an object")
+    _known("config", config, "the config")
+    top = {**CONFIG_FIELDS["config"], **config}
     for key in ("space", "truncation", "engine", "functionals"):
-        need(isinstance(config.get(key, {}), dict), f"{key} must be an object")
-    weights = config.get("space", {}).get("weights", [])
+        need(isinstance(top[key], dict), f"{key} must be an object")
+    _known("space", top["space"])
+    _known("truncation", top["truncation"])
+    _known("engine", top["engine"])
+    trunc = {**CONFIG_FIELDS["truncation"], **top["truncation"]}
+    engine = {**CONFIG_FIELDS["engine"], **top["engine"]}
+    weights, functionals = top["space"]["weights"], top["functionals"]
     need(isinstance(weights, list) and all(_is_number(w) for w in weights),
          "space.weights must be a list of finite numbers")
-    need(all(isinstance(text, str) for text in config.get("functionals", {}).values()),
+    need(all(isinstance(text, str) for text in functionals.values()),
          "each functional must be a DSL string")
-    checks = config.get("checks", [])
-    need(isinstance(checks, list) and all(isinstance(item, dict) for item in checks),
-         "checks must be a list of objects")
-    need(all(isinstance(item.get(key, ""), str) for item in checks
-             for key in ("check", "functional")), "check and functional names must be strings")
-    need(all(isinstance(item.get("params", {}), dict) for item in checks),
-         "the params of a check must be an object")
-    need(all(isinstance(item.get("bypass_hypotheses", False), bool) for item in checks),
-         "bypass_hypotheses must be true or false")
-    need(_is_integer(config.get("engine", {}).get("replications", DEFAULT_REPLICATIONS)),
-         "engine.replications must be an integer")
-    need(_is_number(config.get("truncation", {}).get("tail_mass", DEFAULT_TAIL_MASS)),
-         "truncation.tail_mass must be a number")
-    need(_is_integer(config.get("truncation", {}).get("budget", DEFAULT_BUDGET)),
-         "truncation.budget must be an integer")
-    seed = config.get("seed", 0)
+    for name in functionals:
+        _check_plain(name, "functional names")
+    checks = top["checks"]
+    need(isinstance(checks, list), "checks must be a list of objects")
+    for index, item in enumerate(checks):
+        # a field the item leaves out takes its default in _resolve
+        need(isinstance(item, dict), "checks must be a list of objects")
+        if not (item.keys() <= _CHECK_KEYS and "check" in item):
+            _known("check", item, f"checks[{index}]")
+        need(isinstance(item["check"], str), "check and functional names must be strings")
+        if "functional" in item:
+            func = item["functional"]
+            need(isinstance(func, str), "check and functional names must be strings")
+            if func not in functionals:  # the names were checked above
+                _check_plain(func, "the functional of a check")
+        if "params" in item:
+            need(isinstance(item["params"], dict), "the params of a check must be an object")
+        if "bypass_hypotheses" in item:
+            need(isinstance(item["bypass_hypotheses"], bool),
+                 "bypass_hypotheses must be true or false")
+        if item.get("tag") is not None:
+            need(isinstance(item["tag"], str), "the tag of a check must be a string")
+            _check_plain(item["tag"], "the tag of a check")
+    need(_is_integer(engine["replications"]), "engine.replications must be an integer")
+    need(_is_number(trunc["tail_mass"]), "truncation.tail_mass must be a number")
+    need(_is_integer(trunc["budget"]), "truncation.budget must be an integer")
+    seed = top["seed"]
     need(_is_integer(seed) and seed >= 0, "seed must be a non-negative integer")
-    # a lone surrogate (JSON "\ud800") would only fail when the report is encoded
-    need(all(map(_encodes, config.get("functionals", {}))),
-         "functional names must encode as UTF-8")
-    need(all(_encodes(item.get("functional", "")) for item in checks),
-         "the functional of a check must encode as UTF-8")
-    need(all(_encodes(item["tag"]) for item in checks if isinstance(item.get("tag"), str)),
-         "the tag of a check must encode as UTF-8")
+    return (tuple(weights), tuple(functionals.items()), trunc["tail_mass"], trunc["budget"],
+            engine["mode"], engine["replications"], seed)
 
 
 def _resolve(item: dict, functionals: dict, mode: str, budget: int):
-    """(spec, functional or None, parameter grid) for one check item;
-    DslOrConfigError if it cannot run, BudgetExceededError if it is over
-    the state budget."""
+    """(spec, functional or None, parameter grid, item with its defaults
+    filled in) for one check item; DslOrConfigError if it cannot run,
+    BudgetExceededError if it is over the state budget."""
+    item = {**CONFIG_FIELDS["check"], **item}
     check = item["check"]
     if check not in CHECK_CATALOG:
         raise DslOrConfigError(f"unknown check {check!r}")
     spec = CHECK_CATALOG[check]
     func = None
-    if "functional" in item:
+    if item["functional"] is not None:
+        if spec.functional == "none":
+            raise DslOrConfigError(f"check {check!r} reads no functional")
         if item["functional"] not in functionals:
             raise DslOrConfigError(f"functional {item['functional']!r} is not defined")
         func = functionals[item["functional"]]
-    elif spec.needs_functional:
+    elif spec.functional == "required":
         raise DslOrConfigError(f"check {check!r} needs a functional")
-    params = item.get("params", {})
+    params = item["params"]
     missing = [p for p in spec.rules if p not in params]
     if missing:
         raise DslOrConfigError(f"check {check!r} is missing params {missing}")
@@ -363,7 +433,7 @@ def _resolve(item: dict, functionals: dict, mode: str, budget: int):
         )
     grid = list(_param_grid(params))
     _check_params(f"check {check!r}", spec.rules, params, grid, budget)
-    return spec, func, grid
+    return spec, func, grid, item
 
 
 def _check_atoms(functionals: dict, atom_count: int):
@@ -381,28 +451,19 @@ def _check_atoms(functionals: dict, atom_count: int):
 _held = None
 
 
-def _build_engine(config: dict, mode: str, functionals: dict) -> SemigroupEngine:
-    """The engine of a config, built once its space and truncation are valid
-    and the held context is dropped, so that two engines never live at once."""
+def _build_engine(key: tuple, functionals: dict) -> SemigroupEngine:
+    """The engine of the settings ``key`` (see ``_check_shapes``), built once
+    its space and truncation are valid and the held context is dropped, so
+    that two engines never live at once."""
     global _held
-    trunc_cfg = config.get("truncation", {})
-    engine_cfg = config.get("engine", {})
+    weights, _, tail_mass, budget, mode, replications, seed = key
     try:
-        space = GroundSpace(tuple(config["space"]["weights"]))
+        space = GroundSpace(weights)
         _check_atoms(functionals, space.atom_count)
-        trunc = TruncatedStateSpace.from_tail_mass(
-            space,
-            tail_mass=float(trunc_cfg.get("tail_mass", DEFAULT_TAIL_MASS)),
-            budget=trunc_cfg.get("budget", DEFAULT_BUDGET),
-        )
+        trunc = TruncatedStateSpace.from_tail_mass(space, tail_mass=float(tail_mass),
+                                                   budget=budget)
         _held = None
-        return SemigroupEngine(
-            space,
-            trunc,
-            mode=mode,
-            replications=engine_cfg.get("replications", DEFAULT_REPLICATIONS),
-            seed=config.get("seed", 0),
-        )
+        return SemigroupEngine(space, trunc, mode=mode, replications=replications, seed=seed)
     except ValueError as err:
         raise DslOrConfigError(str(err)) from err
 
@@ -417,32 +478,26 @@ def run_config(config: dict, out_dir: Path) -> int:
     build its own engine. Returns the process exit code.
     """
     global _held
-    _check_shapes(config)
-    trunc_cfg, engine_cfg = config.get("truncation", {}), config.get("engine", {})
-    mode = engine_cfg.get("mode", "exact")
-    budget = trunc_cfg.get("budget", DEFAULT_BUDGET)
     # the settings that decide the functionals and the engine, copied out
-    key = (tuple(config.get("space", {}).get("weights", ())),
-           tuple(config.get("functionals", {}).items()),
-           trunc_cfg.get("tail_mass", DEFAULT_TAIL_MASS), budget, mode,
-           engine_cfg.get("replications", DEFAULT_REPLICATIONS), config.get("seed", 0))
+    key = _check_shapes(config)
+    _, texts, _, budget, mode, _, _ = key
     if _held is not None and _held[0] == key:
         _, functionals, engine = _held
     else:
-        functionals = {name: dsl.functional_from_text(text, name=name)
-                       for name, text in config.get("functionals", {}).items()}
+        functionals = {name: dsl.functional_from_text(text, name=name) for name, text in texts}
         engine = None
-    items = config.get("checks", [])
-    resolved = [_resolve(item, functionals, mode, budget) for item in items]
+    resolved = [_resolve(item, functionals, mode, budget)
+                for item in config.get("checks", CONFIG_FIELDS["config"]["checks"])]
     if engine is None:
-        engine = _build_engine(config, mode, functionals)
+        engine = _build_engine(key, functionals)
         _held = (key, functionals, engine)
     catalog_order = list(CHECK_CATALOG)
     records = []
-    for item, (spec, func, grid) in zip(items, resolved):
-        for report in spec.run(engine, func, grid, item.get("bypass_hypotheses", False)):
-            report.parameters.setdefault("functional", item.get("functional", "-"))
-            report.tag = item.get("tag")
+    for spec, func, grid, item in resolved:
+        name = item["functional"]
+        for report in spec.run(engine, func, grid, item["bypass_hypotheses"]):
+            report.parameters.setdefault("functional", "-" if name is None else name)
+            report.tag = item["tag"]
             line = format_report_line(report)
             records.append((catalog_order.index(spec.name), line, report))
     records.sort(key=lambda record: record[:2])

@@ -134,8 +134,6 @@ def check_min_form_lsi(engine, F):
 _LOG_REGIME = 350.0
 #: relative tolerance of the pathwise comparison (absolute on the log scale)
 _REL_TOL = 1e-12
-#: the sweep draws a and b from [0, _SWEEP_A_MAX] and q from (1, _SWEEP_Q_MAX]
-_SWEEP_A_MAX, _SWEEP_Q_MAX = 100.0, 5.0
 
 
 def _pathwise_eval(a, b, q):
@@ -198,28 +196,17 @@ def _pathwise_eval(a, b, q):
     return lhs, rhs, log_lhs, log_rhs, violated
 
 
-def pathwise_lemma_sides(a, b, q):
-    """Both sides of the pathwise power inequality, evaluated stably.
-
-    lhs = (a^q - b^q)^2 / b^q,
-    rhs = q^2/(q-1) * (a - b)(a^{q-1} - b^{q-1}) * max((a/b)^q, 1),
-    with the convention 1/0 = +inf when b = 0 < a. Near a = b the two sides
-    agree to second order, so powers are evaluated via expm1/log1p to keep
-    the comparison meaningful at relative tolerance 1e-12. Sides whose true
-    value exceeds the double range come back as inf.
-    """
-    return _pathwise_eval(a, b, q)[:2]
-
-
 def check_pathwise_lemma(a, b, q):
     """Check the pathwise power inequality at every point of a grid.
 
-    a, b and q are scalars or equal-length sequences. One masked pass of the
-    evaluator covers every point, and the result is a list with one report
-    per point, in order; each report's parameters hold the point's values as
-    given. When the absolute sides overflow a double the report carries the
-    logarithms of both sides instead (flagged in the parameters); a point
-    whose sides cannot be stated even so raises NonFiniteValueError.
+    lhs = (a^q - b^q)^2 / b^q <= rhs = q^2/(q-1) (a - b)(a^{q-1} - b^{q-1})
+    max((a/b)^q, 1), with rhs = +inf when b = 0 < a. a, b and q are scalars
+    or equal-length sequences. One masked pass of the evaluator covers every
+    point, and the result is a list with one report per point, in order;
+    each report's parameters hold the point's values as given. When the
+    absolute sides overflow a double the report carries the logarithms of
+    both sides instead (flagged in the parameters); a point whose sides
+    cannot be stated even so raises NonFiniteValueError.
     """
     points = np.broadcast(*(np.asarray(x, dtype=object) for x in (a, b, q)))
     columns = (np.ravel(col) for col in _pathwise_eval(a, b, q))
@@ -241,15 +228,6 @@ def check_pathwise_lemma(a, b, q):
         assert (report.verdict == VIOLATED) == bool(violated)
         reports.append(report)
     return reports
-
-
-def pathwise_lemma_sweep(n, seed=0):
-    """Randomized sweep; returns the number of violations (expected 0)."""
-    rng = np.random.default_rng(seed)
-    a = rng.uniform(0.0, _SWEEP_A_MAX, n)
-    b = rng.uniform(0.0, _SWEEP_A_MAX, n)
-    q = np.clip(rng.uniform(1.0, _SWEEP_Q_MAX, n), 1.0 + 1e-9, _SWEEP_Q_MAX)
-    return int(np.count_nonzero(_pathwise_eval(a, b, q)[4]))
 
 
 def check_entropy_power(engine, G, q, bypass_hypotheses=False):

@@ -67,10 +67,6 @@ class InequalityReport:
     parameters: dict = field(default_factory=dict)
     tag: str | None = None
 
-    @property
-    def ok(self) -> bool:
-        return self.verdict in (HOLDS, HOLDS_STAT)
-
 
 def make_report(
     name,

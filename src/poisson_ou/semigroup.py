@@ -344,12 +344,6 @@ def apply_semigroup(engine: SemigroupEngine, F: Functional, t: float) -> Functio
     return from_table(table, name=f"P_{t:g}[{F.name}]")
 
 
-def expectation(engine: SemigroupEngine, F: Functional):
-    if engine.mode == "exact":
-        return engine.mean(F)
-    return engine.expect_mc(F)
-
-
 def variance(engine: SemigroupEngine, F: Functional):
     """Var(F), with its stderr in Monte Carlo mode; raises if not a finite double.
 

@@ -51,6 +51,16 @@ def engine_for(lam, seed=0, mode="exact", replications=100_000):
                            replications=replications, seed=seed)
 
 
+def pathwise_sweep_draws(n, seed=0):
+    """(a, b, q) of the pathwise lemma's random sweep: a and b uniform on
+    [0, 100], q uniform on (1, 5] and kept at least 1 + 1e-9."""
+    rng = np.random.default_rng(seed)
+    a = rng.uniform(0.0, 100.0, n)
+    b = rng.uniform(0.0, 100.0, n)
+    q = np.clip(rng.uniform(1.0, 5.0, n), 1.0 + 1e-9, 5.0)
+    return a, b, q
+
+
 def random_bounded_functional(rng, n_values=80, low=-1.0, high=1.0, name="F"):
     """One-atom functional n -> vals[min(n, N)], values iid uniform in [low, high].
 

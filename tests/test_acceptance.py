@@ -32,6 +32,7 @@ from poisson_ou import (
     TruncatedStateSpace,
     check_concentration,
     check_mecke,
+    check_pathwise_lemma,
     check_restricted_hypercontractivity,
     check_talagrand,
     check_weak_hypercontractivity,
@@ -39,21 +40,21 @@ from poisson_ou import (
     counterexample_fk,
     counterexample_scan,
     from_rule,
-    indicator_family,
     integrated_gradient_check,
     lsi_failure_ratios,
     maxima_closed_forms,
     mean_preservation_check,
     near_optimality_scan,
     near_optimality_sides,
-    pathwise_lemma_sides,
-    pathwise_lemma_sweep,
+    one_dim_cumulative,
     pointwise_gradient_check,
     semigroup_property_check,
     symmetry_check,
 )
+from poisson_ou import inequalities
 
-from conftest import engine_for, random_bounded_functional, random_decreasing_functional
+from conftest import (engine_for, pathwise_sweep_draws, random_bounded_functional,
+                      random_decreasing_functional)
 from maxima_mc import maxima_monte_carlo
 
 
@@ -121,7 +122,7 @@ def test_criterion_4_talagrand_on_cumulative_family():
     for lam in range(1, 21):
         engine = engine_for(float(lam))
         for M in range(0, 11):
-            rep = check_talagrand(engine, indicator_family(M))
+            rep = check_talagrand(engine, one_dim_cumulative(lambda j: 1.0 if j <= M else 0.0))
             if rep.verdict != "holds":
                 family_ok = False
     # atomwise bound-vs-Poincare comparison on gated corpus members; the
@@ -193,8 +194,7 @@ def test_criterion_6_maxima_example():
         closed_ok &= abs(forms["poincare_rhs"] - m * em) <= 1e-12
         closed_ok &= abs(forms["log_norm_ratio"] - m / 2.0) <= 1e-12
     tail = lambda r: min(1.0, math.exp(-r))
-    model = MaximaModel(m=1.0, radial_tail=tail)
-    out = maxima_monte_carlo(model, n_points_intensity=8.0, t=2.0,
+    out = maxima_monte_carlo(tail, n_points_intensity=8.0, t=2.0,
                              replications=100_000, seed=1)
     mc_ok = True
     for route in ("radial_reduction", "full_sampling"):
@@ -230,11 +230,13 @@ def test_criterion_7_gradient_estimates():
 
 
 def test_criterion_8_pathwise_lemma_sweep():
-    violations = pathwise_lemma_sweep(1_000_000, seed=0)
-    lhs_eq, rhs_eq = pathwise_lemma_sides(2.0, 2.0, 1.5)
-    lhs_b0, rhs_b0 = pathwise_lemma_sides(1.0, 0.0, 2.0)
-    boundary_ok = (lhs_eq == 0.0 and rhs_eq == 0.0
-                   and math.isinf(rhs_b0) and lhs_b0 == 1.0)
+    # the evaluator's violation mask, which every verdict of
+    # check_pathwise_lemma is asserted to match
+    violated = inequalities._pathwise_eval(*pathwise_sweep_draws(1_000_000))[4]
+    violations = np.count_nonzero(violated)
+    eq, b0 = check_pathwise_lemma([2.0, 1.0], [2.0, 0.0], [1.5, 2.0])
+    boundary_ok = (eq.lhs == 0.0 and eq.rhs == 0.0
+                   and math.isinf(b0.rhs) and b0.lhs == 1.0)
     _record(8, "pathwise power inequality: 1e6 draws at rel tol 1e-12, "
                "boundary conventions exact",
             violations == 0 and boundary_ok)

@@ -24,7 +24,6 @@ from poisson_ou import (
     TruncatedStateSpace,
     add_one_cost,
     check_mecke,
-    expectation,
     from_rule,
     from_table,
     functional_from_text,
@@ -262,7 +261,7 @@ class TestMonteCarloParity:
 
     def test_expectation(self, mc_engine):
         F, R = pair(EXPR)
-        assert expectation(mc_engine, F) == expectation(mc_engine, R)
+        assert mc_engine.expect_mc(F) == mc_engine.expect_mc(R)
 
     def test_gamma_expectation(self, mc_engine):
         F, R = pair(EXPR)
@@ -293,7 +292,8 @@ class TestMonteCarloParity:
             return 1.0 / c[i] if c[i] else math.inf
 
         report = check_mecke(SemigroupEngine(space, mode="mc", replications=400, seed=3), h)
-        assert math.isfinite(report.lhs) and report.ok
+        assert math.isfinite(report.lhs)
+        assert report.verdict in ("holds", "holds-within-stat-error")
 
 
 class TestMeckeOnTheEngine:

@@ -15,14 +15,12 @@ from poisson_ou import (
     counterexample_fk,
     counterexample_scan,
     exponential_functional,
-    indicator_family,
     maxima_closed_forms,
     near_optimality_scan,
     near_optimality_sides,
     one_dim_bound_comparison,
     one_dim_cumulative,
     talagrand_bound,
-    talagrand_crosscheck,
     variance,
 )
 from poisson_ou.errors import PreconditionError
@@ -82,8 +80,7 @@ class TestMaxima:
 
     def test_monte_carlo_routes_agree(self):
         tail = lambda r: min(1.0, math.exp(-r))
-        model = MaximaModel(m=1.0, radial_tail=tail)
-        out = maxima_monte_carlo(model, n_points_intensity=10.0, t=2.3,
+        out = maxima_monte_carlo(tail, n_points_intensity=10.0, t=2.3,
                                  replications=100_000, seed=0)
         closed = out["closed_forms"]
         for route in ("radial_reduction", "full_sampling"):
@@ -101,16 +98,12 @@ class TestMaxima:
         # written by the earlier form that drew each replication's radii in a
         # Python loop; one draw of all of them is the same stream
         tail = lambda r: min(1.0, math.exp(-r))
-        out = maxima_monte_carlo(MaximaModel(m=1.0, radial_tail=tail), n_points_intensity=10.0,
-                                 t=2.3, replications=2000, seed=7)
+        out = maxima_monte_carlo(tail, n_points_intensity=10.0, t=2.3, replications=2000,
+                                 seed=7)
         assert out["full_sampling"] == {
             "mean": 0.6165, "variance": 0.23654602301150576,
             "variance_stderr": 0.0025339541277686582, "poincare_rhs": 0.38449266567695245,
             "poincare_rhs_stderr": 0.01090348973805628}
-
-    def test_monte_carlo_needs_tail(self):
-        with pytest.raises(PreconditionError):
-            maxima_monte_carlo(MaximaModel(m=1.0), 10.0, 1.0, 100, 0)
 
 
 class TestOneDimFamily:
@@ -161,13 +154,12 @@ class TestOneDimFamily:
     def test_engine_crosscheck(self):
         lam, M = 3.0, 2
         engine = engine_for(lam)
-        out = talagrand_crosscheck(engine, M)
-        rec = out["comparison"]
+        g = lambda j: 1.0 if j <= M else 0.0
+        rec = one_dim_bound_comparison(g, lam)
+        G = one_dim_cumulative(g)
         # the checker's bound equals the worked one-atom form
-        assert out["talagrand_rhs_engine"] == pytest.approx(
-            rec["talagrand_rhs"], rel=1e-10
-        )
-        rep = check_talagrand(engine, indicator_family(M))
+        assert talagrand_bound(engine, G) == pytest.approx(rec["talagrand_rhs"], rel=1e-10)
+        rep = check_talagrand(engine, G)
         assert rep.verdict == "holds"
 
 

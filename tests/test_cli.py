@@ -616,6 +616,85 @@ class TestExitCodes:
         assert capsys.readouterr().err == "error: f is non-finite at (0, 45)\n"
 
 
+def without(config, key):
+    """``config`` less its top-level ``key``."""
+    return {k: v for k, v in config.items() if k != key}
+
+
+#: a config the runner ran on its defaults (or, for a tag, wrote as a stray
+#: field) with exit 0, each with the one stderr line that now refuses it
+UNKNOWN_OR_UNPARSEABLE = [
+    (dict(without(base_config(), "checks"), cheks=[{"check": "poincare", "functional": "f"}]),
+     "the config: unknown key 'cheks'; known: space, truncation, engine, functionals, "
+     "checks, seed"),
+    (base_config(space={"weights": [1.0], "weight": [2.0]}),
+     "space: unknown key 'weight'; known: weights"),
+    (base_config(truncation={"tailmass": 1e-3}),
+     "truncation: unknown key 'tailmass'; known: tail_mass, budget"),
+    (base_config(engine={"mode": "exact", "replication": 10}),
+     "engine: unknown key 'replication'; known: mode, replications"),
+    (base_config(checks=[{"check": "poincare", "functional": "f"},
+                         {"check": "talagrand", "functional": "f", "bypass_hypothesis": True}]),
+     "checks[1]: unknown key 'bypass_hypothesis'; known: check, functional, params, "
+     "bypass_hypotheses, tag"),
+    (base_config(checks=[{"check": "poincare", "functional": "f", "tags": "demo"}]),
+     "checks[0]: unknown key 'tags'; known: check, functional, params, "
+     "bypass_hypotheses, tag"),
+    (base_config(checks=[{"check": "lsi-failure", "functional": "f",
+                          "params": {"k_max": 10}}]),
+     "check 'lsi-failure' reads no functional"),
+    (base_config(checks=[{"check": "pathwise-lemma", "functional": "f",
+                          "params": {"a": 2.0, "b": 1.0, "q": 2.0}}]),
+     "check 'pathwise-lemma' reads no functional"),
+    (base_config(functionals={"my f,x=1": "count(0)"},
+                 checks=[{"check": "poincare", "functional": "my f,x=1"}]),
+     "functional names must not hold whitespace, '=', ',' or ';', got 'my f,x=1'"),
+    (base_config(functionals={"f;g": "count(0)"}, checks=[{"check": "mecke"}]),
+     "functional names must not hold whitespace, '=', ',' or ';', got 'f;g'"),
+    (base_config(checks=[{"check": "poincare", "functional": "f", "tag": "a b"}]),
+     "the tag of a check must not hold whitespace, '=', ',' or ';', got 'a b'"),
+    (base_config(checks=[{"check": "poincare", "functional": "f", "tag": "x=1"}]),
+     "the tag of a check must not hold whitespace, '=', ',' or ';', got 'x=1'"),
+    (base_config(checks=[{"check": "poincare", "functional": "f", "tag": "a\nb"}]),
+     "the tag of a check must not hold whitespace, '=', ',' or ';', got 'a\\nb'"),
+    # a line separator, at which bench/checks.parse_report's splitlines breaks
+    (base_config(checks=[{"check": "poincare", "functional": "f", "tag": "a\u2028b"}]),
+     "the tag of a check must not hold whitespace, '=', ',' or ';', got 'a\\u2028b'"),
+    (base_config(checks=[{"check": "poincare", "functional": "f", "tag": ["a", "b"]}]),
+     "the tag of a check must be a string"),
+]
+
+#: a config the runner refused with a bare KeyError ("config error: 'space'"),
+#: or as an undefined functional, each with the line that now names the field
+MISSING_OR_UNDEFINED = [
+    (without(base_config(), "space"), "the config: missing field 'space'"),
+    (base_config(space={}), "space: missing field 'weights'"),
+    (base_config(checks=[{"functional": "f"}]), "checks[0]: missing field 'check'"),
+    (base_config(checks=[{"check": "poincare", "functional": "f g"}]),
+     "the functional of a check must not hold whitespace, '=', ',' or ';', got 'f g'"),
+]
+
+
+class TestConfigFields:
+    @pytest.mark.parametrize("config,line", UNKNOWN_OR_UNPARSEABLE + MISSING_OR_UNDEFINED,
+                             ids=lambda value: value[:60] if isinstance(value, str) else "")
+    def test_refused_before_compute_with_one_line(self, tmp_path, monkeypatch, capsys,
+                                                  config, line):
+        calls = spy_on(monkeypatch, DISPATCHED)
+        out = tmp_path / "out"
+        assert main(["run", str(write_config(tmp_path, config)), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"config error: {line}\n"
+        assert not any(calls.values())
+        assert not out.exists()
+
+    def test_the_settings_take_the_table_defaults(self):
+        config = base_config(truncation={}, engine={})
+        del config["seed"]
+        assert cli._check_shapes(config) == (
+            (1.0,), (("f", "exp_neg(0.5, 0)"),), cli.DEFAULT_TAIL_MASS, cli.DEFAULT_BUDGET,
+            "exact", cli.DEFAULT_REPLICATIONS, 0)
+
+
 def lemma_at(a, b, q):
     return base_config(checks=[{"check": "pathwise-lemma", "params": {"a": a, "b": b, "q": q}}])
 

@@ -205,7 +205,7 @@ class TestMecke:
         # h = 1: both sides equal the total mass
         space = GroundSpace((1.0, 2.5))
         report = check_mecke(space, lambda c, i: 1.0)
-        assert report.ok
+        assert report.verdict == "holds"
         assert report.lhs == pytest.approx(space.total_mass, abs=1e-9)
 
     def test_count_h_exact(self):
@@ -213,14 +213,14 @@ class TestMecke:
         # shifted side sum lam_i E[c_i + 1] = sum lam_i(lam_i + 1)
         space = GroundSpace((1.0, 3.0))
         report = check_mecke(space, lambda c, i: float(np.asarray(c)[i]))
-        assert report.ok
+        assert report.verdict == "holds"
         expected = sum(lam + lam**2 for lam in space.weights)
         assert report.lhs == pytest.approx(expected, abs=1e-8)
 
     def test_exponential_h_exact(self):
         space = GroundSpace((1.0,))
         report = check_mecke(space, lambda c, i: math.exp(-0.3 * float(np.asarray(c)[0])))
-        assert report.ok
+        assert report.verdict == "holds"
         # E[c e^{-0.3 c}] for c ~ Poisson(1), via the derivative of the pgf
         s = math.exp(-0.3)
         expected = s * math.exp(s - 1.0)
@@ -240,7 +240,7 @@ class TestMecke:
         report = check_mecke(
             space, lambda c, i: (i + 1.0) * math.exp(-0.1 * float(np.asarray(c)[i]))
         )
-        assert report.ok
+        assert report.verdict == "holds"
 
     def test_non_finite_callable_h_names_the_atom(self):
         space = GroundSpace((1.0, 2.0))

@@ -29,14 +29,13 @@ from poisson_ou import (
     from_rule,
     l1_variance_bound,
     lsi_failure_ratios,
-    pathwise_lemma_sides,
-    pathwise_lemma_sweep,
     talagrand_bound,
 )
 from poisson_ou import grids, inequalities
 from poisson_ou.errors import NonFiniteValueError, PreconditionError
 
-from conftest import engine_for, random_bounded_functional, random_decreasing_functional
+from conftest import (engine_for, pathwise_sweep_draws, random_bounded_functional,
+                      random_decreasing_functional)
 
 
 def exp_functional(a):
@@ -86,7 +85,7 @@ class TestPoincare:
         engine = engine_for(2.0)
         F = from_rule(lambda c: float(c[0]))
         rep = check_poincare(engine, F)
-        assert rep.ok
+        assert rep.verdict == "holds"
         assert rep.lhs == pytest.approx(rep.rhs, abs=1e-9)
 
     @given(seed=st.integers(0, 10_000))
@@ -108,7 +107,7 @@ class TestModifiedLsi:
     def test_exponential_near_equality_small_a(self):
         engine = engine_for(1.0)
         rep = check_modified_lsi(engine, exp_functional(0.01))
-        assert rep.ok
+        assert rep.verdict == "holds"
         assert rep.slack < 1e-4 * rep.lhs + 1e-12
 
     @pytest.mark.parametrize("a", [0.1, 0.5, 2.0])
@@ -142,23 +141,23 @@ class TestMinFormLsi:
 
 class TestPathwiseLemma:
     def test_equality_at_a_equals_b(self):
-        lhs, rhs = pathwise_lemma_sides(2.0, 2.0, 1.7)
-        assert lhs == 0.0 and rhs == 0.0
+        (rep,) = check_pathwise_lemma(2.0, 2.0, 1.7)
+        assert rep.lhs == 0.0 and rep.rhs == 0.0
 
     def test_b_zero_gives_infinite_rhs(self):
-        lhs, rhs = pathwise_lemma_sides(1.0, 0.0, 2.0)
-        assert math.isinf(rhs) and lhs > 0
+        (rep,) = check_pathwise_lemma(1.0, 0.0, 2.0)
+        assert math.isinf(rep.rhs) and rep.lhs > 0
 
     def test_a_and_b_zero(self):
-        lhs, rhs = pathwise_lemma_sides(0.0, 0.0, 2.0)
-        assert lhs == 0.0 and rhs == 0.0
+        (rep,) = check_pathwise_lemma(0.0, 0.0, 2.0)
+        assert rep.lhs == 0.0 and rep.rhs == 0.0
 
     def test_q_two_explicit(self):
         # q = 2: lhs = (a^2-b^2)^2/b^2, rhs = 4 (a-b)^2 max(a/b, 1)^2
         a, b = 3.0, 2.0
-        lhs, rhs = pathwise_lemma_sides(a, b, 2.0)
-        assert lhs == pytest.approx((a**2 - b**2) ** 2 / b**2, rel=1e-12)
-        assert rhs == pytest.approx(4.0 * (a - b) ** 2 * (a / b) ** 2, rel=1e-12)
+        (rep,) = check_pathwise_lemma(a, b, 2.0)
+        assert rep.lhs == pytest.approx((a**2 - b**2) ** 2 / b**2, rel=1e-12)
+        assert rep.rhs == pytest.approx(4.0 * (a - b) ** 2 * (a / b) ** 2, rel=1e-12)
 
     def test_near_diagonal_is_stable(self):
         # tight to second order at a = b: naive powers would lose the digits
@@ -167,7 +166,10 @@ class TestPathwiseLemma:
         assert rep.verdict == "holds"
 
     def test_million_draw_sweep(self):
-        assert pathwise_lemma_sweep(1_000_000, seed=0) == 0
+        # the evaluator's violation mask, which every verdict of
+        # check_pathwise_lemma is asserted to match
+        violated = inequalities._pathwise_eval(*pathwise_sweep_draws(1_000_000))[4]
+        assert np.count_nonzero(violated) == 0
 
     @given(
         a=st.floats(0.0, 50.0),
@@ -249,13 +251,8 @@ class TestPathwiseGolden:
 
     @pytest.mark.parametrize("rel_tol", [1e-12, 0.0])
     def test_sweep_set_digest(self, monkeypatch, rel_tol):
-        # the draws of pathwise_lemma_sweep(1_000_000, seed=0)
         monkeypatch.setattr(inequalities, "_REL_TOL", rel_tol)
-        rng = np.random.default_rng(0)
-        a = rng.uniform(0.0, 100.0, 1_000_000)
-        b = rng.uniform(0.0, 100.0, 1_000_000)
-        q = np.clip(rng.uniform(1.0, 5.0, 1_000_000), 1.0 + 1e-9, 5.0)
-        out = inequalities._pathwise_eval(a, b, q)
+        out = inequalities._pathwise_eval(*pathwise_sweep_draws(1_000_000))
         digest = hashlib.sha256(b"".join(x.tobytes() for x in out)).hexdigest()
         assert digest == json.loads(GOLDEN.read_text())["sweep_sha256"][f"{rel_tol:g}"]
 
