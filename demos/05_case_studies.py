@@ -13,7 +13,6 @@ Three stories:
 import numpy as np
 
 from poisson_ou import (
-    MaximaModel,
     counterexample_fk,
     counterexample_scan,
     maxima_closed_forms,
@@ -39,7 +38,7 @@ for k in (2, 10, 30, 50):
 
 print("\n-- maxima indicator closed forms --")
 for m in (0.5, 1.0, 5.0, 20.0):
-    forms = maxima_closed_forms(MaximaModel(m=m))
+    forms = maxima_closed_forms(m)
     print(f"m={m:5.1f}  var={forms['variance']:.4e}  "
           f"poincare={forms['poincare_rhs']:.4e}  l1l2={forms['talagrand_rhs']:.4e}")
 

@@ -65,7 +65,6 @@ from .inequalities import (
     talagrand_bound,
 )
 from .casestudies import (
-    MaximaModel,
     counterexample_fk,
     counterexample_scan,
     exponential_functional,

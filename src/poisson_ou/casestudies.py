@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 from ._special import gammainc, pdtr, pdtrc
@@ -29,31 +28,20 @@ from .errors import NonFiniteValueError, PreconditionError
 # ------------------------------------------------------------- maxima example
 
 
-@dataclass(frozen=True)
-class MaximaModel:
-    """Indicator that some point of a Poisson sample lies outside a ball.
+def maxima_closed_forms(m: float) -> dict:
+    """Exact values for the indicator that some point of a Poisson sample
+    lies outside a ball, all in terms of m.
 
     ``m`` is the expected number of points outside the ball; the indicator
-    depends on the configuration only through that outside count, so every
-    closed form is a function of m alone.
-    """
-
-    m: float
-
-    def __post_init__(self):
-        if not self.m > 0:
-            raise ValueError("m must be positive")
-
-
-def maxima_closed_forms(model: MaximaModel) -> dict:
-    """Exact values for the maxima indicator, all in terms of m.
+    depends on the configuration only through that outside count.
 
     variance    = e^-m (1 - e^-m)
     poincare    = m e^-m
     dx norms    : ||D F||_2 = sqrt(e^-m) = sqrt(||D F||_1) outside the ball
     talagrand   = 2 m e^-m / (1 + m/2)   (the L1-L2 bound in its worked form)
     """
-    m = model.m
+    if not m > 0:
+        raise ValueError("m must be positive")
     em = math.exp(-m)
     return {
         "variance": em * (1.0 - em),

@@ -29,10 +29,12 @@ tag that holds whitespace, '=', ',' or ';' or does not encode as UTF-8, a
 tag that is not a string, fewer than 2 Monte Carlo replications, a config
 file that cannot be read or is not UTF-8 or nests too deeply), 3 state
 budget exceeded (interior or padded grid, a k_max, or more Monte Carlo
-replications than the budget), 4 any other library error (a checker
-precondition that fails, a non-finite value, a norm or exponential moment
-that overflows or underflows, an output directory or file that cannot be
-created or written).
+replications than the budget; a ``MemoryError``, which drops the held
+context), 4 any other error (a checker precondition that fails, a
+non-finite value, a norm or exponential moment that overflows or
+underflows, an output directory or file that cannot be created or
+written; an error outside the library prints one ``internal error:`` line
+with its type, and no traceback).
 
 Report files are UTF-8, one record per line, fields in fixed order
 (name, params sorted by key, lhs, rhs, slack, stderr, verdict, certs, tag),
@@ -533,7 +535,7 @@ def _write_csv(path: Path, header, rows):
 
 def _maxima_rows(params):
     for m in params.get("m_grid", [0.5, 1.0, 2.0, 5.0, 10.0, 20.0]):
-        forms = casestudies.maxima_closed_forms(casestudies.MaximaModel(m=float(m)))
+        forms = casestudies.maxima_closed_forms(float(m))
         yield [float(m), forms["variance"], forms["poincare_rhs"],
                forms["talagrand_rhs"], forms["log_norm_ratio"]]
 
@@ -636,6 +638,7 @@ def build_parser():
 
 
 def main(argv=None) -> int:
+    global _held
     args = build_parser().parse_args(argv)
     try:
         if args.command == "list-checks":
@@ -659,14 +662,21 @@ def main(argv=None) -> int:
         if args.mode is not None:
             config.setdefault("engine", {})["mode"] = args.mode
         return run_config(config, Path(args.out))
-    except (dsl.DslError, DslOrConfigError, KeyError, json.JSONDecodeError) as err:
+    except (dsl.DslError, DslOrConfigError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
     except BudgetExceededError as err:
         print(f"budget exceeded: {err}", file=sys.stderr)
         return 3
+    except MemoryError as err:
+        _held = None  # what the run allocated goes with it
+        print(f"out of memory: {str(err) or 'MemoryError'}", file=sys.stderr)
+        return 3
     except PoissonOUError as err:
         print(f"error: {err}", file=sys.stderr)
+        return 4
+    except Exception as err:
+        print(f"internal error: {type(err).__name__}: {err}", file=sys.stderr)
         return 4
 
 

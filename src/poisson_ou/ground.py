@@ -92,30 +92,24 @@ def _min_cap(lam: float, per_atom_tail: float) -> int:
 
 @dataclass(frozen=True)
 class TruncatedStateSpace:
-    """Per-atom truncation caps N_i with a quantified bound on discarded mass."""
+    """Per-atom truncation caps N_i with a quantified bound on discarded mass,
+    searched from ``tail_mass``, never passed in."""
 
     space: GroundSpace
-    caps: tuple[int, ...]
-    tail_mass: float
+    tail_mass: float = DEFAULT_TAIL_MASS
     budget: int = DEFAULT_BUDGET
-    #: ``_min_cap`` per atom at tail_mass/m where ``from_tail_mass`` made
-    #: the caps (a cap is at least 1, the search may give 0); see ``min_caps``
-    searched: tuple[int, ...] | None = field(default=None, init=False, repr=False,
-                                             compare=False)
+    #: per atom, the least N_i with P[Poisson(lam_i) > N_i] <= tail_mass/m
+    min_caps: tuple[int, ...] = field(init=False, repr=False)
+    #: min_caps raised to at least 1: a grid keeps a level above 0 on every axis
+    caps: tuple[int, ...] = field(init=False)
 
     def __post_init__(self):
-        caps = tuple(int(n) for n in self.caps)
-        if len(caps) != self.space.atom_count:
-            raise ValueError("need one cap per atom")
-        if any(n <= 0 for n in caps):
-            raise ValueError("caps must be positive")
-        object.__setattr__(self, "caps", caps)
+        if not 0.0 < self.tail_mass < 1.0:
+            raise ValueError(f"tail_mass must lie in (0, 1), got {self.tail_mass}")
         per_atom = self.tail_mass / self.space.atom_count
-        for lam, n in zip(self.space.weights, caps):
-            if pdtrc(n, lam) > per_atom:
-                raise ValueError(
-                    f"cap {n} leaves more than tail_mass/m probability for lam={lam}"
-                )
+        searched = tuple(_min_cap(lam, per_atom) for lam in self.space.weights)
+        object.__setattr__(self, "min_caps", searched)
+        object.__setattr__(self, "caps", tuple(max(1, n) for n in searched))
         if self.state_count() > self.budget:
             raise BudgetExceededError(
                 f"{self.state_count()} states exceed budget {self.budget}"
@@ -128,24 +122,7 @@ class TruncatedStateSpace:
         tail_mass: float = DEFAULT_TAIL_MASS,
         budget: int = DEFAULT_BUDGET,
     ) -> "TruncatedStateSpace":
-        if not 0.0 < tail_mass < 1.0:
-            raise ValueError(f"tail_mass must lie in (0, 1), got {tail_mass}")
-        per_atom = tail_mass / space.atom_count
-        searched = tuple(_min_cap(lam, per_atom) for lam in space.weights)
-        # _min_cap is 0 where P[X > 0] <= per_atom already, but a grid keeps
-        # a level above 0 on every axis (caps must be positive)
-        caps = tuple(max(1, n) for n in searched)
-        trunc = cls(space=space, caps=caps, tail_mass=tail_mass, budget=budget)
-        object.__setattr__(trunc, "searched", searched)
-        return trunc
-
-    def min_caps(self) -> tuple[int, ...]:
-        """Smallest N_i with P[Poisson(lam_i) > N_i] <= tail_mass/m, per atom:
-        the search ``from_tail_mass`` ran, or a fresh one for given caps."""
-        if self.searched is not None:
-            return self.searched
-        per_atom = self.tail_mass / self.space.atom_count
-        return tuple(_min_cap(lam, per_atom) for lam in self.space.weights)
+        return cls(space, tail_mass, budget)
 
     def state_count(self) -> int:
         return math.prod(n + 1 for n in self.caps)

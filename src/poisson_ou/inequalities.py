@@ -269,9 +269,9 @@ def check_restricted_hypercontractivity(engine, F, t, p, bypass_hypotheses=False
     q_t = overflow_to_inf(lambda: 1.0 + (p - 1.0) * math.exp(t))
     lhs = lp_norm(engine, apply_semigroup(engine, F, t), q_t).value
     rhs = lp_norm(engine, F, p).value
-    scale = max(1.0, engine.sup_abs(F))
     return make_report(
-        "restricted-hypercontractivity", lhs, rhs, tolerance=engine.tolerance(scale),
+        "restricted-hypercontractivity", lhs, rhs,
+        tolerance=engine.tolerance(engine.sup_abs(F)),
         certificates=certs, parameters={"t": t, "p": p, "q(t)": q_t},
         hypothesis_met=bypass_hypotheses or (nonneg and all(c.valid for c in certs)),
     )

@@ -73,7 +73,7 @@ def make_report(
     lhs,
     rhs,
     *,
-    tolerance=None,
+    tolerance=0.0,
     stderr=None,
     equality_form=False,
     certificates=None,
@@ -109,8 +109,7 @@ def make_report(
             else:
                 verdict = VIOLATED
         else:
-            tol = 0.0 if tolerance is None else tolerance
-            verdict = HOLDS if gap <= tol else VIOLATED
+            verdict = HOLDS if gap <= tolerance else VIOLATED
     return InequalityReport(
         name=name,
         lhs=float(lhs),

@@ -102,7 +102,7 @@ class SemigroupEngine:
         if mode == "exact":
             # pad each axis so that any kernel row started at c <= N_i + 2
             # keeps all but ~tail_mass/m of its mass on the grid, for every t
-            pads = [n + 3 for n in trunc.min_caps()]
+            pads = [n + 3 for n in trunc.min_caps]
             self.shape = tuple(n + 1 + p for n, p in zip(trunc.caps, pads))
             padded = math.prod(self.shape)
             if padded > trunc.budget:

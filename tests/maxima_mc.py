@@ -1,13 +1,13 @@
 """Monte Carlo cross-check of the maxima example, for the tests only.
 
-Two routes estimate the maxima indicator of ``casestudies.MaximaModel``: the
-exact radial reduction and full sampling of the configuration by inverse
-transform of the radial tail; the tests hold both to the closed forms.
+Two routes estimate the maxima indicator: the exact radial reduction and
+full sampling of the configuration by inverse transform of the radial tail;
+the tests hold both to ``casestudies.maxima_closed_forms``.
 """
 
 import numpy as np
 
-from poisson_ou.casestudies import MaximaModel, maxima_closed_forms
+from poisson_ou.casestudies import maxima_closed_forms
 from poisson_ou.errors import PreconditionError
 from poisson_ou.ground import sample_moments
 
@@ -72,7 +72,7 @@ def maxima_monte_carlo(tail, n_points_intensity, t, replications, seed) -> dict:
                 "poincare_rhs": m * sample_moments(1.0 - f).mean,
                 "poincare_rhs_stderr": m * moments.stderr}
 
-    closed = maxima_closed_forms(MaximaModel(m=m))
+    closed = maxima_closed_forms(m)
     return {
         "m": m,
         "radial_reduction": _stats(f1),

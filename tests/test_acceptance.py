@@ -27,7 +27,6 @@ from scipy import stats
 
 from poisson_ou import (
     GroundSpace,
-    MaximaModel,
     SemigroupEngine,
     TruncatedStateSpace,
     check_concentration,
@@ -188,7 +187,7 @@ def test_criterion_5b_lsi_failure_ratio_magnitude():
 def test_criterion_6_maxima_example():
     closed_ok = True
     for m in (0.5, 1.0, 5.0, 20.0):
-        forms = maxima_closed_forms(MaximaModel(m=m))
+        forms = maxima_closed_forms(m)
         em = math.exp(-m)
         closed_ok &= abs(forms["variance"] - em * (1 - em)) <= 1e-12
         closed_ok &= abs(forms["poincare_rhs"] - m * em) <= 1e-12
@@ -204,8 +203,8 @@ def test_criterion_6_maxima_example():
         mc_ok &= abs(r["poincare_rhs"] - closed["poincare_rhs"]) <= (
             4 * r["poincare_rhs_stderr"])
     ratio_ok = all(
-        maxima_closed_forms(MaximaModel(m=m))["talagrand_rhs"]
-        / maxima_closed_forms(MaximaModel(m=m))["variance"] <= 5.0
+        maxima_closed_forms(m)["talagrand_rhs"]
+        / maxima_closed_forms(m)["variance"] <= 5.0
         for m in (10.0, 15.0, 20.0, 50.0)
     )
     _record(6, "maxima closed forms to 1e-12, MC routes within 4 sigma, "

@@ -9,7 +9,6 @@ from scipy import stats
 
 from poisson_ou import (
     GroundSpace,
-    MaximaModel,
     SemigroupEngine,
     check_talagrand,
     counterexample_fk,
@@ -33,7 +32,7 @@ from maxima_mc import _invert_tail, maxima_monte_carlo
 class TestMaxima:
     @pytest.mark.parametrize("m", [0.5, 1.0, 5.0, 20.0])
     def test_closed_forms(self, m):
-        forms = maxima_closed_forms(MaximaModel(m=m))
+        forms = maxima_closed_forms(m)
         em = math.exp(-m)
         assert forms["variance"] == pytest.approx(em * (1 - em), abs=1e-12)
         assert forms["poincare_rhs"] == pytest.approx(m * em, abs=1e-12)
@@ -41,7 +40,7 @@ class TestMaxima:
 
     def test_norm_relation(self):
         # ||D F||_2 = sqrt(||D F||_1) for an indicator derivative
-        forms = maxima_closed_forms(MaximaModel(m=2.0))
+        forms = maxima_closed_forms(2.0)
         assert forms["dx_norm_l2"] == pytest.approx(
             math.sqrt(forms["dx_norm_l1"]), abs=1e-15
         )
@@ -49,17 +48,18 @@ class TestMaxima:
     def test_talagrand_asymptotic(self):
         # talagrand_rhs ~ 4 e^-m; within 16% at m = 50
         m = 50.0
-        forms = maxima_closed_forms(MaximaModel(m=m))
+        forms = maxima_closed_forms(m)
         assert abs(forms["talagrand_rhs"] / (4.0 * math.exp(-m)) - 1.0) < 0.16
 
     def test_talagrand_to_variance_ratio(self):
         for m in (10.0, 20.0, 50.0):
-            forms = maxima_closed_forms(MaximaModel(m=m))
+            forms = maxima_closed_forms(m)
             assert forms["talagrand_rhs"] / forms["variance"] <= 5.0
 
     def test_rejects_nonpositive_m(self):
-        with pytest.raises(ValueError):
-            MaximaModel(m=0.0)
+        for m in (0.0, -1.0, math.nan):
+            with pytest.raises(ValueError, match="m must be positive"):
+                maxima_closed_forms(m)
 
     def test_engine_crosscheck(self):
         # the indicator depends only on the outside count: model it as a
@@ -69,7 +69,7 @@ class TestMaxima:
         from poisson_ou import from_rule
 
         F = from_rule(lambda c: 1.0 if c[0] >= 1 else 0.0)
-        forms = maxima_closed_forms(MaximaModel(m=m))
+        forms = maxima_closed_forms(m)
         assert variance(engine, F) == pytest.approx(forms["variance"], abs=1e-10)
 
     def test_invert_tail(self):

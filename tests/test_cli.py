@@ -615,6 +615,29 @@ class TestExitCodes:
         assert code == 4
         assert capsys.readouterr().err == "error: f is non-finite at (0, 45)\n"
 
+    @pytest.mark.parametrize("owner,name,error,code,line", [
+        (inequalities, "check_poincare", KeyError("t"), 4, "internal error: KeyError: 't'"),
+        (SemigroupEngine, "expect_table", IndexError("index 9 is out of bounds"), 4,
+         "internal error: IndexError: index 9 is out of bounds"),
+        (SemigroupEngine, "expect_table", MemoryError("Unable to allocate 8.00 EiB"), 3,
+         "out of memory: Unable to allocate 8.00 EiB"),
+        (inequalities, "check_poincare", MemoryError(), 3, "out of memory: MemoryError"),
+    ], ids=["checker-KeyError", "expect-IndexError", "expect-MemoryError",
+            "checker-MemoryError"])
+    def test_error_outside_the_library_prints_one_line(
+        self, tmp_path, monkeypatch, capsys, owner, name, error, code, line
+    ):
+        def fail(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(owner, name, fail)
+        out = tmp_path / "out"
+        assert main(["run", str(write_config(tmp_path, base_config())), "--out", str(out)]) == code
+        assert capsys.readouterr().err.splitlines() == [line]
+        assert not (out / "report.txt").exists()
+        # out of memory drops the held engine; any other error keeps it
+        assert (cli._held is None) == (code == 3)
+
 
 def without(config, key):
     """``config`` less its top-level ``key``."""

@@ -70,15 +70,16 @@ class TestTruncation:
     ])
     def test_a_tail_met_at_cap_0_gets_cap_1(self, weights, tail):
         # P[X > 0] <= tail / m already, so the least cap is 0, which a grid
-        # cannot have: from_tail_mass raised "caps must be positive"
+        # cannot have: min_caps keeps the 0 and caps raise it to 1
         assert _min_cap(weights[0], tail / len(weights)) == 0
         trunc = TruncatedStateSpace.from_tail_mass(GroundSpace(weights), tail_mass=tail)
-        assert trunc.caps[0] == 1
+        assert (trunc.min_caps[0], trunc.caps[0]) == (0, 1)
         assert trunc.caps[1:] == tuple(_min_cap(w, tail / len(weights)) for w in weights[1:])
 
-    def test_a_cap_of_0_given_directly_raises(self):
-        with pytest.raises(ValueError, match="caps must be positive"):
-            TruncatedStateSpace(GroundSpace((1e-13,)), (0,), 1e-12)
+    @pytest.mark.parametrize("derived", ["caps", "min_caps"])
+    def test_caps_cannot_be_passed_in(self, derived):
+        with pytest.raises(TypeError):
+            TruncatedStateSpace(GroundSpace((1.0,)), **{derived: (3,)})
 
     def test_larger_intensity_needs_larger_caps(self):
         small = TruncatedStateSpace.from_tail_mass(GroundSpace((0.5,)))

@@ -643,20 +643,21 @@ class TestResultMemo:
         # the caps and the pads read one search per atom
         assert len(searches) == len(guesses) == 3
 
-    def test_given_caps_pad_as_searched_caps(self):
-        space = GroundSpace((0.035355, 0.126532, 0.155858, 7.5))
-        searched = TruncatedStateSpace.from_tail_mass(space, 1e-6)
-        given = TruncatedStateSpace(space, searched.caps, 1e-6)
-        assert given == searched
-        assert SemigroupEngine(space, given).shape == SemigroupEngine(space, searched).shape
-        wider = TruncatedStateSpace(space, tuple(n + 2 for n in searched.caps), 1e-6)
-        assert SemigroupEngine(space, wider).shape == tuple(
-            s + 2 for s in SemigroupEngine(space, searched).shape)
-        # a copy at another tail mass searches its own pads
-        looser = dataclasses.replace(searched, tail_mass=1e-3)
-        assert SemigroupEngine(space, looser).shape == SemigroupEngine(
-            space, TruncatedStateSpace(space, searched.caps, 1e-3)).shape
-        assert SemigroupEngine(space, looser).shape != SemigroupEngine(space, searched).shape
+    @pytest.mark.parametrize("weights,tail,caps,min_caps,shape,looser", [
+        ((0.035355, 0.126532, 0.155858, 7.5), 1e-6, (3, 4, 5, 25), (3, 4, 5, 25),
+         (10, 12, 14, 54), ((2, 3, 3, 19), (2, 3, 3, 19), (8, 10, 10, 42))),
+        # P[X > 0] <= tail already: the search gives 0, the grid keeps cap 1
+        ((1e-13,), 1e-12, (1,), (0,), (5,), ((1,), (0,), (5,))),
+    ], ids=["four-atoms", "cap-0"])
+    def test_searched_caps_and_padded_shape(self, weights, tail, caps, min_caps, shape,
+                                            looser):
+        space = GroundSpace(weights)
+        trunc = TruncatedStateSpace.from_tail_mass(space, tail)
+        assert (trunc.caps, trunc.min_caps) == (caps, min_caps)
+        assert SemigroupEngine(space, trunc).shape == shape
+        # a copy at another tail mass searches its caps and pads again
+        copy = dataclasses.replace(trunc, tail_mass=1e-3)
+        assert (copy.caps, copy.min_caps, SemigroupEngine(space, copy).shape) == looser
 
     def test_four_atom_report_and_memo_bytes(self, tmp_path, monkeypatch):
         engines = []
